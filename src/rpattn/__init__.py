@@ -32,7 +32,6 @@ from .analysis import (
     softmax_flops,
 )
 from .baselines import (
-    BASELINE_KINDS,
     kmeans_gather,
     pooled_proxy_forward,
     softmax_attention_forward,
@@ -50,7 +49,7 @@ __all__ = [
     "FlopsBreakdown", "Mechanism", "ScalingReport", "ShiftReport",
     "em_one_step_oracle", "export_assignment_maps", "flops_estimate",
     "measure_scaling", "shift_robustness", "softmax_flops",
-    "BASELINE_KINDS", "kmeans_gather", "pooled_proxy_forward",
+    "kmeans_gather", "pooled_proxy_forward",
     "softmax_attention_forward",
     "GradSet", "finite_diff_grad", "gradcheck", "rpattention_backward",
     "SyntheticTask", "gen_synthetic", "make_blob_image",

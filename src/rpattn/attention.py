@@ -43,7 +43,7 @@ class AttnConfig:
     enable_interact: bool = True
     enable_dwc: bool = True
     routing: str = "learned"       # "learned" soft gather or "kmeans" hard routing
-    dtype: str = "float64"         # "float64" deterministic / "float32" benchmark
+    dtype: str = "float64"         # "float64" correctness / "float32" benchmark
     kmeans_iters: int = 3
     kmeans_seed: int = 0
 
@@ -259,17 +259,18 @@ def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray):
     return p_dist, merge_heads(kernels.matmul(p_dist, z_l))
 
 
-def local_bypass(x: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
-    """Depthwise convolution over the value features on the token grid.
+def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
+    """Depthwise convolution over the value features xv [B, N, C] on the token grid.
 
-    Returns zeros when the bypass is disabled.
+    xv is the already projected value tensor (x @ w_v, heads merged), so the
+    bypass adds no projection of its own. Returns zeros when the bypass is
+    disabled.
     """
-    b, n, c = x.shape
+    b, n, c = xv.shape
     if not config.enable_dwc:
-        return np.zeros_like(x)
+        return np.zeros_like(xv)
     if n != config.num_tokens:
         raise ConfigError(f"token count {n} does not match grid {config.grid_h}x{config.grid_w}")
-    xv = kernels.linear(x, params.w_v)
     grid = xv.reshape(b, config.grid_h, config.grid_w, c)
     out = kernels.depthwise_conv2d(grid, params.dwc_kernel, params.dwc_bias)
     return out.reshape(b, n, c)
@@ -305,7 +306,7 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     k_l, v_l = gather_latents(a_hat, k, v)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     p_dist, o_global = distribute_global(q, k_l_bar, z_l)
-    bypass = local_bypass(x, params, config)
+    bypass = local_bypass(merge_heads(v), params, config)
     output = kernels.linear(o_global + bypass, params.w_o)
 
     trace = ForwardTrace(

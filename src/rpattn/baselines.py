@@ -12,11 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .attention import AttnConfig, RPAttnParams, merge_heads, split_heads
+from .attention import AttnConfig, RPAttnParams, merge_heads, project_qkv, split_heads
 from .errors import ConfigError
-
-BASELINE_KINDS = ("softmax_dense", "pooled_proxy", "rp_gather_distribute", "rp_kmeans_routing")
-
 
 @dataclass
 class DenseTrace:
@@ -115,9 +112,7 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
 
     heads = config.heads
     d = config.head_dim
-    q = split_heads(kernels.linear(x, params.w_q), heads)
-    k = split_heads(kernels.linear(x, params.w_k), heads)
-    v = split_heads(kernels.linear(x, params.w_v), heads)
+    q, k, v = project_qkv(x, params, config)
 
     cell_h = config.grid_h // g_h
     cell_w = config.grid_w // g_w

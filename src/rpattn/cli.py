@@ -6,7 +6,7 @@ Each reads a JSON config (--config), writes CSV/PGM artifacts into the
 check failed, 2 config error.
 
 The RPATTN_THREADS environment variable caps BLAS worker threads before
-numpy loads (0 or 1 means single-threaded deterministic execution).
+numpy loads (0 or 1 means single-threaded execution).
 """
 
 import argparse

@@ -1,12 +1,10 @@
 """Dense numeric primitives every attention variant is built from.
 
-All kernels operate on plain numpy arrays (row-major, C order). Execution
-mode is selected by dtype:
-
-* float64 is the correctness mode: contractions run through a fixed-order
-  einsum path, single threaded and bit-reproducible run to run.
-* float32 is the benchmark mode: contractions dispatch to BLAS, which may
-  parallelize across threads.
+All kernels operate on plain numpy arrays (row-major, C order). Both dtypes
+share one path: contractions dispatch to BLAS through np.matmul. float64 is
+the precision for correctness work (gradient checks, oracle comparisons);
+float32 is the precision for benchmarks. The tests pin that float64 results
+are bit-identical under one and two BLAS threads.
 
 Kernels are pure functions of their inputs and never mutate arguments.
 """
@@ -19,8 +17,7 @@ from .errors import ConfigError, ShapeError
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched matrix product of [..., p, q] and [..., q, r] -> [..., p, r].
 
-    Leading dimensions broadcast. In float64 the contraction order is fixed
-    (deterministic mode); float32 uses BLAS.
+    Leading dimensions broadcast. Every dtype goes through np.matmul (BLAS).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -29,22 +26,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
     try:
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as exc:
         raise ShapeError(f"matmul leading dims do not broadcast: {a.shape} x {b.shape}") from exc
-
-    if np.result_type(a, b) != np.float64:
-        return np.matmul(a, b)
-
-    p, q = a.shape[-2:]
-    r = b.shape[-1]
-    if b.ndim == 2 and a.ndim >= 2:
-        out = np.einsum("apq,qr->apr", a.reshape(-1, p, q), b, optimize=False)
-        return out.reshape(a.shape[:-1] + (r,))
-    a3 = np.broadcast_to(a, lead + (p, q)).reshape(-1, p, q)
-    b3 = np.broadcast_to(b, lead + (q, r)).reshape(-1, q, r)
-    out = np.einsum("lpq,lqr->lpr", a3, b3, optimize=False)
-    return out.reshape(lead + (p, r))
+    return np.matmul(a, b)
 
 
 def linear(x: np.ndarray, w: np.ndarray, bias=None) -> np.ndarray:

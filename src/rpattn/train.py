@@ -12,6 +12,7 @@ from typing import List
 
 import numpy as np
 
+from . import kernels
 from .attention import AttnConfig, init_params, rpattention_forward
 from .baselines import softmax_attention_backward, softmax_attention_forward
 from .errors import ConfigError, TrainDivergedError
@@ -70,11 +71,6 @@ def adam_step(params: dict, grads: dict, state: AdamState,
             p -= lr * weight_decay * p
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return state
-
-
-def _softmax_rows(z):
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def variant_config(base: AttnConfig, variant: str) -> AttnConfig:
@@ -159,7 +155,7 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: Train
         out, trace = forward(xb)
         pooled = out.mean(axis=1)                       # [b, C]
         logits = pooled @ head_w + head_b
-        probs = _softmax_rows(logits)
+        probs = kernels.softmax_lastdim(logits)
         bsz = len(xb)
         loss = float(-np.log(probs[np.arange(bsz), yb] + 1e-300).mean())
         if not math.isfinite(loss):

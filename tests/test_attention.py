@@ -287,9 +287,10 @@ class TestLocalBypass:
     def test_matches_conv_oracle(self):
         params = init_params(SMALL, 4)
         x = np.random.default_rng(19).standard_normal((2, 12, 8))
-        got = local_bypass(x, params, SMALL)
-        xv = oracles.matmul_loops(x, params.w_v).reshape(2, 3, 4, 8)
-        expect = oracles.depthwise_conv2d_loops(xv, params.dwc_kernel, params.dwc_bias)
+        xv = oracles.matmul_loops(x, params.w_v)
+        got = local_bypass(xv, params, SMALL)
+        expect = oracles.depthwise_conv2d_loops(
+            xv.reshape(2, 3, 4, 8), params.dwc_kernel, params.dwc_bias)
         assert np.abs(got - expect.reshape(2, 12, 8)).max() < 1e-12
 
 

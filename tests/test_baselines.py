@@ -5,7 +5,6 @@ import pytest
 
 from rpattn import AttnConfig, init_params, kmeans_gather, pooled_proxy_forward
 from rpattn.baselines import (
-    BASELINE_KINDS,
     kmeans_inertia,
     softmax_attention_backward,
     softmax_attention_forward,
@@ -204,11 +203,6 @@ class TestKMeans:
     def test_bad_iters(self):
         with pytest.raises(ConfigError):
             kmeans_gather(np.zeros((1, 1, 4, 2)), num_slots=2, iters=0, seed=0)
-
-
-def test_baseline_kinds_listed():
-    assert BASELINE_KINDS == ("softmax_dense", "pooled_proxy",
-                              "rp_gather_distribute", "rp_kmeans_routing")
 
 
 def test_all_baselines_preserve_token_shape():

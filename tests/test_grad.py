@@ -131,14 +131,6 @@ class TestGradcheck:
         with pytest.raises(ConfigError):
             gradcheck(replace(SMALL, routing="kmeans"), seed=0)
 
-    def test_csv_report(self, tmp_path):
-        report = gradcheck(SMALL, seed=0)
-        path = tmp_path / "gradcheck.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "parameter,max_rel_err,pass"
-        assert len(lines) == 1 + len(report.entries)
-
 
 def test_backward_linear_in_grad_output():
     params, x, _, y, trace = _forward_backward(SMALL, 4)

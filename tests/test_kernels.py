@@ -1,8 +1,14 @@
 """Kernel-level tests against naive loop oracles and frozen values."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rpattn
 from rpattn import kernels
 from rpattn.errors import ConfigError, ShapeError
 
@@ -204,3 +210,41 @@ def test_kernels_bit_deterministic():
             kernels.depthwise_conv2d(x, kernel, np.zeros(3)).tobytes(),
         ))
     assert runs[0] == runs[1]
+
+
+# Float64 forward + backward at a shape large enough that BLAS splits its
+# GEMMs across threads. Prints one sha256 per output/gradient array.
+_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from rpattn import AttnConfig, init_params, rpattention_backward, rpattention_forward
+
+cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=32, grid_w=32)
+params = init_params(cfg, 0)
+rng = np.random.default_rng(1)
+x = rng.standard_normal((2, cfg.num_tokens, cfg.channels))
+g = rng.standard_normal(x.shape)
+y, trace = rpattention_forward(x, params, cfg)
+grads = rpattention_backward(trace, g, params, cfg)
+arrays = {"output": y, "grad_x": grads.grad_x, **grads.field_dict()}
+for name, arr in arrays.items():
+    print(name, arr.dtype, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest())
+"""
+
+
+def _hash_run(threads):
+    src = str(Path(rpattn.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path,
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_float64_bytes_independent_of_blas_threads():
+    one = _hash_run(1)
+    two = _hash_run(2)
+    assert len(one) == 16 and all(" float64 " in line for line in one)
+    assert one == two
