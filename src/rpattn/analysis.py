@@ -17,15 +17,8 @@ from typing import Callable, List
 import numpy as np
 
 from . import kernels
-from .attention import (
-    AttnConfig,
-    RPAttnParams,
-    gather_assign,
-    gather_latents,
-    mass_normalize,
-    project_qkv,
-)
-from .baselines import pooled_proxy_forward
+from .attention import AttnConfig, init_params, rpattention_forward
+from .baselines import pooled_proxy_forward, softmax_attention_forward
 from .errors import ConfigError, ShapeError
 
 
@@ -193,14 +186,6 @@ def shift_image(image, shift, mode="zero"):
     return out
 
 
-def rp_value_latents(tokens, params: RPAttnParams, config: AttnConfig):
-    """Gathered latent values [B, h, M, d] for a token batch (gather path only)."""
-    _, k, v = project_qkv(np.asarray(tokens, dtype=config.np_dtype), params, config)
-    a_hat = mass_normalize(gather_assign(k, params.w_g), config.epsilon)
-    _, v_l = gather_latents(a_hat, k, v)
-    return v_l
-
-
 def _cosine(a, b):
     a = a.reshape(-1).astype(np.float64)
     b = b.reshape(-1).astype(np.float64)
@@ -217,7 +202,8 @@ def shift_robustness(image, embed_w, params_rp, config_rp: AttnConfig,
     """Latent stability of both mechanisms under pixel shifts of one image.
 
     For each shift the image is translated, patch-embedded, and the flattened
-    per-head latent values are compared (cosine) against the unshifted ones.
+    per-head latent values (the layer's gathered v_l, the proxy's pooled
+    values) are compared (cosine) against the unshifted ones.
     The representative mechanism gathers by feature similarity, so its
     latents depend only on the token features; the pooled proxy ties latents
     to grid cells and reacts to content crossing cell boundaries.
@@ -232,7 +218,7 @@ def shift_robustness(image, embed_w, params_rp, config_rp: AttnConfig,
     ref_rp = ref_pooled = None
     for s in shifts:
         tokens = patch_embed(shift_image(image, s, mode=mode), patch_size, embed_w)
-        lat_rp = rp_value_latents(tokens, params_rp, config_rp)
+        lat_rp = rpattention_forward(tokens, params_rp, config_rp)[1].v_l
         _, _, lat_pooled = pooled_proxy_forward(tokens, params_pooled, config_pooled, pool_grid)
         if s == 0:
             ref_rp, ref_pooled = lat_rp, lat_pooled
@@ -418,6 +404,49 @@ def make_quadratic_dummy(repeats=8) -> Mechanism:
         return run
 
     return Mechanism("quadratic_dummy", prepare)
+
+
+def _forward_mechanism(name, forward, channels, heads, num_representatives, **kwargs):
+    """One float32 forward, batch 1, on a near-square grid of n tokens.
+
+    Weights come from init_params(config, 0) and the input from
+    default_rng(1), the same for every mechanism built here.
+    """
+
+    def prepare(n):
+        grid_h = math.isqrt(n)
+        while n % grid_h:
+            grid_h -= 1
+        config = AttnConfig(channels=channels, heads=heads,
+                            num_representatives=num_representatives,
+                            grid_h=grid_h, grid_w=n // grid_h, dtype="float32")
+        params = init_params(config, 0)
+        x = np.random.default_rng(1).standard_normal((1, n, channels)).astype(np.float32)
+        return lambda: forward(x, params, config, **kwargs)
+
+    return Mechanism(name, prepare)
+
+
+def bench_mechanisms(names, channels=64, heads=2, num_representatives=49, row_chunk=1024):
+    """The named scaling-benchmark subjects, in the given order.
+
+    rpattention and softmax_dense share one set-up; the dense forward runs
+    in row_chunk query blocks so that N = 16384 fits in memory.
+    """
+    factory = {
+        "constant_dummy": make_constant_dummy,
+        "linear_dummy": make_linear_dummy,
+        "quadratic_dummy": make_quadratic_dummy,
+        "rpattention": lambda: _forward_mechanism(
+            "rpattention", rpattention_forward, channels, heads, num_representatives),
+        "softmax_dense": lambda: _forward_mechanism(
+            "softmax_dense", softmax_attention_forward, channels, heads, num_representatives,
+            row_chunk=row_chunk),
+    }
+    unknown = [name for name in names if name not in factory]
+    if unknown:
+        raise ConfigError(f"unknown mechanism {unknown[0]!r}; choose from {sorted(factory)}")
+    return [factory[name]() for name in names]
 
 
 # ---------------------------------------------------------------------------

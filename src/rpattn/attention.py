@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -276,11 +276,11 @@ def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np
     return out.reshape(b, n, c)
 
 
-def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig):
-    """Full layer forward. Returns (output, ForwardTrace).
+def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
+    """The input contract shared by every attention forward; returns x cast to config's dtype.
 
-    Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass.
+    x must be [B, N, C] with B >= 1, C = config.channels and N = the grid's
+    token count, and every params field must already hold config's dtype.
     """
     x = np.asarray(x, dtype=config.np_dtype)
     if x.ndim != 3:
@@ -292,7 +292,19 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
         raise ShapeError(f"input channels {c} != config channels {config.channels}")
     if n != config.num_tokens:
         raise ConfigError(f"token count {n} does not match grid {config.grid_h}x{config.grid_w}")
+    for name, value in params.field_dict().items():
+        if value.dtype != config.np_dtype:
+            raise ContractError(f"param {name} is {value.dtype}, config dtype is {config.dtype}")
+    return x
 
+
+def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig):
+    """Full layer forward. Returns (output, ForwardTrace).
+
+    Output shape equals input shape. The trace retains every intermediate
+    needed by the analytic backward pass.
+    """
+    x = check_input(x, params, config)
     q, k, v = project_qkv(x, params, config)
 
     if config.routing == "kmeans":

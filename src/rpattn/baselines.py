@@ -4,16 +4,21 @@
 * a pooled-proxy variant whose latents come from grid average pooling of
   keys and values (coordinate-driven compression),
 * hard k-means routing that replaces the learned one-step gather.
+
+The forwards take the layer's (x, params, config) and share its input
+check; the dense backward lives in grad next to the layer's.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .attention import AttnConfig, RPAttnParams, merge_heads, project_qkv, split_heads
+from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv
 from .errors import ConfigError
+
 
 @dataclass
 class DenseTrace:
@@ -21,34 +26,30 @@ class DenseTrace:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    p: np.ndarray        # [B, h, N, N] attention weights
+    p: Optional[np.ndarray]  # [B, h, N, N] attention weights, None when row-chunked
     o_merged: np.ndarray  # [B, N, C]
     output: np.ndarray
 
 
-def softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads,
-                              row_chunk=None, return_trace=False):
-    """Dense multi-head attention; materializes all pairwise affinities.
+def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_chunk=None):
+    """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
-    row_chunk bounds peak memory by computing the attention matrix in query
-    blocks (the result is identical; total work stays quadratic in N).
+    Reads only the w_q, w_k, w_v and w_o projections of params. row_chunk
+    bounds peak memory by computing the attention matrix in query blocks
+    (the result is identical; total work stays quadratic in N); the chunked
+    trace keeps no attention weights (p is None), so it cannot be
+    differentiated.
     """
-    x = np.asarray(x)
-    b, n, c = x.shape
-    if c != w_q.shape[0]:
-        raise ConfigError(f"input channels {c} do not match weights {w_q.shape}")
-    if heads < 1 or c % heads != 0:
-        raise ConfigError(f"channels {c} not divisible by heads {heads}")
-    q = split_heads(kernels.linear(x, w_q), heads)
-    k = split_heads(kernels.linear(x, w_k), heads)
-    v = split_heads(kernels.linear(x, w_v), heads)
-    scale = 1.0 / math.sqrt(c // heads)
+    x = check_input(x, params, config)
+    n = x.shape[1]
+    q, k, v = project_qkv(x, params, config)
+    scale = 1.0 / math.sqrt(config.head_dim)
 
     if row_chunk is None or row_chunk >= n:
         p = kernels.softmax_lastdim(kernels.matmul(q, np.swapaxes(k, -1, -2)) * scale)
         o = kernels.matmul(p, v)
     else:
-        p = None  # not retained in chunked mode
+        p = None
         o = np.empty_like(q)
         k_t = np.swapaxes(k, -1, -2)
         for start in range(0, n, row_chunk):
@@ -57,40 +58,8 @@ def softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads,
             o[:, :, start:stop, :] = kernels.matmul(p_blk, v)
 
     o_merged = merge_heads(o)
-    out = kernels.linear(o_merged, w_o)
-    if not return_trace:
-        return out
-    if p is None:
-        raise ConfigError("return_trace requires the unchunked path")
+    out = kernels.linear(o_merged, params.w_o)
     return out, DenseTrace(x=x, q=q, k=k, v=v, p=p, o_merged=o_merged, output=out)
-
-
-def softmax_attention_backward(trace: DenseTrace, grad_output, w_q, w_k, w_v, w_o):
-    """Gradients of sum(grad_output * output) for the dense baseline."""
-    heads = trace.q.shape[1]
-    d = trace.q.shape[-1]
-    scale = 1.0 / math.sqrt(d)
-
-    def fold(t):
-        return t.reshape(-1, t.shape[-1])
-
-    d_w_o = kernels.matmul(fold(trace.o_merged).T, fold(grad_output))
-    d_o = split_heads(kernels.matmul(grad_output, w_o.T), heads)
-
-    d_p = kernels.matmul(d_o, np.swapaxes(trace.v, -1, -2))
-    d_v = kernels.matmul(np.swapaxes(trace.p, -1, -2), d_o)
-    d_s = trace.p * (d_p - (d_p * trace.p).sum(axis=-1, keepdims=True))
-    d_q = kernels.matmul(d_s, trace.k) * scale
-    d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), trace.q) * scale
-
-    d_q_flat, d_k_flat, d_v_flat = (merge_heads(t) for t in (d_q, d_k, d_v))
-    d_w_q = kernels.matmul(fold(trace.x).T, fold(d_q_flat))
-    d_w_k = kernels.matmul(fold(trace.x).T, fold(d_k_flat))
-    d_w_v = kernels.matmul(fold(trace.x).T, fold(d_v_flat))
-    d_x = (kernels.matmul(d_q_flat, w_q.T)
-           + kernels.matmul(d_k_flat, w_k.T)
-           + kernels.matmul(d_v_flat, w_v.T))
-    return {"w_q": d_w_q, "w_k": d_w_k, "w_v": d_w_v, "w_o": d_w_o, "x": d_x}
 
 
 def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid):
@@ -105,10 +74,8 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     if config.grid_h % g_h != 0 or config.grid_w % g_w != 0:
         raise ConfigError(
             f"grid {config.grid_h}x{config.grid_w} not divisible by pool grid {g_h}x{g_w}")
-    x = np.asarray(x, dtype=config.np_dtype)
-    b, n, c = x.shape
-    if n != config.num_tokens:
-        raise ConfigError(f"token count {n} does not match grid")
+    x = check_input(x, params, config)
+    b = x.shape[0]
 
     heads = config.heads
     d = config.head_dim
@@ -162,9 +129,11 @@ def _kmeans_single(points, m, iters, rng):
                 far = int(own.argmax())
                 assign[far] = slot
                 own[far] = -1.0
+        # A slot re-seeding could not fill (as when M > N) keeps its centroid.
         for slot in range(m):
-            members = assign == slot
-            centroids[slot] = points[members].mean(axis=0)
+            members = points[assign == slot]
+            if len(members):
+                centroids[slot] = members.mean(axis=0)
 
     one_hot = np.zeros((n, m), dtype=np.float64)
     one_hot[np.arange(n), assign] = 1.0

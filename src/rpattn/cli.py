@@ -40,14 +40,12 @@ def _load_config(path):
 
 
 def _attn_config(entries, **overrides):
+    from dataclasses import fields
+
     from .attention import AttnConfig
 
-    fields = {
-        "channels", "heads", "num_representatives", "grid_h", "grid_w",
-        "dwc_kernel", "epsilon", "ln_eps", "enable_interact", "enable_dwc",
-        "routing", "dtype", "kmeans_iters", "kmeans_seed",
-    }
-    kwargs = {k: v for k, v in entries.items() if k in fields}
+    names = {f.name for f in fields(AttnConfig)}
+    kwargs = {k: v for k, v in entries.items() if k in names}
     kwargs.update(overrides)
     return AttnConfig(**kwargs)
 
@@ -122,66 +120,19 @@ _BENCH_DEFAULT_BANDS = {
 }
 
 
-def _bench_mechanisms(names, cfg):
-    import numpy as np
-
-    from . import analysis
-    from .attention import AttnConfig, init_params, rpattention_forward
-    from .baselines import softmax_attention_forward
-    from .errors import ConfigError
-
-    channels = cfg.get("channels", 64)
-    heads = cfg.get("heads", 2)
-    slots = cfg.get("num_representatives", 49)
-    row_chunk = cfg.get("row_chunk", 1024)
-
-    def near_square(n):
-        h = int(n ** 0.5)
-        while n % h:
-            h -= 1
-        return h, n // h
-
-    def rp_prepare(n):
-        gh, gw = near_square(n)
-        config = AttnConfig(channels=channels, heads=heads, num_representatives=slots,
-                            grid_h=gh, grid_w=gw, dtype="float32")
-        params = init_params(config, 0)
-        x = np.random.default_rng(1).standard_normal((1, n, channels)).astype(np.float32)
-        return lambda: rpattention_forward(x, params, config)
-
-    def dense_prepare(n):
-        rng = np.random.default_rng(2)
-        bound = 1.0 / channels ** 0.5
-        w = [rng.uniform(-bound, bound, (channels, channels)).astype(np.float32)
-             for _ in range(4)]
-        x = rng.standard_normal((1, n, channels)).astype(np.float32)
-        return lambda: softmax_attention_forward(x, w[0], w[1], w[2], w[3], heads,
-                                                 row_chunk=row_chunk)
-
-    factory = {
-        "constant_dummy": analysis.make_constant_dummy,
-        "linear_dummy": analysis.make_linear_dummy,
-        "quadratic_dummy": analysis.make_quadratic_dummy,
-        "rpattention": lambda: analysis.Mechanism("rpattention", rp_prepare),
-        "softmax_dense": lambda: analysis.Mechanism("softmax_dense", dense_prepare),
-    }
-    mechanisms = []
-    for name in names:
-        if name not in factory:
-            raise ConfigError(f"unknown mechanism {name!r}; choose from {sorted(factory)}")
-        mechanisms.append(factory[name]())
-    return mechanisms
-
-
 def cmd_bench(args):
-    from .analysis import measure_scaling
+    from .analysis import bench_mechanisms, measure_scaling
 
     cfg = _load_config(args.config)
     names = cfg.get("mechanisms",
                     ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"])
     sizes = cfg.get("sizes", [256, 1024, 4096])
+    mechanisms = bench_mechanisms(
+        names, channels=cfg.get("channels", 64), heads=cfg.get("heads", 2),
+        num_representatives=cfg.get("num_representatives", 49),
+        row_chunk=cfg.get("row_chunk", 1024))
     report = measure_scaling(
-        _bench_mechanisms(names, cfg), sizes,
+        mechanisms, sizes,
         reps=cfg.get("reps", 3), warmup=cfg.get("warmup", 30),
         iters=cfg.get("iters", 100),
         min_sample_s=cfg.get("min_sample_ms", 2.0) / 1e3,

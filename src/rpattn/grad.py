@@ -1,10 +1,12 @@
-"""Analytic backward pass for the representative-attention layer.
+"""Analytic backward passes for the representative-attention layer and the
+dense softmax baseline.
 
 Gradients are derived by hand as the exact reverse of the forward pipeline:
 output projection, depthwise bypass, distribution cross-attention, latent
 self-attention, the two latent layer norms, slot gathering, the mass
 normalization (quotient rule over the slot column sums), the assignment
-softmax, and the input projections. A central-finite-difference harness
+softmax, and the input projections. The dense backward reuses the same
+softmax and weight-gradient steps. A central-finite-difference harness
 verifies every parameter.
 """
 
@@ -25,6 +27,7 @@ from .attention import (
     rpattention_forward,
     split_heads,
 )
+from .baselines import DenseTrace
 from .errors import ConfigError, ContractError
 
 
@@ -218,6 +221,42 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
         dwc_kernel=d_dwc_kernel, dwc_bias=d_dwc_bias,
         grad_x=d_x,
     )
+
+
+def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray,
+                               params: RPAttnParams) -> GradSet:
+    """Exact gradients of sum(grad_output * output) for the dense baseline.
+
+    The trace must come from an unchunked softmax_attention_forward with the
+    same params. Fields the dense forward does not read get zero gradients.
+    """
+    if trace.p is None:
+        raise ContractError("dense backward needs the attention weights of an unchunked forward")
+    grad_output = np.asarray(grad_output, dtype=trace.output.dtype)
+    if grad_output.shape != trace.output.shape:
+        raise ContractError(
+            f"grad_output shape {grad_output.shape} != output shape {trace.output.shape}")
+    heads = trace.q.shape[1]
+    scale = 1.0 / math.sqrt(trace.q.shape[-1])
+
+    d_w_o = _weight_grad(trace.o_merged, grad_output)
+    d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), heads)
+
+    d_p = kernels.matmul(d_o, np.swapaxes(trace.v, -1, -2))
+    d_v = kernels.matmul(np.swapaxes(trace.p, -1, -2), d_o)
+    d_s = _softmax_backward(trace.p, d_p)
+    d_q = kernels.matmul(d_s, trace.k) * scale
+    d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), trace.q) * scale
+
+    d_q_flat, d_k_flat, d_v_flat = (merge_heads(t) for t in (d_q, d_k, d_v))
+    d_x = kernels.matmul(d_q_flat, params.w_q.T)
+    d_x += kernels.matmul(d_k_flat, params.w_k.T)
+    d_x += kernels.matmul(d_v_flat, params.w_v.T)
+
+    grads = {name: np.zeros_like(value) for name, value in params.field_dict().items()}
+    grads.update(w_q=_weight_grad(trace.x, d_q_flat), w_k=_weight_grad(trace.x, d_k_flat),
+                 w_v=_weight_grad(trace.x, d_v_flat), w_o=d_w_o)
+    return GradSet(**grads, grad_x=d_x)
 
 
 def finite_diff_grad(loss_fn: Callable[[np.ndarray], float], tensor: np.ndarray,

@@ -8,15 +8,16 @@ produce byte-identical loss curves.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import List
 
 import numpy as np
 
 from . import kernels
 from .attention import AttnConfig, init_params, rpattention_forward
-from .baselines import softmax_attention_backward, softmax_attention_forward
+from .baselines import softmax_attention_forward
 from .errors import ConfigError, TrainDivergedError
-from .grad import rpattention_backward
+from .grad import rpattention_backward, softmax_attention_backward
 from .synthetic import SyntheticTask, gen_synthetic
 
 VARIANTS = ("full", "gather_distribute", "kmeans", "softmax_baseline")
@@ -131,17 +132,16 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: Train
     trainable["head_w"] = head_w
     trainable["head_b"] = head_b
 
+    if variant == "softmax_baseline":
+        forward = softmax_attention_forward
+        backward = partial(softmax_attention_backward, params=layer)
+    else:
+        forward = rpattention_forward
+        backward = partial(rpattention_backward, params=layer, config=cfg)
+
     state = AdamState()
     batch_rng = np.random.default_rng([train_config.seed, 2])
     losses = []
-
-    def forward(xb):
-        if variant == "softmax_baseline":
-            out, trace = softmax_attention_forward(
-                xb, layer.w_q, layer.w_k, layer.w_v, layer.w_o, cfg.heads, return_trace=True)
-        else:
-            out, trace = rpattention_forward(xb, layer, cfg)
-        return out, trace
 
     full_batch = train_config.batch_size >= len(x_train)
     for step in range(train_config.steps):
@@ -152,7 +152,7 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: Train
             xb = x_train[idx]
             yb = y_train[idx]
 
-        out, trace = forward(xb)
+        out, trace = forward(xb, layer, cfg)
         pooled = out.mean(axis=1)                       # [b, C]
         logits = pooled @ head_w + head_b
         probs = kernels.softmax_lastdim(logits)
@@ -165,26 +165,17 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: Train
         d_logits = probs.copy()
         d_logits[np.arange(bsz), yb] -= 1.0
         d_logits /= bsz
-        grads = {name: np.zeros_like(p) for name, p in trainable.items()}
-        grads["head_w"] = pooled.T @ d_logits
-        grads["head_b"] = d_logits.sum(axis=0)
         d_pooled = d_logits @ head_w.T
         grad_out = np.repeat(d_pooled[:, None, :], out.shape[1], axis=1) / out.shape[1]
-
-        if variant == "softmax_baseline":
-            dense = softmax_attention_backward(
-                trace, grad_out, layer.w_q, layer.w_k, layer.w_v, layer.w_o)
-            for name in ("w_q", "w_k", "w_v", "w_o"):
-                grads[name] = dense[name]
-        else:
-            gset = rpattention_backward(trace, grad_out, layer, cfg)
-            grads.update(gset.field_dict())
+        grads = backward(trace, grad_out).field_dict()
+        grads["head_w"] = pooled.T @ d_logits
+        grads["head_b"] = d_logits.sum(axis=0)
 
         adam_step(trainable, grads, state, train_config.lr,
                   train_config.beta1, train_config.beta2, train_config.eps,
                   train_config.weight_decay)
 
-    out_eval, _ = forward(x_eval)
+    out_eval, _ = forward(x_eval, layer, cfg)
     logits_eval = out_eval.mean(axis=1) @ head_w + head_b
     accuracy = float((logits_eval.argmax(axis=1) == y_eval).mean())
     return TrainHistory(losses=losses, final_accuracy=accuracy, variant=variant)

@@ -26,15 +26,12 @@ from rpattn import (
     train_tiny,
 )
 from rpattn.analysis import (
-    Mechanism,
-    make_constant_dummy,
-    make_quadratic_dummy,
+    bench_mechanisms,
     mean_shift_report,
     measure_scaling,
     shift_robustness,
 )
 from rpattn.attention import gather_assign, gather_latents, mass_normalize
-from rpattn.baselines import softmax_attention_forward
 from rpattn.tensor_io import read_tensor, write_tensor
 
 import oracles
@@ -104,30 +101,11 @@ def test_criterion_3_flops_model():
 
 
 def test_criterion_4_linear_scaling():
-    channels, heads, slots = 64, 2, 49
-
-    def rp_prepare(n):
-        side = int(n ** 0.5)
-        cfg = AttnConfig(channels=channels, heads=heads, num_representatives=slots,
-                         grid_h=side, grid_w=side, dtype="float32")
-        params = init_params(cfg, 0)
-        x = np.random.default_rng(1).standard_normal((1, n, channels)).astype(np.float32)
-        return lambda: rpattention_forward(x, params, cfg)
-
-    def dense_prepare(n):
-        rng = np.random.default_rng(2)
-        bound = 1.0 / channels ** 0.5
-        w = [rng.uniform(-bound, bound, (channels, channels)).astype(np.float32)
-             for _ in range(4)]
-        x = rng.standard_normal((1, n, channels)).astype(np.float32)
-        return lambda: softmax_attention_forward(x, w[0], w[1], w[2], w[3], heads,
-                                                 row_chunk=1024)
-
     start = time.time()
-    report = measure_scaling(
-        [make_constant_dummy(), make_quadratic_dummy(),
-         Mechanism("rpattention", rp_prepare), Mechanism("softmax_dense", dense_prepare)],
-        [256, 1024, 4096, 16384], reps=3, warmup=2, iters=5)
+    mechanisms = bench_mechanisms(
+        ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"],
+        channels=64, heads=2, num_representatives=49, row_chunk=1024)
+    report = measure_scaling(mechanisms, [256, 1024, 4096, 16384], reps=3, warmup=2, iters=5)
     elapsed = time.time() - start
 
     slopes = {name: res.slope for name, res in report.results.items()}

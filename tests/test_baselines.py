@@ -1,46 +1,54 @@
 """Tests for the dense, pooled-proxy, and k-means routing baselines."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rpattn import AttnConfig, init_params, kmeans_gather, pooled_proxy_forward
-from rpattn.baselines import (
-    kmeans_inertia,
-    softmax_attention_backward,
-    softmax_attention_forward,
+from rpattn import (
+    AttnConfig,
+    init_params,
+    kmeans_gather,
+    pooled_proxy_forward,
+    rpattention_forward,
 )
-from rpattn.errors import ConfigError
-from rpattn.grad import finite_diff_grad
+from rpattn.baselines import kmeans_inertia, softmax_attention_forward
+from rpattn.errors import ConfigError, ContractError, ShapeError
+from rpattn.grad import finite_diff_grad, softmax_attention_backward
 
 import oracles
 
+DENSE_FIELDS = ("w_q", "w_k", "w_v", "w_o")
 
-def _dense_weights(c, seed):
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(c)
-    return [rng.uniform(-bound, bound, (c, c)) for _ in range(4)]
+
+def _dense_config(c, n):
+    return AttnConfig(channels=c, heads=2, num_representatives=1, grid_h=1, grid_w=n)
 
 
 class TestDenseAttention:
     def test_single_token_is_projected_value(self):
-        c = 6
-        w_q, w_k, w_v, w_o = _dense_weights(c, 0)
-        x = np.random.default_rng(1).standard_normal((2, 1, c))
-        out = softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads=2)
-        expect = oracles.matmul_loops(oracles.matmul_loops(x, w_v), w_o)
+        cfg = _dense_config(6, 1)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(1).standard_normal((2, 1, 6))
+        out, _ = softmax_attention_forward(x, params, cfg)
+        expect = oracles.matmul_loops(oracles.matmul_loops(x, params.w_v), params.w_o)
         assert np.abs(out - expect).max() < 1e-12
 
     def test_identical_keys_ignore_queries(self):
         c = 4
+        cfg = _dense_config(c, 5)
         rng = np.random.default_rng(2)
         w_q1 = rng.standard_normal((c, c))
         w_q2 = rng.standard_normal((c, c))
-        w_k = np.zeros((c, c))  # all keys identical -> uniform attention
         w_v = rng.standard_normal((c, c))
         w_o = rng.standard_normal((c, c))
+        # all keys identical -> uniform attention
+        params1 = replace(init_params(cfg, 0), w_q=w_q1, w_k=np.zeros((c, c)), w_v=w_v, w_o=w_o)
+        params2 = replace(params1, w_q=w_q2)
         x = rng.standard_normal((1, 5, c))
-        out1 = softmax_attention_forward(x, w_q1, w_k, w_v, w_o, heads=2)
-        out2 = softmax_attention_forward(x, w_q2, w_k, w_v, w_o, heads=2)
+        out1, _ = softmax_attention_forward(x, params1, cfg)
+        out2, _ = softmax_attention_forward(x, params2, cfg)
         assert np.abs(out1 - out2).max() < 1e-12
         # every row is the mean value, projected
         v_mean = oracles.matmul_loops(x, w_v).mean(axis=1, keepdims=True)
@@ -48,57 +56,65 @@ class TestDenseAttention:
         assert np.abs(out1 - expect).max() < 1e-12
 
     def test_matches_loop_oracle(self):
-        c = 8
-        w_q, w_k, w_v, w_o = _dense_weights(c, 3)
-        x = np.random.default_rng(4).standard_normal((1, 6, c))
-        out = softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads=2)
-        expect = oracles.dense_attention_loops(x, w_q, w_k, w_v, w_o, heads=2)
+        cfg = _dense_config(8, 6)
+        params = init_params(cfg, 3)
+        x = np.random.default_rng(4).standard_normal((1, 6, 8))
+        out, _ = softmax_attention_forward(x, params, cfg)
+        expect = oracles.dense_attention_loops(x, params.w_q, params.w_k, params.w_v,
+                                               params.w_o, heads=2)
         assert np.abs(out - expect).max() < 1e-12
 
     def test_attention_rows_sum_to_one(self):
-        c = 8
-        w_q, w_k, w_v, w_o = _dense_weights(c, 5)
-        x = np.random.default_rng(6).standard_normal((1, 7, c))
-        _, trace = softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads=2,
-                                             return_trace=True)
+        cfg = _dense_config(8, 7)
+        x = np.random.default_rng(6).standard_normal((1, 7, 8))
+        _, trace = softmax_attention_forward(x, init_params(cfg, 5), cfg)
         assert np.abs(trace.p.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_chunked_equals_unchunked(self):
-        c = 8
-        w_q, w_k, w_v, w_o = _dense_weights(c, 7)
-        x = np.random.default_rng(8).standard_normal((2, 9, c))
-        full = softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads=2)
-        chunked = softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads=2, row_chunk=4)
+        cfg = _dense_config(8, 9)
+        params = init_params(cfg, 7)
+        x = np.random.default_rng(8).standard_normal((2, 9, 8))
+        full, _ = softmax_attention_forward(x, params, cfg)
+        chunked, trace = softmax_attention_forward(x, params, cfg, row_chunk=4)
         assert np.abs(full - chunked).max() < 1e-12
+        assert trace.p is None
 
-    def test_backward_matches_finite_differences(self):
-        c = 6
-        w_q, w_k, w_v, w_o = _dense_weights(c, 9)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_backward_matches_finite_differences(self, batch):
+        cfg = _dense_config(6, 5)
+        params = init_params(cfg, 9)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((1, 5, c))
-        g = rng.standard_normal((1, 5, c)) * 1e-2
-        _, trace = softmax_attention_forward(x, w_q, w_k, w_v, w_o, heads=2,
-                                             return_trace=True)
-        grads = softmax_attention_backward(trace, g, w_q, w_k, w_v, w_o)
-        weights = {"w_q": w_q, "w_k": w_k, "w_v": w_v, "w_o": w_o}
+        x = rng.standard_normal((batch, 5, 6))
+        g = rng.standard_normal((batch, 5, 6)) * 1e-2
+        _, trace = softmax_attention_forward(x, params, cfg)
+        grads = softmax_attention_backward(trace, g, params)
 
-        for name in weights:
-            def loss(t, _n=name):
-                ws = dict(weights)
-                ws[_n] = t
-                out = softmax_attention_forward(x, ws["w_q"], ws["w_k"], ws["w_v"],
-                                                ws["w_o"], heads=2)
-                return float((out * g).sum())
+        def loss(p, xin):
+            out, _ = softmax_attention_forward(xin, p, cfg)
+            return float((out * g).sum())
 
-            fd = finite_diff_grad(loss, weights[name], 1e-5)
-            denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-8)
-            assert (np.abs(fd - grads[name]) / denom).max() < 1e-4, name
+        def rel_err(analytic, numeric):
+            denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
+            return (np.abs(numeric - analytic) / denom).max()
 
-        fd_x = finite_diff_grad(
-            lambda t: float((softmax_attention_forward(t, w_q, w_k, w_v, w_o, heads=2)
-                             * g).sum()), x, 1e-5)
-        denom = np.maximum(np.maximum(np.abs(fd_x), np.abs(grads["x"])), 1e-8)
-        assert (np.abs(fd_x - grads["x"]) / denom).max() < 1e-4
+        for name in DENSE_FIELDS:
+            fd = finite_diff_grad(lambda t, _n=name: loss(replace(params, **{_n: t}), x),
+                                  getattr(params, name), 1e-5)
+            assert rel_err(getattr(grads, name), fd) < 1e-4, name
+        fd_x = finite_diff_grad(lambda t: loss(params, t), x, 1e-5)
+        assert rel_err(grads.grad_x, fd_x) < 1e-4
+        # the dense layer reads no other field, so their gradients are zero
+        for name, value in grads.field_dict().items():
+            if name not in DENSE_FIELDS:
+                assert not value.any(), name
+
+    def test_backward_rejects_chunked_trace(self):
+        cfg = _dense_config(6, 5)
+        params = init_params(cfg, 9)
+        x = np.random.default_rng(10).standard_normal((1, 5, 6))
+        out, trace = softmax_attention_forward(x, params, cfg, row_chunk=2)
+        with pytest.raises(ContractError):
+            softmax_attention_backward(trace, np.ones_like(out), params)
 
 
 class TestPooledProxy:
@@ -119,8 +135,7 @@ class TestPooledProxy:
         params = init_params(self.CFG, 2)
         x = np.random.default_rng(3).standard_normal((1, 16, 8))
         y, latent_k, _ = pooled_proxy_forward(x, params, self.CFG, (4, 4))
-        dense = softmax_attention_forward(x, params.w_q, params.w_k, params.w_v,
-                                          params.w_o, heads=2)
+        dense, _ = softmax_attention_forward(x, params, self.CFG)
         assert latent_k.shape[2] == 16
         assert np.abs(y - dense).max() < 1e-12
 
@@ -200,23 +215,72 @@ class TestKMeans:
         b = kmeans_gather(keys[:1, :1], num_slots=3, iters=2, seed=5)
         assert np.array_equal(a[:1, :1], b)
 
+    def test_more_slots_than_points(self):
+        # Slots that cannot all be filled keep their centroids: no empty-set
+        # means, no NaN, no RuntimeWarning.
+        keys = np.random.default_rng(6).standard_normal((2, 2, 12, 4))
+        cfg = AttnConfig(channels=8, heads=2, num_representatives=20, grid_h=3, grid_w=4,
+                         routing="kmeans")
+        x = np.random.default_rng(7).standard_normal((2, 12, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = kmeans_gather(keys, num_slots=20, iters=3, seed=0)
+            y, trace = rpattention_forward(x, init_params(cfg, 0), cfg)
+        for assign in (a, trace.a):
+            assert set(np.unique(assign)) <= {0.0, 1.0}
+            assert np.array_equal(assign.sum(axis=-1), np.ones(assign.shape[:-1]))
+        assert np.isfinite(y).all()
+
     def test_bad_iters(self):
         with pytest.raises(ConfigError):
             kmeans_gather(np.zeros((1, 1, 4, 2)), num_slots=2, iters=0, seed=0)
 
 
 def test_all_baselines_preserve_token_shape():
-    from dataclasses import replace
-
-    from rpattn import rpattention_forward
-
     cfg = AttnConfig(channels=8, heads=2, num_representatives=4, grid_h=4, grid_w=4)
     params = init_params(cfg, 0)
     x = np.random.default_rng(0).standard_normal((2, 16, 8))
-    dense = softmax_attention_forward(x, params.w_q, params.w_k, params.w_v,
-                                      params.w_o, heads=2)
+    dense, _ = softmax_attention_forward(x, params, cfg)
     pooled, _, _ = pooled_proxy_forward(x, params, cfg, (2, 2))
     gd, _ = rpattention_forward(x, params, replace(cfg, enable_interact=False))
     km, _ = rpattention_forward(x, params, replace(cfg, routing="kmeans"))
     for out in (dense, pooled, gd, km):
         assert out.shape == x.shape
+
+
+FORWARDS = {
+    "rpattention": rpattention_forward,
+    "softmax_dense": softmax_attention_forward,
+    "pooled_proxy": lambda x, params, cfg: pooled_proxy_forward(x, params, cfg, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARDS))
+def test_forwards_share_input_contract(name):
+    forward = FORWARDS[name]
+    cfg = AttnConfig(channels=8, heads=2, num_representatives=4, grid_h=4, grid_w=4)
+    params = init_params(cfg, 0)
+    with pytest.raises(ShapeError):
+        forward(np.zeros((16, 8)), params, cfg)
+    with pytest.raises(ShapeError):
+        forward(np.zeros((1, 16, 6)), params, cfg)
+    with pytest.raises(ConfigError):
+        forward(np.zeros((0, 16, 8)), params, cfg)
+    with pytest.raises(ConfigError):
+        forward(np.zeros((1, 12, 8)), params, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(FORWARDS))
+def test_forwards_reject_params_of_another_dtype(name):
+    forward = FORWARDS[name]
+    cfg64 = AttnConfig(channels=8, heads=2, num_representatives=4, grid_h=4, grid_w=4)
+    cfg32 = replace(cfg64, dtype="float32")
+    x = np.random.default_rng(0).standard_normal((1, 16, 8))
+    with pytest.raises(ContractError):
+        forward(x, init_params(cfg64, 0), cfg32)
+    # one field of another dtype is enough
+    params = init_params(cfg32, 0)
+    with pytest.raises(ContractError):
+        forward(x, replace(params, dwc_bias=params.dwc_bias.astype(np.float64)), cfg32)
+    out = forward(x, params, cfg32)[0]
+    assert out.dtype == np.float32
