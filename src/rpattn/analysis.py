@@ -463,14 +463,15 @@ def write_pgm(path, image_u8):
 
 
 def export_assignment_maps(trace, grid, out_dir):
-    """One grayscale PGM per (batch, head, slot) of the normalized assignments.
+    """One grayscale PGM per (batch, head, slot) of the assignments.
 
-    Pixel (r, c) of slot m is a_hat[r*grid_w + c, m] rescaled per slot to
-    [0, 255]; a constant slot renders mid-gray. Returns the written paths.
+    Pixel (r, c) of slot m is a[r*grid_w + c, m] rescaled per slot to [0, 255],
+    which cancels the slot's mass normalization; a constant slot renders
+    mid-gray. Returns the written paths.
     """
     grid_h, grid_w = grid
-    a_hat = trace.a_hat
-    b, h, n, m = a_hat.shape
+    a = trace.a
+    b, h, n, m = a.shape
     if n != grid_h * grid_w:
         raise ConfigError(f"trace token count {n} does not match grid {grid_h}x{grid_w}")
     out_dir = Path(out_dir)
@@ -479,7 +480,7 @@ def export_assignment_maps(trace, grid, out_dir):
     for bi in range(b):
         for hi in range(h):
             for mi in range(m):
-                img = a_hat[bi, hi, :, mi].reshape(grid_h, grid_w)
+                img = a[bi, hi, :, mi].reshape(grid_h, grid_w)
                 lo, hi_v = float(img.min()), float(img.max())
                 if hi_v > lo:
                     scaled = np.rint((img - lo) / (hi_v - lo) * 255.0)

@@ -166,14 +166,14 @@ def init_params(config: AttnConfig, seed: int) -> RPAttnParams:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward call, retained for backward and inspection."""
+    """What the backward reads, plus the latents and routing the reports read; each held once."""
 
     x: np.ndarray          # [B, N, C] layer input
     q: np.ndarray          # [B, h, N, d]
     k: np.ndarray          # [B, h, N, d]
     v: np.ndarray          # [B, h, N, d]
     a: np.ndarray          # [B, h, N, M] row-stochastic assignments
-    a_hat: np.ndarray      # [B, h, N, M] slot-mass normalized assignments
+    mass: np.ndarray       # [B, h, M, 1] slot token mass plus epsilon
     k_l: np.ndarray        # [B, h, M, d] gathered latent keys
     v_l: np.ndarray        # [B, h, M, d] gathered latent values
     k_l_bar: np.ndarray    # [B, h, M, d] normalized latent keys
@@ -181,8 +181,7 @@ class ForwardTrace:
     p_lat: Optional[np.ndarray]  # [B, h, M, M] latent attention, None when interact is off
     z_l: np.ndarray        # [B, h, M, d] refined latent values
     p_dist: np.ndarray     # [B, h, N, M] distribution attention
-    o_global: np.ndarray   # [B, N, C] cross-attention readout, heads merged
-    bypass_out: np.ndarray  # [B, N, C] depthwise bypass (zeros when disabled)
+    fused: np.ndarray      # [B, N, C] cross-attention readout plus depthwise bypass
     output: np.ndarray     # [B, N, C]
 
 
@@ -216,6 +215,7 @@ def mass_normalize(a: np.ndarray, epsilon: float) -> np.ndarray:
 
     Keeps slots gathered from many tokens on the same scale as slots fed by
     few tokens; epsilon guards columns with no mass, which simply stay zero.
+    The layer forward divides the M gathered latent rows by the same mass.
     """
     col = a.sum(axis=-2, keepdims=True)
     return a / (col + epsilon)
@@ -280,7 +280,7 @@ def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
     """The input contract shared by every attention forward; returns x cast to config's dtype.
 
     x must be [B, N, C] with B >= 1, C = config.channels and N = the grid's
-    token count, and every params field must already hold config's dtype.
+    token count, and finite; every params field must already hold config's dtype.
     """
     x = np.asarray(x, dtype=config.np_dtype)
     if x.ndim != 3:
@@ -292,6 +292,8 @@ def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
         raise ShapeError(f"input channels {c} != config channels {config.channels}")
     if n != config.num_tokens:
         raise ConfigError(f"token count {n} does not match grid {config.grid_h}x{config.grid_w}")
+    if not np.isfinite(x).all():
+        raise ContractError("input holds NaN or inf")
     for name, value in params.field_dict().items():
         if value.dtype != config.np_dtype:
             raise ContractError(f"param {name} is {value.dtype}, config dtype is {config.dtype}")
@@ -311,19 +313,19 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
         a = kmeans_gather(k, config.num_representatives, config.kmeans_iters, config.kmeans_seed)
-        a = a.astype(config.np_dtype)
+        a = a.astype(config.np_dtype, copy=False)
     else:
         a = gather_assign(k, params.w_g)
-    a_hat = mass_normalize(a, config.epsilon)
-    k_l, v_l = gather_latents(a_hat, k, v)
+    mass = a.sum(axis=-2)[..., None] + config.epsilon  # mass_normalize on [M, d], not [N, M]
+    k_l, v_l = (t / mass for t in gather_latents(a, k, v))
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     p_dist, o_global = distribute_global(q, k_l_bar, z_l)
-    bypass = local_bypass(merge_heads(v), params, config)
-    output = kernels.linear(o_global + bypass, params.w_o)
+    fused = o_global + local_bypass(merge_heads(v), params, config)
+    output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(
-        x=x, q=q, k=k, v=v, a=a, a_hat=a_hat, k_l=k_l, v_l=v_l,
+        x=x, q=q, k=k, v=v, a=a, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
-        p_dist=p_dist, o_global=o_global, bypass_out=bypass, output=output,
+        p_dist=p_dist, fused=fused, output=output,
     )
     return output, trace

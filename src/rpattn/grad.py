@@ -3,11 +3,11 @@ dense softmax baseline.
 
 Gradients are derived by hand as the exact reverse of the forward pipeline:
 output projection, depthwise bypass, distribution cross-attention, latent
-self-attention, the two latent layer norms, slot gathering, the mass
-normalization (quotient rule over the slot column sums), the assignment
+self-attention, the two latent layer norms, slot gathering with its mass
+normalization (in slot space, on the M latent rows), the assignment
 softmax, and the input projections. The dense backward reuses the same
-softmax and weight-gradient steps. A central-finite-difference harness
-verifies every parameter.
+softmax, weight-gradient and projection steps. A central-finite-difference
+harness verifies every parameter.
 """
 
 import math
@@ -105,6 +105,15 @@ def _weight_grad(inp, dout):
     return kernels.matmul(_fold(inp).T, _fold(dout))
 
 
+def _project_qkv_backward(x, d_q, d_k, d_v, params):
+    # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
+    d_q, d_k, d_v = (merge_heads(t) for t in (d_q, d_k, d_v))
+    d_x = kernels.matmul(d_q, params.w_q.T)
+    d_x += kernels.matmul(d_k, params.w_k.T)
+    d_x += kernels.matmul(d_v, params.w_v.T)
+    return _weight_grad(x, d_q), _weight_grad(x, d_k), _weight_grad(x, d_v), d_x
+
+
 def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
                          params: RPAttnParams, config: AttnConfig) -> GradSet:
     """Exact gradients of sum(grad_output * output) w.r.t. every parameter and x.
@@ -127,9 +136,8 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
 
     scale = 1.0 / math.sqrt(config.head_dim)
 
-    # Output projection: output = (o_global + bypass) @ w_o
-    fused = trace.o_global + trace.bypass_out
-    d_w_o = _weight_grad(fused, grad_output)
+    # Output projection: output = fused @ w_o, fused = o_global + bypass
+    d_w_o = _weight_grad(trace.fused, grad_output)
     d_fused = kernels.matmul(grad_output, params.w_o.T)
 
     # Depthwise bypass branch over the projected values xv = merge_heads(v);
@@ -182,36 +190,29 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
     d_v_l, d_ln_v_gamma, d_ln_v_beta = _layer_norm_backward(
         trace.v_l, params.ln_v_gamma, config.ln_eps, d_v_l_bar)
 
-    # Gathered latents: k_l = a_hat^T @ k, v_l = a_hat^T @ v.
-    d_a_hat = kernels.matmul(trace.k, np.swapaxes(d_k_l, -1, -2))
-    d_a_hat += kernels.matmul(trace.v, np.swapaxes(d_v_l, -1, -2))
-    d_k_att = kernels.matmul(trace.a_hat, d_k_l)
-    d_v_att = kernels.matmul(trace.a_hat, d_v_l)
+    # Gathered latents: k_l = (a^T @ k) / mass, v_l = (a^T @ v) / mass.
+    g_k = d_k_l / trace.mass
+    g_v = d_v_l / trace.mass
+    d_k_att = kernels.matmul(trace.a, g_k)
+    d_v_att = kernels.matmul(trace.a, g_v)
 
-    # Mass normalization: a_hat[n,m] = a[n,m] / (S_m + eps), S_m = sum_t a[t,m].
-    denom = trace.a.sum(axis=-2, keepdims=True) + config.epsilon
-    d_a = d_a_hat / denom - (d_a_hat * trace.a_hat).sum(axis=-2, keepdims=True) / denom
-
-    # Assignment softmax over slots; skipped entirely for hard k-means routing.
+    # Assignment softmax; hard k-means assignments get no gradient. Since
+    # sum_t a[t,m] k[t] = mass[m] k_l[m], the quotient rule gives
+    # d_a[n,m] = k[n].g_k[m] + v[n].g_v[m] - (k_l[m].g_k[m] + v_l[m].g_v[m]).
     if config.routing == "learned":
+        d_a = kernels.matmul(trace.k, np.swapaxes(g_k, -1, -2))
+        d_a += kernels.matmul(trace.v, np.swapaxes(g_v, -1, -2))
+        d_a -= np.swapaxes((trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True), -1, -2)
         d_logits = _softmax_backward(trace.a, d_a)
         d_w_g = _weight_grad(trace.k, d_logits)
         d_k_att = d_k_att + kernels.matmul(d_logits, params.w_g.T)
     else:
         d_w_g = np.zeros_like(params.w_g)
 
-    # Input projections.
-    d_q_flat = merge_heads(d_q)
-    d_k_flat = merge_heads(d_k_att)
-    d_v_flat = merge_heads(d_v_att)
+    # Input projections; the bypass gradient joins the value gradient first.
     if d_xv is not None:
-        d_v_flat = d_v_flat + d_xv
-    d_w_q = _weight_grad(trace.x, d_q_flat)
-    d_w_k = _weight_grad(trace.x, d_k_flat)
-    d_w_v = _weight_grad(trace.x, d_v_flat)
-    d_x = kernels.matmul(d_q_flat, params.w_q.T)
-    d_x += kernels.matmul(d_k_flat, params.w_k.T)
-    d_x += kernels.matmul(d_v_flat, params.w_v.T)
+        d_v_att += split_heads(d_xv, config.heads)
+    d_w_q, d_w_k, d_w_v, d_x = _project_qkv_backward(trace.x, d_q, d_k_att, d_v_att, params)
 
     return GradSet(
         w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o, w_g=d_w_g,
@@ -248,14 +249,9 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray,
     d_q = kernels.matmul(d_s, trace.k) * scale
     d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), trace.q) * scale
 
-    d_q_flat, d_k_flat, d_v_flat = (merge_heads(t) for t in (d_q, d_k, d_v))
-    d_x = kernels.matmul(d_q_flat, params.w_q.T)
-    d_x += kernels.matmul(d_k_flat, params.w_k.T)
-    d_x += kernels.matmul(d_v_flat, params.w_v.T)
-
+    d_w_q, d_w_k, d_w_v, d_x = _project_qkv_backward(trace.x, d_q, d_k, d_v, params)
     grads = {name: np.zeros_like(value) for name, value in params.field_dict().items()}
-    grads.update(w_q=_weight_grad(trace.x, d_q_flat), w_k=_weight_grad(trace.x, d_k_flat),
-                 w_v=_weight_grad(trace.x, d_v_flat), w_o=d_w_o)
+    grads.update(w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o)
     return GradSet(**grads, grad_x=d_x)
 
 

@@ -228,8 +228,8 @@ class TestScaling:
         assert slopes[0] == "mechanism,slope:volatile"
 
 
-def _trace_with(a_hat):
-    return SimpleNamespace(a_hat=a_hat)
+def _trace_with(a):
+    return SimpleNamespace(a=a)
 
 
 def _read_pgm(path):
@@ -242,8 +242,8 @@ def _read_pgm(path):
 
 class TestAssignmentMaps:
     def test_uniform_is_flat_gray(self, tmp_path):
-        a_hat = np.full((1, 1, 6, 2), 0.125)
-        paths = export_assignment_maps(_trace_with(a_hat), (2, 3), tmp_path)
+        a = np.full((1, 1, 6, 2), 0.125)
+        paths = export_assignment_maps(_trace_with(a), (2, 3), tmp_path)
         assert len(paths) == 2
         for path in paths:
             img = _read_pgm(path)
@@ -251,21 +251,21 @@ class TestAssignmentMaps:
             assert (img == 128).all()
 
     def test_one_hot_is_binary_partition(self, tmp_path):
-        a_hat = np.zeros((1, 1, 4, 2))
-        a_hat[0, 0, [0, 3], 0] = 0.5
-        a_hat[0, 0, [1, 2], 1] = 0.5
-        paths = export_assignment_maps(_trace_with(a_hat), (2, 2), tmp_path)
+        a = np.zeros((1, 1, 4, 2))
+        a[0, 0, [0, 3], 0] = 0.5
+        a[0, 0, [1, 2], 1] = 0.5
+        paths = export_assignment_maps(_trace_with(a), (2, 2), tmp_path)
         imgs = [_read_pgm(p) for p in paths]
         assert set(np.unique(imgs[0])) == {0, 255}
         assert np.array_equal(imgs[0], 255 - imgs[1])
 
     def test_pixel_index_oracle(self, tmp_path):
         rng = np.random.default_rng(3)
-        a_hat = rng.uniform(0, 0.2, (2, 2, 12, 3))
-        paths = export_assignment_maps(_trace_with(a_hat), (3, 4), tmp_path)
+        a = rng.uniform(0, 0.2, (2, 2, 12, 3))
+        paths = export_assignment_maps(_trace_with(a), (3, 4), tmp_path)
         assert len(paths) == 2 * 2 * 3
         img = _read_pgm(tmp_path / "assign_b1_h0_slot2.pgm")
-        flat = a_hat[1, 0, :, 2]
+        flat = a[1, 0, :, 2]
         lo, hi = flat.min(), flat.max()
         for r in range(3):
             for c in range(4):

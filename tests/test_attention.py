@@ -313,8 +313,8 @@ class TestForward:
         x = np.random.default_rng(21).standard_normal((2, 12, 8))
         _, trace = rpattention_forward(x, params, SMALL)
         assert np.abs(trace.a.sum(axis=-1) - 1.0).max() < 1e-6
-        col = trace.a_hat.sum(axis=-2)
-        assert (col > 0).all() and (col < 1).all()
+        assert trace.mass.shape == (2, 2, 3, 1)
+        assert (trace.mass > SMALL.epsilon).all()
         assert np.abs(trace.p_lat.sum(axis=-1) - 1.0).max() < 1e-6
         assert np.abs(trace.p_dist.sum(axis=-1) - 1.0).max() < 1e-6
 
@@ -337,7 +337,7 @@ class TestForward:
         token = np.random.default_rng(23).standard_normal(4)
         x = np.broadcast_to(token, (1, 4, 4)).copy()
         y, trace = rpattention_forward(x, params, cfg)
-        assert np.abs(trace.o_global - trace.o_global[:, :1, :]).max() < 1e-12
+        assert np.abs(trace.fused - trace.fused[:, :1, :]).max() < 1e-12
         assert np.abs(y - y[:, :1, :]).max() < 1e-12
 
     def test_golden_straight_line_reimplementation(self):
@@ -347,6 +347,10 @@ class TestForward:
         expect = oracles.straight_line_forward(
             x, params, heads=2, num_reps=3, grid_h=3, grid_w=4,
             epsilon=SMALL.epsilon, ln_eps=SMALL.ln_eps)
+        # The trace keeps no normalized assignments and only the sum of readout and bypass.
+        fused = expect.pop("o_global") + expect.pop("bypass_out")
+        del expect["a_hat"]
+        assert np.abs(trace.fused - fused).max() < 1e-12
         for name, val in expect.items():
             got = getattr(trace, name)
             assert np.abs(got - val).max() < 1e-12, name

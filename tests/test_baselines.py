@@ -268,6 +268,11 @@ def test_forwards_share_input_contract(name):
         forward(np.zeros((0, 16, 8)), params, cfg)
     with pytest.raises(ConfigError):
         forward(np.zeros((1, 12, 8)), params, cfg)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((1, 16, 8))
+        x[0, 5, 3] = bad
+        with pytest.raises(ContractError):
+            forward(x, params, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(FORWARDS))

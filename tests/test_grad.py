@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from rpattn import (
+    PARAM_FIELDS,
     AttnConfig,
     RPAttnParams,
     finite_diff_grad,
+    gather_latents,
     gradcheck,
     init_params,
+    mass_normalize,
     rpattention_backward,
     rpattention_forward,
 )
@@ -99,8 +102,9 @@ class TestFiniteDiff:
 
 
 class TestGradcheck:
-    def test_small_config_passes(self):
-        report = gradcheck(SMALL, seed=0)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_small_config_passes(self, batch):
+        report = gradcheck(SMALL, seed=0, batch=batch)
         assert report.passed
         assert len(report.entries) == 15  # 14 parameter tensors plus x
 
@@ -119,8 +123,9 @@ class TestGradcheck:
         assert by_name["dwc_kernel"].max_rel_err == 0.0
         assert by_name["dwc_bias"].max_rel_err == 0.0
 
-    def test_gather_distribute_variant_passes(self):
-        report = gradcheck(replace(SMALL, enable_interact=False), seed=1)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_gather_distribute_variant_passes(self, batch):
+        report = gradcheck(replace(SMALL, enable_interact=False), seed=1, batch=batch)
         assert report.passed
 
     def test_float32_rejected(self):
@@ -171,6 +176,43 @@ def test_kmeans_routing_backward_trains_other_params():
     assert not grads.w_g.any()          # assignments are constants
     assert grads.w_v.any() and grads.w_o.any()
     assert np.isfinite(grads.grad_x).all()
+
+
+@pytest.mark.parametrize("slots", [3, 20])
+def test_kmeans_routing_backward_matches_finite_differences(slots):
+    # Fields that do not feed the keys leave the hard routing fixed, so central
+    # differences apply. With 20 slots over 12 tokens some slots stay empty and
+    # their mass is epsilon alone.
+    cfg = replace(SMALL, routing="kmeans", num_representatives=slots)
+    params = init_params(cfg, 13)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((2, 12, 8))
+    g = rng.standard_normal((2, 12, 8)) * 2e-3
+    _, trace = rpattention_forward(x, params, cfg)
+    if slots > 12:
+        assert (trace.mass == cfg.epsilon).any()
+    grads = rpattention_backward(trace, g, params, cfg)
+    for name in sorted(set(PARAM_FIELDS) - {"w_k", "w_g"}):
+        def loss(t, _name=name):
+            out, _ = rpattention_forward(x, replace(params, **{_name: t}), cfg)
+            return float((out * g).sum())
+
+        analytic = getattr(grads, name)
+        numeric = finite_diff_grad(loss, getattr(params, name), 1e-5)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+        assert (np.abs(analytic - numeric) / denom).max() < 1e-4, name
+
+
+@pytest.mark.parametrize("routing", ["learned", "kmeans"])
+def test_trace_latents_equal_mass_normalized_gather(routing):
+    # Ties the composition that criterion 2 checks to the layer's own latents.
+    cfg = replace(SMALL, routing=routing)
+    x = np.random.default_rng(15).standard_normal((2, 12, 8))
+    _, trace = rpattention_forward(x, init_params(cfg, 16), cfg)
+    k_l, v_l = gather_latents(mass_normalize(trace.a, cfg.epsilon), trace.k, trace.v)
+    assert np.abs(trace.k_l - k_l).max() < 1e-12
+    assert np.abs(trace.v_l - v_l).max() < 1e-12
+    assert np.abs(trace.mass - cfg.epsilon - trace.a.sum(axis=-2)[..., None]).max() < 1e-12
 
 
 class TestContract:
