@@ -290,17 +290,17 @@ class ScalingReport:
                 writer.writerow([name, repr(res.slope)])
 
 
-def _autorange(fn, min_sample_s, cap=4096):
-    """Number of calls per timed sample so one sample lasts >= min_sample_s."""
+def _autorange(fn, min_sample_s):
+    """Calls per timed sample so one sample lasts >= min_sample_s, at most 4096."""
     number = 1
-    while number < cap:
+    while number < 4096:
         t0 = time.perf_counter()
         for _ in range(number):
             fn()
         if time.perf_counter() - t0 >= min_sample_s:
             return number
         number *= 2
-    return cap
+    return number
 
 
 def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,

@@ -27,6 +27,10 @@ _DTYPES = {"float64": np.float64, "float32": np.float32}
 
 ROUTING_MODES = ("learned", "kmeans")
 
+SLOT_MASS_EPS = 1e-6   # added to every slot's token mass before the latents divide by it
+LN_EPS = 1e-5          # latent layer-norm epsilon
+KMEANS_ITERS = 3       # Lloyd iterations of k-means routing
+
 
 @dataclass(frozen=True)
 class AttnConfig:
@@ -38,13 +42,10 @@ class AttnConfig:
     grid_h: int
     grid_w: int
     dwc_kernel: int = 3            # odd depthwise kernel size
-    epsilon: float = 1e-6          # slot-mass normalization guard
-    ln_eps: float = 1e-5           # latent layer-norm epsilon
     enable_interact: bool = True
     enable_dwc: bool = True
     routing: str = "learned"       # "learned" soft gather or "kmeans" hard routing
     dtype: str = "float64"         # "float64" correctness / "float32" benchmark
-    kmeans_iters: int = 3
     kmeans_seed: int = 0
 
     def __post_init__(self):
@@ -58,14 +59,10 @@ class AttnConfig:
             raise ConfigError("grid dims must be positive")
         if self.dwc_kernel <= 0 or self.dwc_kernel % 2 == 0:
             raise ConfigError(f"dwc_kernel must be odd and positive, got {self.dwc_kernel}")
-        if self.epsilon <= 0 or self.ln_eps <= 0:
-            raise ConfigError("epsilon and ln_eps must be positive")
         if self.routing not in ROUTING_MODES:
             raise ConfigError(f"routing must be one of {ROUTING_MODES}, got {self.routing!r}")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(_DTYPES)}, got {self.dtype!r}")
-        if self.kmeans_iters < 1:
-            raise ConfigError("kmeans_iters must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -78,17 +75,6 @@ class AttnConfig:
     @property
     def np_dtype(self):
         return _DTYPES[self.dtype]
-
-
-# Serialization order of parameter fields. Fixed; tensor files written by
-# save_params/load_params follow exactly this sequence.
-PARAM_FIELDS = (
-    "w_q", "w_k", "w_v", "w_o",
-    "w_g",
-    "w_lq", "w_lk", "w_lv",
-    "ln_k_gamma", "ln_k_beta", "ln_v_gamma", "ln_v_beta",
-    "dwc_kernel", "dwc_bias",
-)
 
 
 @dataclass
@@ -112,6 +98,12 @@ class RPAttnParams:
 
     def field_dict(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
+
+
+# Serialization order of parameter fields: the declaration order of
+# RPAttnParams. Fixed; tensor files written by save_params/load_params follow
+# exactly this sequence.
+PARAM_FIELDS = tuple(f.name for f in fields(RPAttnParams))
 
 
 def param_shapes(config: AttnConfig) -> dict:
@@ -173,7 +165,7 @@ class ForwardTrace:
     k: np.ndarray          # [B, h, N, d]
     v: np.ndarray          # [B, h, N, d]
     a: np.ndarray          # [B, h, N, M] row-stochastic assignments
-    mass: np.ndarray       # [B, h, M, 1] slot token mass plus epsilon
+    mass: np.ndarray       # [B, h, M, 1] slot token mass plus SLOT_MASS_EPS
     k_l: np.ndarray        # [B, h, M, d] gathered latent keys
     v_l: np.ndarray        # [B, h, M, d] gathered latent values
     k_l_bar: np.ndarray    # [B, h, M, d] normalized latent keys
@@ -235,8 +227,8 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
     (k_l_bar, v_l_bar, p_lat, z_l); with interact disabled z_l is exactly
     v_l_bar and p_lat is None.
     """
-    k_l_bar = kernels.layer_norm(k_l, params.ln_k_gamma, params.ln_k_beta, config.ln_eps)
-    v_l_bar = kernels.layer_norm(v_l, params.ln_v_gamma, params.ln_v_beta, config.ln_eps)
+    k_l_bar = kernels.layer_norm(k_l, params.ln_k_gamma, params.ln_k_beta, LN_EPS)
+    v_l_bar = kernels.layer_norm(v_l, params.ln_v_gamma, params.ln_v_beta, LN_EPS)
     if not config.enable_interact:
         return k_l_bar, v_l_bar, None, v_l_bar
     q_t = kernels.matmul(v_l_bar, params.w_lq)
@@ -312,11 +304,11 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     if config.routing == "kmeans":
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
-        a = kmeans_gather(k, config.num_representatives, config.kmeans_iters, config.kmeans_seed)
+        a = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
         a = a.astype(config.np_dtype, copy=False)
     else:
         a = gather_assign(k, params.w_g)
-    mass = a.sum(axis=-2)[..., None] + config.epsilon  # mass_normalize on [M, d], not [N, M]
+    mass = a.sum(axis=-2)[..., None] + SLOT_MASS_EPS  # mass_normalize on [M, d], not [N, M]
     k_l, v_l = (t / mass for t in gather_latents(a, k, v))
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     p_dist, o_global = distribute_global(q, k_l_bar, z_l)

@@ -124,16 +124,20 @@ def _kmeans_single(points, m, iters, rng):
         # Empty clusters re-seed to the point currently farthest from its
         # assigned centroid (ascending slot order, each point used once).
         own = dist[np.arange(n), assign].copy()
+        counts = np.bincount(assign, minlength=m)
         for slot in range(m):
-            if not (assign == slot).any():
+            if counts[slot] == 0:
                 far = int(own.argmax())
+                counts[assign[far]] -= 1
+                counts[slot] += 1
                 assign[far] = slot
                 own[far] = -1.0
-        # A slot re-seeding could not fill (as when M > N) keeps its centroid.
-        for slot in range(m):
-            members = points[assign == slot]
-            if len(members):
-                centroids[slot] = members.mean(axis=0)
+        # Member means, summed in point order; a slot re-seeding could not
+        # fill (as when M > N) keeps its centroid.
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, points)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
 
     one_hot = np.zeros((n, m), dtype=np.float64)
     one_hot[np.arange(n), assign] = 1.0

@@ -3,7 +3,8 @@
 Subcommands: gradcheck, flops, bench, shift, train, ablate, emcheck, maps.
 Each reads a JSON config (--config), writes CSV/PGM artifacts into the
 --out directory, and prints a one-line summary. Exit codes: 0 pass, 1 a
-check failed, 2 config error.
+check failed, 2 config error; a config key the subcommand does not know, or
+a missing required one, is a config error.
 
 The RPATTN_THREADS environment variable caps BLAS worker threads before
 numpy loads (0 or 1 means single-threaded execution).
@@ -14,7 +15,10 @@ import csv
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+
+from .errors import ConfigError, TrainDivergedError
 
 
 def _apply_thread_cap():
@@ -29,25 +33,46 @@ def _apply_thread_cap():
         os.environ.setdefault(var, str(value))
 
 
-def _load_config(path):
-    from .errors import ConfigError
+def _reject_unknown(entries, keys, where):
+    if not isinstance(entries, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(entries) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
+
+def _load_config(path, keys):
+    """The JSON object at path; a ConfigError names every top-level key not in keys."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _reject_unknown(cfg, keys, "config")
+    return cfg
 
 
-def _attn_config(entries, **overrides):
-    from dataclasses import fields
+def _field_names(cls):
+    return [f.name for f in fields(cls)]
 
+
+def _build(cls, entries, where, **overrides):
+    """cls(**entries, **overrides); a ConfigError names every unknown or missing key."""
+    _reject_unknown(entries, _field_names(cls), where)
+    kwargs = {**entries, **overrides}
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise ConfigError(f"missing {where} key(s): {', '.join(missing)}")
+    return cls(**kwargs)
+
+
+def _attn_config(cfg, **overrides):
+    """The AttnConfig of a flat config whose other keys belong to the subcommand."""
     from .attention import AttnConfig
 
-    names = {f.name for f in fields(AttnConfig)}
-    kwargs = {k: v for k, v in entries.items() if k in names}
-    kwargs.update(overrides)
-    return AttnConfig(**kwargs)
+    names = _field_names(AttnConfig)
+    return _build(AttnConfig, {k: v for k, v in cfg.items() if k in names}, "config",
+                  **overrides)
 
 
 def _out_dir(args):
@@ -64,9 +89,10 @@ def _write_csv(path, header, rows):
 
 
 def cmd_gradcheck(args):
+    from .attention import AttnConfig
     from .grad import gradcheck
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _field_names(AttnConfig) + ["seeds", "step", "tol"])
     config = _attn_config(cfg, dtype="float64")
     seeds = cfg.get("seeds", [0])
     step = cfg.get("step", 1e-5)
@@ -90,10 +116,9 @@ def cmd_gradcheck(args):
 
 def cmd_flops(args):
     from .analysis import flops_estimate, softmax_flops
-    from .errors import ConfigError
 
     if args.config:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, ["n", "m", "c", "k"])
         n, m, c, k = cfg["n"], cfg["m"], cfg["c"], cfg["k"]
     elif None not in (args.n, args.m, args.c, args.k):
         n, m, c, k = args.n, args.m, args.c, args.k
@@ -112,7 +137,7 @@ def cmd_flops(args):
     return 0
 
 
-_BENCH_DEFAULT_BANDS = {
+_BENCH_BANDS = {
     "constant_dummy": (-0.2, 0.2),
     "quadratic_dummy": (1.8, 2.3),
     "rpattention": (0.8, 1.4),
@@ -123,7 +148,9 @@ _BENCH_DEFAULT_BANDS = {
 def cmd_bench(args):
     from .analysis import bench_mechanisms, measure_scaling
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, [
+        "mechanisms", "sizes", "reps", "warmup", "iters", "min_sample_ms",
+        "channels", "heads", "num_representatives", "row_chunk"])
     names = cfg.get("mechanisms",
                     ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"])
     sizes = cfg.get("sizes", [256, 1024, 4096])
@@ -142,14 +169,12 @@ def cmd_bench(args):
     for warning in report.warnings:
         print(f"bench warning: {warning}", file=sys.stderr)
 
-    bands = dict(_BENCH_DEFAULT_BANDS)
-    bands.update({k: tuple(v) for k, v in cfg.get("expected_slopes", {}).items()})
     failures = []
     summary = []
     for name, res in report.results.items():
         summary.append(f"{name}={res.slope:.2f}")
-        if name in bands:
-            lo, hi = bands[name]
+        if name in _BENCH_BANDS:
+            lo, hi = _BENCH_BANDS[name]
             if not (lo <= res.slope <= hi):
                 failures.append(f"{name} slope {res.slope:.2f} outside [{lo}, {hi}]")
     status = "PASS" if not failures else "FAIL: " + "; ".join(failures)
@@ -161,10 +186,12 @@ def cmd_shift(args):
     import numpy as np
 
     from .analysis import mean_shift_report, shift_robustness
-    from .attention import init_params
+    from .attention import AttnConfig, init_params
     from .synthetic import make_blob_image
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _field_names(AttnConfig) + [
+        "image_size", "image_channels", "num_blobs", "patch_size", "shifts", "seeds",
+        "pool_grid", "mode", "margin", "assert_ordering"])
     size = cfg.get("image_size", 32)
     image_channels = cfg.get("image_channels", 8)
     patch = cfg.get("patch_size", 4)
@@ -212,29 +239,23 @@ def cmd_shift(args):
     return 0 if ok else 1
 
 
-def _task_from(cfg):
+def _task_and_layer(cfg):
+    """The task and float64 layer of a train/ablate config; the layer takes the task's shape."""
+    from .attention import AttnConfig
     from .synthetic import SyntheticTask
 
-    return SyntheticTask(**cfg)
-
-
-def _train_config_from(cfg, **overrides):
-    from .train import TrainConfig
-
-    merged = dict(cfg)
-    merged.update(overrides)
-    return TrainConfig(**merged)
+    task = _build(SyntheticTask, cfg.get("task", {}), "task")
+    attn = _build(AttnConfig, cfg.get("attn", {}), "attn", dtype="float64",
+                  grid_h=task.grid_h, grid_w=task.grid_w, channels=task.channels)
+    return task, attn
 
 
 def cmd_train(args):
-    from .errors import TrainDivergedError
-    from .train import train_tiny
+    from .train import TrainConfig, train_tiny
 
-    cfg = _load_config(args.config)
-    task = _task_from(cfg["task"])
-    attn = _attn_config(cfg["attn"], dtype="float64",
-                        grid_h=task.grid_h, grid_w=task.grid_w, channels=task.channels)
-    train_cfg = _train_config_from(cfg["train"])
+    cfg = _load_config(args.config, ["task", "attn", "train"])
+    task, attn = _task_and_layer(cfg)
+    train_cfg = _build(TrainConfig, cfg.get("train", {}), "train")
     out = _out_dir(args)
     try:
         history = train_tiny(task, attn, train_cfg)
@@ -251,13 +272,10 @@ def cmd_train(args):
 
 
 def cmd_ablate(args):
-    from .errors import TrainDivergedError
-    from .train import train_tiny
+    from .train import TrainConfig, train_tiny
 
-    cfg = _load_config(args.config)
-    task = _task_from(cfg["task"])
-    attn = _attn_config(cfg["attn"], dtype="float64",
-                        grid_h=task.grid_h, grid_w=task.grid_w, channels=task.channels)
+    cfg = _load_config(args.config, ["task", "attn", "train", "variants"])
+    task, attn = _task_and_layer(cfg)
     variants = cfg.get("variants", ["full", "gather_distribute", "kmeans"])
     out = _out_dir(args)
 
@@ -265,7 +283,7 @@ def cmd_ablate(args):
     ok = True
     pieces = []
     for variant in variants:
-        train_cfg = _train_config_from(cfg["train"], variant=variant)
+        train_cfg = _build(TrainConfig, cfg.get("train", {}), "train", variant=variant)
         try:
             history = train_tiny(task, attn, train_cfg)
         except TrainDivergedError as exc:
@@ -288,7 +306,8 @@ def cmd_emcheck(args):
     from .analysis import em_one_step_oracle
     from .attention import gather_assign, gather_latents, mass_normalize
 
-    cfg = _load_config(args.config) if args.config else {}
+    keys = ["trials", "heads", "tokens", "head_dim", "slots", "epsilon", "tol", "seed"]
+    cfg = _load_config(args.config, keys) if args.config else {}
     trials = cfg.get("trials", 20)
     heads = cfg.get("heads", 2)
     tokens = cfg.get("tokens", 10)
@@ -324,11 +343,11 @@ def cmd_maps(args):
     import numpy as np
 
     from .analysis import export_assignment_maps
-    from .attention import init_params, rpattention_forward
+    from .attention import AttnConfig, init_params, rpattention_forward
     from .tensor_io import read_tensor
 
-    cfg = _load_config(args.config)
-    config = _attn_config(cfg["attn"], dtype="float64")
+    cfg = _load_config(args.config, ["attn", "seed", "input"])
+    config = _build(AttnConfig, cfg.get("attn", {}), "attn", dtype="float64")
     params = init_params(config, cfg.get("seed", 0))
     if "input" in cfg:
         x = read_tensor(cfg["input"]).astype(np.float64)
@@ -374,9 +393,6 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    from .errors import ConfigError
-
     try:
         return args.fn(args)
     except ConfigError as exc:

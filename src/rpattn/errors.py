@@ -43,6 +43,10 @@ class DtypeMismatchError(TensorFileError):
     code = "dtype-mismatch"
 
 
+class BadShapeError(TensorFileError):
+    code = "bad-shape"
+
+
 class TruncatedPayloadError(TensorFileError):
     code = "truncated-payload"
 

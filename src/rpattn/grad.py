@@ -20,6 +20,7 @@ from . import kernels
 from .attention import (
     AttnConfig,
     ForwardTrace,
+    LN_EPS,
     PARAM_FIELDS,
     RPAttnParams,
     init_params,
@@ -32,27 +33,10 @@ from .errors import ConfigError, ContractError
 
 
 @dataclass
-class GradSet:
+class GradSet(RPAttnParams):
     """One gradient array per parameter field, plus the input gradient."""
 
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    w_lq: np.ndarray
-    w_lk: np.ndarray
-    w_lv: np.ndarray
-    ln_k_gamma: np.ndarray
-    ln_k_beta: np.ndarray
-    ln_v_gamma: np.ndarray
-    ln_v_beta: np.ndarray
-    dwc_kernel: np.ndarray
-    dwc_bias: np.ndarray
     grad_x: np.ndarray
-
-    def field_dict(self) -> dict:
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
 
 
 def _softmax_backward(p, dp):
@@ -186,9 +170,9 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
 
     # Latent layer norms.
     d_k_l, d_ln_k_gamma, d_ln_k_beta = _layer_norm_backward(
-        trace.k_l, params.ln_k_gamma, config.ln_eps, d_k_l_bar)
+        trace.k_l, params.ln_k_gamma, LN_EPS, d_k_l_bar)
     d_v_l, d_ln_v_gamma, d_ln_v_beta = _layer_norm_backward(
-        trace.v_l, params.ln_v_gamma, config.ln_eps, d_v_l_bar)
+        trace.v_l, params.ln_v_gamma, LN_EPS, d_v_l_bar)
 
     # Gathered latents: k_l = (a^T @ k) / mass, v_l = (a^T @ v) / mass.
     g_k = d_k_l / trace.mass

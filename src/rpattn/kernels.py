@@ -32,16 +32,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def linear(x: np.ndarray, w: np.ndarray, bias=None) -> np.ndarray:
-    """Affine map [..., p] @ [p, q] (+ bias[q] when given)."""
+def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Linear map [..., p] @ [p, q] -> [..., q] as one 2-d product."""
     x = np.asarray(x)
     w = np.asarray(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear inner dims differ: {x.shape} x {w.shape}")
-    out = matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + (w.shape[1],))
-    if bias is not None:
-        out = out + bias
-    return out
+    return matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:
@@ -95,6 +92,4 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
     for ki in range(k):
         for kj in range(k):
             out += xp[:, ki:ki + h, kj:kj + w, :] * kernel[ki, kj, :]
-    if bias is not None:
-        out = out + bias
-    return out
+    return out + bias

@@ -60,12 +60,13 @@ def gen_synthetic(task: SyntheticTask):
     return tokens, labels
 
 
-def make_blob_image(size, channels, num_blobs, seed, margin=10, radius_range=(3.0, 6.0)):
+def make_blob_image(size, channels, num_blobs, seed, margin=10):
     """Structured test image: Gaussian blobs with random channel signatures.
 
-    Blob centers keep `margin` pixels of clearance from every edge so the
-    image can be translated by up to `margin` pixels without content leaving
-    the frame. Background is exactly zero.
+    Blob radii draw uniform(3, 6) pixels. Blob centers keep `margin` pixels
+    of clearance from every edge so the image can be translated by up to
+    `margin` pixels without content leaving the frame. Background is exactly
+    zero.
     """
     if 2 * margin >= size:
         raise ConfigError(f"margin {margin} too large for image size {size}")
@@ -75,7 +76,7 @@ def make_blob_image(size, channels, num_blobs, seed, margin=10, radius_range=(3.
     for _ in range(num_blobs):
         cy = rng.uniform(margin, size - margin)
         cx = rng.uniform(margin, size - margin)
-        r = rng.uniform(*radius_range)
+        r = rng.uniform(3.0, 6.0)
         signature = rng.normal(0.0, 1.0, channels)
         bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * r * r))
         bump[bump < 1e-8] = 0.0  # keep the background exactly zero

@@ -22,6 +22,7 @@ import numpy as np
 from .attention import PARAM_FIELDS, RPAttnParams, param_shapes
 from .errors import (
     BadMagicError,
+    BadShapeError,
     BadVersionError,
     ConfigError,
     DtypeMismatchError,
@@ -71,6 +72,9 @@ def read_record(fh):
             raise TruncatedPayloadError("truncated dims")
         dims.append(struct.unpack("<Q", raw)[0])
     dtype = _CODE_TO_DTYPE[code]
+    # numpy sizes an array by its nonzero dims, so (0, 2**63) is too big as well
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise BadShapeError(f"dims {tuple(dims)} exceed the largest {dtype} array numpy can hold")
     count = math.prod(dims)
     payload = fh.read(count * dtype.itemsize)
     if len(payload) < count * dtype.itemsize:

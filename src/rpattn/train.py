@@ -22,18 +22,17 @@ from .synthetic import SyntheticTask, gen_synthetic
 
 VARIANTS = ("full", "gather_distribute", "kmeans", "softmax_baseline")
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+EVAL_FRACTION = 0.2    # leading share of the task's samples held out for accuracy
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int
     batch_size: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     variant: str = "full"
-    weight_decay: float = 0.0  # decoupled decay, off by default at desk scale
 
     def __post_init__(self):
         if self.steps < 1:
@@ -53,8 +52,7 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState,
-              lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0) -> AdamState:
+def adam_step(params: dict, grads: dict, state: AdamState, lr) -> AdamState:
     """Bias-corrected Adam update, applied in place to the parameter dict."""
     state.t += 1
     t = state.t
@@ -62,15 +60,13 @@ def adam_step(params: dict, grads: dict, state: AdamState,
         g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        if weight_decay:
-            p -= lr * weight_decay * p
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -97,8 +93,8 @@ class TrainHistory:
         return self.losses[-1]
 
 
-def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: TrainConfig,
-               eval_fraction: float = 0.2) -> TrainHistory:
+def train_tiny(task: SyntheticTask, attn_config: AttnConfig,
+               train_config: TrainConfig) -> TrainHistory:
     """Train one variant on the synthetic task; returns the loss curve and
     held-out accuracy.
 
@@ -116,7 +112,7 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: Train
     g = task.num_clusters
 
     tokens, labels = gen_synthetic(task)
-    n_eval = max(1, int(len(tokens) * eval_fraction))
+    n_eval = max(1, int(len(tokens) * EVAL_FRACTION))
     x_train, y_train = tokens[n_eval:], labels[n_eval:]
     x_eval, y_eval = tokens[:n_eval], labels[:n_eval]
     if len(x_train) == 0:
@@ -171,9 +167,7 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig, train_config: Train
         grads["head_w"] = pooled.T @ d_logits
         grads["head_b"] = d_logits.sum(axis=0)
 
-        adam_step(trainable, grads, state, train_config.lr,
-                  train_config.beta1, train_config.beta2, train_config.eps,
-                  train_config.weight_decay)
+        adam_step(trainable, grads, state, train_config.lr)
 
     out_eval, _ = forward(x_eval, layer, cfg)
     logits_eval = out_eval.mean(axis=1) @ head_w + head_b

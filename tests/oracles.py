@@ -72,7 +72,7 @@ def depthwise_conv2d_loops(x, kernel, bias):
         for i in range(h):
             for j in range(w):
                 for ci in range(c):
-                    s = float(bias[ci]) if bias is not None else 0.0
+                    s = float(bias[ci])
                     for ki in range(k):
                         for kj in range(k):
                             ii = i + ki - pad
@@ -210,3 +210,45 @@ def straight_line_forward(x, params, *, heads, num_reps, grid_h, grid_w,
         "k_l_bar": k_l_bar, "v_l_bar": v_l_bar, "p_lat": p_lat, "z_l": z_l,
         "p_dist": p_dist, "o_global": o_global, "bypass_out": bypass, "output": output,
     }
+
+
+def kmeans_gather_loops(keys, num_slots, iters, seed):
+    """k-means routing with one Python pass per slot for re-seeding and centroids.
+
+    Same seeding, distances and random streams as the layer's k-means (those
+    fix which point goes where), but emptiness is tested and every centroid
+    is averaged slot by slot. Returns one-hot assignments [B, h, N, M].
+    """
+    keys = np.asarray(keys, dtype=np.float64)
+    b, h, n, _ = keys.shape
+    m = num_slots
+    out = np.zeros((b, h, n, m))
+    for bi in range(b):
+        for hi in range(h):
+            rng = np.random.default_rng([seed, bi, hi])
+            points = keys[bi, hi]
+            sq = np.square(points).sum(axis=1)
+            centroids = np.empty((m, points.shape[1]))
+            centroids[0] = points[rng.integers(n)]
+            d2 = np.square(points - centroids[0]).sum(axis=1)
+            for j in range(1, m):
+                total = d2.sum()
+                idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+                centroids[j] = points[idx]
+                d2 = np.minimum(d2, np.square(points - centroids[j]).sum(axis=1))
+            for _ in range(iters):
+                dist = (sq[:, None] - 2.0 * points @ centroids.T
+                        + np.square(centroids).sum(axis=1)[None, :])
+                assign = dist.argmin(axis=1)
+                own = dist[np.arange(n), assign].copy()
+                for slot in range(m):
+                    if not (assign == slot).any():
+                        far = int(own.argmax())
+                        assign[far] = slot
+                        own[far] = -1.0
+                for slot in range(m):
+                    members = points[assign == slot]
+                    if len(members):
+                        centroids[slot] = members.mean(axis=0)
+            out[bi, hi, np.arange(n), assign] = 1.0
+    return out

@@ -20,7 +20,7 @@ from rpattn import (
     project_qkv,
     rpattention_forward,
 )
-from rpattn.attention import merge_heads, split_heads
+from rpattn.attention import LN_EPS, SLOT_MASS_EPS, merge_heads, split_heads
 from rpattn.errors import ConfigError
 
 import oracles
@@ -222,8 +222,8 @@ class TestLatentInteract:
         v_l = rng.standard_normal((2, 2, 3, 4))
         k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, SMALL)
 
-        k_bar_o = oracles.layer_norm_loops(k_l, params.ln_k_gamma, params.ln_k_beta, SMALL.ln_eps)
-        v_bar_o = oracles.layer_norm_loops(v_l, params.ln_v_gamma, params.ln_v_beta, SMALL.ln_eps)
+        k_bar_o = oracles.layer_norm_loops(k_l, params.ln_k_gamma, params.ln_k_beta, LN_EPS)
+        v_bar_o = oracles.layer_norm_loops(v_l, params.ln_v_gamma, params.ln_v_beta, LN_EPS)
         assert np.abs(k_l_bar - k_bar_o).max() < 1e-12
         scale = 1.0 / np.sqrt(4.0)
         for bi in range(2):
@@ -314,7 +314,7 @@ class TestForward:
         _, trace = rpattention_forward(x, params, SMALL)
         assert np.abs(trace.a.sum(axis=-1) - 1.0).max() < 1e-6
         assert trace.mass.shape == (2, 2, 3, 1)
-        assert (trace.mass > SMALL.epsilon).all()
+        assert (trace.mass > SLOT_MASS_EPS).all()
         assert np.abs(trace.p_lat.sum(axis=-1) - 1.0).max() < 1e-6
         assert np.abs(trace.p_dist.sum(axis=-1) - 1.0).max() < 1e-6
 
@@ -346,7 +346,7 @@ class TestForward:
         _, trace = rpattention_forward(x, params, SMALL)
         expect = oracles.straight_line_forward(
             x, params, heads=2, num_reps=3, grid_h=3, grid_w=4,
-            epsilon=SMALL.epsilon, ln_eps=SMALL.ln_eps)
+            epsilon=SLOT_MASS_EPS, ln_eps=LN_EPS)
         # The trace keeps no normalized assignments and only the sum of readout and bypass.
         fused = expect.pop("o_global") + expect.pop("bypass_out")
         del expect["a_hat"]
@@ -364,7 +364,7 @@ class TestForward:
         assert np.array_equal(trace.z_l, trace.v_l_bar)
         expect = oracles.straight_line_forward(
             x, params, heads=2, num_reps=3, grid_h=3, grid_w=4,
-            epsilon=cfg.epsilon, ln_eps=cfg.ln_eps, enable_interact=False)
+            epsilon=SLOT_MASS_EPS, ln_eps=LN_EPS, enable_interact=False)
         assert np.abs(trace.output - expect["output"]).max() < 1e-12
 
     def test_empty_batch_rejected(self):

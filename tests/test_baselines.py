@@ -231,6 +231,23 @@ class TestKMeans:
             assert np.array_equal(assign.sum(axis=-1), np.ones(assign.shape[:-1]))
         assert np.isfinite(y).all()
 
+    def test_matches_per_slot_oracle(self):
+        # Random shapes with d >= 2 and B*h >= 2, half of them with M > N, and
+        # duplicated points from rounding and copied rows. (With d = 1 numpy
+        # sums a [k, 1] slice pairwise, so exact ties may round differently.)
+        rng = np.random.default_rng(20)
+        for trial in range(300):
+            b, h = (1, 2) if trial % 2 else (2, int(rng.integers(1, 3)))
+            n = int(rng.integers(1, 25))
+            m = int(rng.integers(n + 1, n + 6)) if trial % 4 < 2 else int(rng.integers(1, n + 1))
+            keys = rng.standard_normal((b, h, n, int(rng.integers(2, 6))))
+            if trial % 3 == 0:
+                keys = np.round(keys)
+            keys[..., : n // 3, :] = keys[..., :1, :]
+            iters = int(rng.integers(1, 5))
+            got = kmeans_gather(keys, m, iters, trial)
+            assert np.array_equal(got, oracles.kmeans_gather_loops(keys, m, iters, trial)), trial
+
     def test_bad_iters(self):
         with pytest.raises(ConfigError):
             kmeans_gather(np.zeros((1, 1, 4, 2)), num_slots=2, iters=0, seed=0)

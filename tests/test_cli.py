@@ -115,6 +115,51 @@ def test_ablate_subcommand(tmp_path, capsys):
     assert "full" in text and "gather_distribute" in text
 
 
+TRAIN_CFG = {
+    "task": {"grid_h": 2, "grid_w": 2, "channels": 4, "num_clusters": 2, "num_samples": 10},
+    "attn": {"heads": 2, "num_representatives": 2},
+    "train": {"steps": 2, "batch_size": 4, "lr": 0.01},
+}
+MAPS_CFG = {"attn": {"channels": 4, "heads": 2, "num_representatives": 3,
+                     "grid_h": 2, "grid_w": 2}}
+
+
+def _with(cfg, section, key, value=None):
+    """A copy of cfg with section[key] set to value, or removed when value is None."""
+    out = json.loads(json.dumps(cfg))
+    entries = out[section] if section else out
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    return out
+
+
+BAD_KEY_CASES = [
+    ("train", _with(TRAIN_CFG, "attn", "routng", "kmeans"), "routng"),
+    ("train", _with(TRAIN_CFG, "train", "weight_decay", 0.0), "weight_decay"),
+    ("train", _with(TRAIN_CFG, "task", "sigmaa", 0.1), "sigmaa"),
+    ("train", _with(TRAIN_CFG, "attn", "num_representatives"), "num_representatives"),
+    ("train", _with(TRAIN_CFG, "train", "lr"), "lr"),
+    ("train", _with(TRAIN_CFG, None, "trian", {}), "trian"),
+    ("ablate", _with(TRAIN_CFG, "attn", "epsilon", 1e-6), "epsilon"),
+    ("ablate", _with(TRAIN_CFG, "task", "num_clusters"), "num_clusters"),
+    ("maps", _with(MAPS_CFG, "attn", "routng", "kmeans"), "routng"),
+    ("maps", _with(MAPS_CFG, "attn", "grid_w"), "grid_w"),
+    ("gradcheck", _with(MAPS_CFG["attn"], None, "ln_eps", 1e-5), "ln_eps"),
+    ("bench", {"mechanisms": ["constant_dummy"], "expected_slopes": {}}, "expected_slopes"),
+]
+
+
+@pytest.mark.parametrize("command,payload,key", BAD_KEY_CASES,
+                         ids=[f"{command}-{key}" for command, _, key in BAD_KEY_CASES])
+def test_unknown_or_missing_key_exit_2(tmp_path, capsys, command, payload, key):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_bench_subcommand_fast(tmp_path, capsys):
     cfg = _write_config(tmp_path, "b.json", {
         "mechanisms": ["constant_dummy"],

@@ -17,6 +17,7 @@ from rpattn import (
     rpattention_backward,
     rpattention_forward,
 )
+from rpattn.attention import SLOT_MASS_EPS
 from rpattn.errors import ConfigError, ContractError
 
 SMALL = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=3, grid_w=4)
@@ -182,7 +183,7 @@ def test_kmeans_routing_backward_trains_other_params():
 def test_kmeans_routing_backward_matches_finite_differences(slots):
     # Fields that do not feed the keys leave the hard routing fixed, so central
     # differences apply. With 20 slots over 12 tokens some slots stay empty and
-    # their mass is epsilon alone.
+    # their mass is SLOT_MASS_EPS alone.
     cfg = replace(SMALL, routing="kmeans", num_representatives=slots)
     params = init_params(cfg, 13)
     rng = np.random.default_rng(14)
@@ -190,7 +191,7 @@ def test_kmeans_routing_backward_matches_finite_differences(slots):
     g = rng.standard_normal((2, 12, 8)) * 2e-3
     _, trace = rpattention_forward(x, params, cfg)
     if slots > 12:
-        assert (trace.mass == cfg.epsilon).any()
+        assert (trace.mass == SLOT_MASS_EPS).any()
     grads = rpattention_backward(trace, g, params, cfg)
     for name in sorted(set(PARAM_FIELDS) - {"w_k", "w_g"}):
         def loss(t, _name=name):
@@ -209,10 +210,10 @@ def test_trace_latents_equal_mass_normalized_gather(routing):
     cfg = replace(SMALL, routing=routing)
     x = np.random.default_rng(15).standard_normal((2, 12, 8))
     _, trace = rpattention_forward(x, init_params(cfg, 16), cfg)
-    k_l, v_l = gather_latents(mass_normalize(trace.a, cfg.epsilon), trace.k, trace.v)
+    k_l, v_l = gather_latents(mass_normalize(trace.a, SLOT_MASS_EPS), trace.k, trace.v)
     assert np.abs(trace.k_l - k_l).max() < 1e-12
     assert np.abs(trace.v_l - v_l).max() < 1e-12
-    assert np.abs(trace.mass - cfg.epsilon - trace.a.sum(axis=-2)[..., None]).max() < 1e-12
+    assert np.abs(trace.mass - SLOT_MASS_EPS - trace.a.sum(axis=-2)[..., None]).max() < 1e-12
 
 
 class TestContract:

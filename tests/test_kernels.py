@@ -177,18 +177,12 @@ class TestLinear:
         x = rng.standard_normal((3, 4))
         assert np.array_equal(kernels.linear(x, np.eye(4)), x)
 
-    def test_bias_broadcast(self):
-        bias = np.array([1.0, -2.0])
-        out = kernels.linear(np.zeros((2, 3, 4)), np.zeros((4, 2)), bias)
-        assert np.array_equal(out, np.broadcast_to(bias, (2, 3, 2)))
-
     def test_matches_matmul_plus_add(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 5, 4))
         w = rng.standard_normal((4, 3))
-        bias = rng.standard_normal(3)
-        expect = oracles.matmul_loops(x, w) + bias
-        assert np.abs(kernels.linear(x, w, bias) - expect).max() < 1e-12
+        expect = oracles.matmul_loops(x, w)
+        assert np.abs(kernels.linear(x, w) - expect).max() < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
