@@ -1,6 +1,31 @@
 """Representative attention: linear-cost token routing through learned
 representatives, with exact analytic gradients and a desk-scale experiment
-harness."""
+harness.
+
+RPATTN_THREADS caps BLAS worker threads (0 or 1 means one thread). BLAS reads
+its cap when numpy loads, so the cap is set here, before this package imports
+numpy; it has no effect if numpy was imported first. An explicit
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS still wins.
+"""
+
+import os as _os
+
+from .errors import ConfigError as _ConfigError
+
+
+def _apply_thread_cap(environ):
+    cap = environ.get("RPATTN_THREADS")
+    if cap is None:
+        return
+    try:
+        value = str(max(1, int(cap)))
+    except ValueError:
+        raise _ConfigError(f"RPATTN_THREADS must be an integer, got {cap!r}") from None
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        environ.setdefault(var, value)
+
+
+_apply_thread_cap(_os.environ)
 
 from .attention import (
     AttnConfig,

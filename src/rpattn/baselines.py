@@ -98,87 +98,68 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     return y, latent_k, latent_v
 
 
-def _kmeans_single(points, m, iters, rng):
-    """Lloyd's algorithm with plus-plus seeding on one [N, d] point set."""
-    n = points.shape[0]
-    sq = np.square(points).sum(axis=1)
-
-    # Seeding: first centroid uniform, the rest by squared-distance sampling.
-    centroids = np.empty((m, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.square(points - centroids[0]).sum(axis=1)
-    for j in range(1, m):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, np.square(points - centroids[j]).sum(axis=1))
-
-    assign = None
-    for _ in range(iters):
-        # Squared Euclidean distances; argmin ties resolve to the lowest slot.
-        dist = sq[:, None] - 2.0 * points @ centroids.T + np.square(centroids).sum(axis=1)[None, :]
-        assign = dist.argmin(axis=1)
-        # Empty clusters re-seed to the point currently farthest from its
-        # assigned centroid (ascending slot order, each point used once).
-        own = dist[np.arange(n), assign].copy()
-        counts = np.bincount(assign, minlength=m)
-        for slot in range(m):
-            if counts[slot] == 0:
-                far = int(own.argmax())
-                counts[assign[far]] -= 1
-                counts[slot] += 1
-                assign[far] = slot
-                own[far] = -1.0
-        # Member means, summed in point order; a slot re-seeding could not
-        # fill (as when M > N) keeps its centroid.
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, points)
-        filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
-
-    one_hot = np.zeros((n, m), dtype=np.float64)
-    one_hot[np.arange(n), assign] = 1.0
-    return one_hot
-
-
 def kmeans_gather(keys, num_slots, iters, seed):
     """Hard routing of tokens to slots by per-(batch, head) k-means on key vectors.
 
-    Returns one-hot assignments [B, h, N, M]. Each (batch, head) pair derives
-    its own random stream from the master seed, so results do not depend on
-    iteration order.
+    Returns one-hot assignments [B, h, N, M]. Lloyd's algorithm with
+    plus-plus seeding runs on all G = B*h groups at once. Each (batch, head)
+    group draws from its own random stream derived from the master seed, so
+    its assignments do not depend on the rest of the batch.
     """
     if iters < 1:
         raise ConfigError("kmeans iters must be >= 1")
     if num_slots < 1:
         raise ConfigError("kmeans needs at least one slot")
-    keys = np.asarray(keys)
-    b, h, n, _ = keys.shape
-    m = num_slots
-    out = np.zeros((b, h, n, m), dtype=np.float64)
-    for bi in range(b):
-        for hi in range(h):
-            rng = np.random.default_rng([seed, bi, hi])
-            out[bi, hi] = _kmeans_single(keys[bi, hi].astype(np.float64), m, iters, rng)
-    return out
+    b, h, n, d = np.shape(keys)
+    g, m = b * h, num_slots
+    points = np.ascontiguousarray(keys, dtype=np.float64).reshape(g, n, d)
+    groups = np.arange(g)
+    rngs = [np.random.default_rng([seed, bi, hi]) for bi in range(b) for hi in range(h)]
 
+    # Seeding: first centroid uniform, the rest by squared-distance sampling.
+    # Generator.choice(n, p=p) searches the normalized cumsum of p at one
+    # uniform draw; a group whose points all sit on centroids draws uniformly.
+    centroids = np.empty((g, m, d))
+    idx = np.array([rng.integers(n) for rng in rngs], dtype=np.intp)
+    centroids[:, 0] = points[groups, idx]
+    d2 = np.square(points - centroids[:, :1]).sum(axis=2)
+    for j in range(1, m):
+        total = d2.sum(axis=1, keepdims=True)
+        live = total > 0.0
+        cdf = np.cumsum(np.divide(d2, total, out=np.zeros_like(d2), where=live), axis=1)
+        np.divide(cdf, cdf[:, -1:], out=cdf, where=live)
+        for gi, rng in enumerate(rngs):
+            if live[gi, 0]:
+                idx[gi] = cdf[gi].searchsorted(rng.random(), side="right")
+            else:
+                idx[gi] = rng.integers(n)
+        centroids[:, j] = points[groups, idx]
+        d2 = np.minimum(d2, np.square(points - centroids[:, j:j + 1]).sum(axis=2))
 
-def kmeans_inertia(keys, assignments):
-    """Sum of squared distances of each point to its cluster mean."""
-    keys = np.asarray(keys, dtype=np.float64)
-    b, h, n, d = keys.shape
-    m = assignments.shape[-1]
-    total = 0.0
-    for bi in range(b):
-        for hi in range(h):
-            pts = keys[bi, hi]
-            assign = assignments[bi, hi].argmax(axis=1)
+    sq = np.square(points).sum(axis=2)[:, :, None]
+    base = groups[:, None] * m
+    for _ in range(iters):
+        # Squared Euclidean distances; argmin ties resolve to the lowest slot.
+        dist = (sq - 2.0 * points @ centroids.transpose(0, 2, 1)
+                + np.square(centroids).sum(axis=2)[:, None, :])
+        assign = dist.argmin(axis=2)
+        own = np.take_along_axis(dist, assign[..., None], axis=2)[..., 0]
+        counts = np.bincount((base + assign).ravel(), minlength=g * m).reshape(g, m)
+        # Empty clusters re-seed to the point currently farthest from its
+        # assigned centroid (ascending slot order, each point used once).
+        for gi in np.flatnonzero((counts == 0).any(axis=1)):
             for slot in range(m):
-                members = pts[assign == slot]
-                if len(members) == 0:
-                    continue
-                total += float(np.square(members - members.mean(axis=0)).sum())
-    return total
+                if counts[gi, slot] == 0:
+                    far = own[gi].argmax()
+                    counts[gi, assign[gi, far]] -= 1
+                    counts[gi, slot] += 1
+                    assign[gi, far] = slot
+                    own[gi, far] = -1.0
+        # Member means, summed in point order; a slot re-seeding could not
+        # fill (as when M > N) keeps its centroid.
+        sums = np.zeros((g * m, d))
+        np.add.at(sums, (base + assign).ravel(), points.reshape(g * n, d))
+        filled = counts > 0
+        centroids[filled] = sums.reshape(g, m, d)[filled] / counts[filled][:, None]
+
+    return (assign[..., None] == np.arange(m)).astype(np.float64).reshape(b, h, n, m)

@@ -6,31 +6,18 @@ Each reads a JSON config (--config), writes CSV/PGM artifacts into the
 check failed, 2 config error; a config key the subcommand does not know, or
 a missing required one, is a config error.
 
-The RPATTN_THREADS environment variable caps BLAS worker threads before
-numpy loads (0 or 1 means single-threaded execution).
+The RPATTN_THREADS environment variable caps BLAS worker threads; the cap
+is applied when the rpattn package is imported (see rpattn/__init__.py).
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigError, TrainDivergedError
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("RPATTN_THREADS")
-    if cap is None:
-        return
-    try:
-        value = max(1, int(cap))
-    except ValueError:
-        raise SystemExit(f"RPATTN_THREADS must be an integer, got {cap!r}")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(value))
 
 
 def _reject_unknown(entries, keys, where):
@@ -390,7 +377,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

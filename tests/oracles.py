@@ -252,3 +252,21 @@ def kmeans_gather_loops(keys, num_slots, iters, seed):
                         centroids[slot] = members.mean(axis=0)
             out[bi, hi, np.arange(n), assign] = 1.0
     return out
+
+
+def kmeans_inertia(keys, assignments):
+    """Sum of squared distances of each point to its cluster mean."""
+    keys = np.asarray(keys, dtype=np.float64)
+    b, h, n, d = keys.shape
+    m = assignments.shape[-1]
+    total = 0.0
+    for bi in range(b):
+        for hi in range(h):
+            pts = keys[bi, hi]
+            assign = assignments[bi, hi].argmax(axis=1)
+            for slot in range(m):
+                members = pts[assign == slot]
+                if len(members) == 0:
+                    continue
+                total += float(np.square(members - members.mean(axis=0)).sum())
+    return total

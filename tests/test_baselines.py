@@ -13,7 +13,7 @@ from rpattn import (
     pooled_proxy_forward,
     rpattention_forward,
 )
-from rpattn.baselines import kmeans_inertia, softmax_attention_forward
+from rpattn.baselines import softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError, ShapeError
 from rpattn.grad import finite_diff_grad, softmax_attention_backward
 
@@ -201,19 +201,26 @@ class TestKMeans:
         inertias = []
         for iters in (1, 2, 3, 5):
             a = kmeans_gather(keys, num_slots=4, iters=iters, seed=3)
-            inertias.append(kmeans_inertia(keys, a))
+            inertias.append(oracles.kmeans_inertia(keys, a))
         for prev, cur in zip(inertias, inertias[1:]):
             assert cur <= prev + 1e-9
 
     def test_one_hot_and_seed_streams(self):
         rng = np.random.default_rng(4)
-        keys = rng.standard_normal((2, 2, 10, 3))
+        keys = rng.standard_normal((4, 2, 10, 3))
         a = kmeans_gather(keys, num_slots=3, iters=2, seed=5)
         assert set(np.unique(a)) <= {0.0, 1.0}
-        assert np.array_equal(a.sum(axis=-1), np.ones((2, 2, 10)))
-        # different (batch, head) pairs use independent streams
+        assert np.array_equal(a.sum(axis=-1), np.ones((4, 2, 10)))
         b = kmeans_gather(keys[:1, :1], num_slots=3, iters=2, seed=5)
         assert np.array_equal(a[:1, :1], b)
+        # Each (batch, head) group draws from the stream of its position, so
+        # its slice does not depend on the other groups routed with it.
+        for bi in range(4):
+            for hi in range(2):
+                other = rng.standard_normal(keys.shape)
+                other[bi, hi] = keys[bi, hi]
+                got = kmeans_gather(other, num_slots=3, iters=2, seed=5)
+                assert np.array_equal(got[bi:bi + 1, hi:hi + 1], a[bi:bi + 1, hi:hi + 1])
 
     def test_more_slots_than_points(self):
         # Slots that cannot all be filled keep their centroids: no empty-set
@@ -232,20 +239,28 @@ class TestKMeans:
         assert np.isfinite(y).all()
 
     def test_matches_per_slot_oracle(self):
-        # Random shapes with d >= 2 and B*h >= 2, half of them with M > N, and
-        # duplicated points from rounding and copied rows. (With d = 1 numpy
-        # sums a [k, 1] slice pairwise, so exact ties may round differently.)
+        # Random shapes with d >= 2, B up to 4 and B*h >= 2, half of them with
+        # M > N, and duplicated points from rounding and copied rows. Every
+        # third call also holds a group of identical points, whose seeding
+        # draws uniformly (zero total distance), next to ordinary groups.
+        # (With d = 1 numpy sums a [k, 1] slice pairwise, so exact ties may
+        # round differently.)
         rng = np.random.default_rng(20)
         for trial in range(300):
-            b, h = (1, 2) if trial % 2 else (2, int(rng.integers(1, 3)))
+            b = int(rng.integers(1, 5))
+            h = int(rng.integers(2 if b == 1 else 1, 3))
             n = int(rng.integers(1, 25))
             m = int(rng.integers(n + 1, n + 6)) if trial % 4 < 2 else int(rng.integers(1, n + 1))
             keys = rng.standard_normal((b, h, n, int(rng.integers(2, 6))))
             if trial % 3 == 0:
                 keys = np.round(keys)
             keys[..., : n // 3, :] = keys[..., :1, :]
+            if trial % 3 == 1:
+                keys[int(rng.integers(b)), int(rng.integers(h))] = rng.standard_normal(keys.shape[-1])
             iters = int(rng.integers(1, 5))
-            got = kmeans_gather(keys, m, iters, trial)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kmeans_gather(keys, m, iters, trial)
             assert np.array_equal(got, oracles.kmeans_gather_loops(keys, m, iters, trial)), trial
 
     def test_bad_iters(self):

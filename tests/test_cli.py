@@ -195,3 +195,32 @@ def test_module_entrypoint_with_thread_cap(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert "total=12" in proc.stdout
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_COUNT = ("import os, rpattn, numpy as np; a = np.ones((256, 256), np.float32); a @ a; "
+                "print(len(os.listdir('/proc/self/task')))")
+
+
+def _threads_after_matmul(**env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    proc = subprocess.run([sys.executable, "-c", THREAD_COUNT], capture_output=True, text=True,
+                          env=dict(env, **env_vars), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_thread_cap_applies_before_numpy_loads():
+    assert _threads_after_matmul(RPATTN_THREADS="1") == 1
+    # explicit BLAS variables still win over the package cap
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert _threads_after_matmul(RPATTN_THREADS="1", **dict.fromkeys(BLAS_VARS, "2")) == 2
+
+
+def test_bad_thread_cap_is_a_config_error():
+    env = dict(os.environ, RPATTN_THREADS="two")
+    proc = subprocess.run([sys.executable, "-c", "import rpattn"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "ConfigError: RPATTN_THREADS must be an integer" in proc.stderr

@@ -39,6 +39,14 @@ TASK = SyntheticTask(grid_h=4, grid_w=4, channels=8, num_clusters=3,
                      mean_scale=1.0, sigma=0.05, seed=7, num_samples=120)
 ATTN = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=4, grid_w=4)
 
+KMEANS_ABLATE_LOSSES = [
+    1.1129040875118732, 1.12260860220658, 1.1021331117377557, 1.1055868747684805,
+    1.0644057001621414, 1.0993216658644067, 1.0988732228356268, 1.0426418365253456,
+    1.0582087555629742, 1.0136262754536893, 1.1153181020619618, 1.0398281204155304,
+    1.0461939673158651, 0.9863242420685187, 0.9979656655089747, 0.9972436927401835,
+    1.0000106303224294, 0.9891801985886299, 0.9033337422762194, 0.8980002539479188,
+]
+
 
 class TestSynthetic:
     def test_same_seed_identical_bytes(self):
@@ -145,6 +153,13 @@ class TestTrainTiny:
                 train_tiny(task, attn, TrainConfig(steps=20, batch_size=4, lr=1e200, seed=0))
         assert err.value.step >= 1
 
+    def test_kmeans_loss_curve_pinned(self):
+        # configs/ablate.json settings, 20 steps; recorded with the k-means
+        # that looped over (batch, head) groups. Exact equality: any change of
+        # routing order or arithmetic shows here.
+        cfg = TrainConfig(steps=20, batch_size=16, lr=0.01, seed=3, variant="kmeans")
+        assert train_tiny(TASK, ATTN, cfg).losses == KMEANS_ABLATE_LOSSES
+
     def test_channel_mismatch_rejected(self):
         bad = AttnConfig(channels=16, heads=2, num_representatives=3, grid_h=4, grid_w=4)
         with pytest.raises(ConfigError):
@@ -230,6 +245,21 @@ class TestTensorIO:
         save_params(params, init_params(ATTN, 0))
         path.write_bytes(header + params.read_bytes())
         with pytest.raises(BadShapeError):
+            load_params(path, ATTN)
+
+    def test_huge_payload_beyond_file_is_truncated(self, tmp_path):
+        # (2**59,) float64 is a shapeable array of 2**62 bytes; the file holds
+        # one value, so the reader must not try to allocate the payload.
+        header = MAGIC + struct.pack("<BBBQ", VERSION, 1, 1, 2**59)
+        path = tmp_path / "t.rptn"
+        path.write_bytes(header + np.ones(1).tobytes())
+        assert path.stat().st_size == 23
+        with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+        params = tmp_path / "params.rptn"
+        save_params(params, init_params(ATTN, 0))
+        path.write_bytes(header + params.read_bytes())
+        with pytest.raises(TruncatedPayloadError):
             load_params(path, ATTN)
 
     def test_error_codes_distinct(self):
