@@ -307,11 +307,15 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
                     min_sample_s=2e-3) -> ScalingReport:
     """Median wall-clock per forward across sizes, plus log-log slope.
 
-    Protocol per (mechanism, size): `warmup` untimed calls, then per
-    repetition `iters` timed samples whose median is kept; the reported
-    latency is the median across repetitions. Samples batch multiple calls
-    when a single call is shorter than min_sample_s so timer overhead stays
-    negligible. Mechanisms are measured strictly one at a time.
+    Protocol per (mechanism, size) and repetition: `warmup` untimed calls,
+    then `iters` timed samples whose median is kept; the reported latency is
+    the median across repetitions. Samples batch multiple calls when a
+    single call is shorter than min_sample_s so timer overhead stays
+    negligible. Mechanisms are measured strictly one at a time; within one,
+    each repetition is a round over all sizes, so a transient slowdown of
+    the host (such as BLAS threads sharing a core for their first second)
+    lands in one repetition of several sizes instead of every repetition
+    of one size, and the median across repetitions discards it.
     """
     sizes = [int(n) for n in sizes]
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
@@ -325,13 +329,12 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
     warnings = []
     results = {}
     for mech in mechanisms:
-        medians = []
-        for n in sizes:
-            fn = mech.prepare(n)
-            number = _autorange(fn, min_sample_s)
-            rep_medians = []
-            min_batch = math.inf
-            for _ in range(reps):
+        fns = [mech.prepare(n) for n in sizes]
+        numbers = [_autorange(fn, min_sample_s) for fn in fns]
+        rep_medians = [[] for _ in sizes]
+        min_batch = [math.inf] * len(sizes)
+        for _ in range(reps):
+            for i, (fn, number) in enumerate(zip(fns, numbers)):
                 for _ in range(warmup):
                     fn()
                 samples = []
@@ -340,14 +343,15 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
                     for _ in range(number):
                         fn()
                     dt = time.perf_counter() - t0
-                    min_batch = min(min_batch, dt)
+                    min_batch[i] = min(min_batch[i], dt)
                     samples.append(dt / number)
-                rep_medians.append(statistics.median(samples))
-            if min_batch < 100.0 * resolution:
+                rep_medians[i].append(statistics.median(samples))
+        for n, batch in zip(sizes, min_batch):
+            if batch < 100.0 * resolution:
                 warnings.append(
-                    f"{mech.name}@N={n}: sample duration {min_batch:.3e}s too close to "
+                    f"{mech.name}@N={n}: sample duration {batch:.3e}s too close to "
                     f"timer resolution {resolution:.1e}s")
-            medians.append(statistics.median(rep_medians))
+        medians = [statistics.median(r) for r in rep_medians]
         if min(medians) <= 0:
             raise ConfigError(f"non-positive latency measured for {mech.name}")
         slope = float(np.polyfit(np.log(np.array(sizes, dtype=np.float64)),
@@ -382,23 +386,32 @@ def make_linear_dummy() -> Mechanism:
     return Mechanism("linear_dummy", prepare)
 
 
-def make_quadratic_dummy(repeats=8) -> Mechanism:
-    """Self-calibration subject with O(N^2) work, chunked to bound memory."""
+def make_quadratic_dummy(repeats=4, tile=256) -> Mechanism:
+    """Self-calibration subject with O(N^2) work.
+
+    Each call makes `repeats` passes over the N x N outer product in
+    tile x tile blocks, so every size runs the same kernel on the same
+    shapes and only the block count grows with N^2. (Whole-row blocks
+    varied in cost per element by up to 6x with their shape.)
+    """
 
     def prepare(n):
         rng = np.random.default_rng(0)
         a = rng.standard_normal(n).astype(np.float32)
         b = rng.standard_normal(n).astype(np.float32)
-        chunk = min(n, max(1, (1 << 22) // n))
-        buf = np.empty((chunk, n), dtype=np.float32)
+        step = min(n, tile)
+        buf = np.empty((step, step), dtype=np.float32)
 
         def run():
             acc = 0.0
             for _ in range(repeats):
-                for start in range(0, n, chunk):
-                    stop = min(start + chunk, n)
-                    np.multiply.outer(a[start:stop], b, out=buf[: stop - start])
-                    acc += float(buf[: stop - start].sum())
+                for i in range(0, n, step):
+                    rows = a[i:i + step]
+                    for j in range(0, n, step):
+                        cols = b[j:j + step]
+                        block = buf[: rows.size, : cols.size]
+                        np.multiply.outer(rows, cols, out=block)
+                        acc += float(block.sum())
             return acc
 
         return run
