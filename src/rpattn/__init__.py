@@ -2,30 +2,23 @@
 representatives, with exact analytic gradients and a desk-scale experiment
 harness.
 
-RPATTN_THREADS caps BLAS worker threads (0 or 1 means one thread). BLAS reads
-its cap when numpy loads, so the cap is set here, before this package imports
-numpy; it has no effect if numpy was imported first. An explicit
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS still wins.
+RPATTN_THREADS caps BLAS worker threads (0 or 1 means one). BLAS reads its cap
+when numpy loads, so it is set here, before this package imports numpy, and
+has no effect if numpy was imported first. Explicit OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS still win.
 """
 
 import os as _os
 
 from .errors import ConfigError as _ConfigError
 
-
-def _apply_thread_cap(environ):
-    cap = environ.get("RPATTN_THREADS")
-    if cap is None:
-        return
+if (_cap := _os.environ.get("RPATTN_THREADS")) is not None:
     try:
-        value = str(max(1, int(cap)))
+        _cap = str(max(1, int(_cap)))
     except ValueError:
-        raise _ConfigError(f"RPATTN_THREADS must be an integer, got {cap!r}") from None
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        environ.setdefault(var, value)
-
-
-_apply_thread_cap(_os.environ)
+        raise _ConfigError(f"RPATTN_THREADS must be an integer, got {_cap!r}") from None
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _cap)
 
 from .attention import (
     AttnConfig,

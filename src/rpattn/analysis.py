@@ -311,11 +311,9 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
     then `iters` timed samples whose median is kept; the reported latency is
     the median across repetitions. Samples batch multiple calls when a
     single call is shorter than min_sample_s so timer overhead stays
-    negligible. Mechanisms are measured strictly one at a time; within one,
-    each repetition is a round over all sizes, so a transient slowdown of
-    the host (such as BLAS threads sharing a core for their first second)
-    lands in one repetition of several sizes instead of every repetition
-    of one size, and the median across repetitions discards it.
+    negligible. Mechanisms run strictly one at a time, each repetition a
+    round over all sizes, so a transient host slowdown hits one repetition
+    of several sizes, not every repetition of one size.
     """
     sizes = [int(n) for n in sizes]
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
@@ -346,11 +344,9 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
                     min_batch[i] = min(min_batch[i], dt)
                     samples.append(dt / number)
                 rep_medians[i].append(statistics.median(samples))
-        for n, batch in zip(sizes, min_batch):
-            if batch < 100.0 * resolution:
-                warnings.append(
-                    f"{mech.name}@N={n}: sample duration {batch:.3e}s too close to "
-                    f"timer resolution {resolution:.1e}s")
+        warnings += [f"{mech.name}@N={n}: sample duration {batch:.3e}s too close to "
+                     f"timer resolution {resolution:.1e}s"
+                     for n, batch in zip(sizes, min_batch) if batch < 100.0 * resolution]
         medians = [statistics.median(r) for r in rep_medians]
         if min(medians) <= 0:
             raise ConfigError(f"non-positive latency measured for {mech.name}")
@@ -386,31 +382,27 @@ def make_linear_dummy() -> Mechanism:
     return Mechanism("linear_dummy", prepare)
 
 
-def make_quadratic_dummy(repeats=4, tile=256) -> Mechanism:
+def make_quadratic_dummy(repeats=4) -> Mechanism:
     """Self-calibration subject with O(N^2) work.
 
-    Each call makes `repeats` passes over the N x N outer product in
-    tile x tile blocks, so every size runs the same kernel on the same
-    shapes and only the block count grows with N^2. (Whole-row blocks
-    varied in cost per element by up to 6x with their shape.)
+    Each call makes `repeats` passes over the N x N outer product in fixed
+    256 x 256 blocks: every size then runs the same kernel on the same
+    shapes, while whole-row blocks varied up to 6x in cost per element.
     """
 
     def prepare(n):
         rng = np.random.default_rng(0)
         a = rng.standard_normal(n).astype(np.float32)
         b = rng.standard_normal(n).astype(np.float32)
-        step = min(n, tile)
-        buf = np.empty((step, step), dtype=np.float32)
+        buf = np.empty((256, 256), dtype=np.float32)
 
         def run():
             acc = 0.0
             for _ in range(repeats):
-                for i in range(0, n, step):
-                    rows = a[i:i + step]
-                    for j in range(0, n, step):
-                        cols = b[j:j + step]
-                        block = buf[: rows.size, : cols.size]
-                        np.multiply.outer(rows, cols, out=block)
+                for i in range(0, n, 256):
+                    for j in range(0, n, 256):
+                        block = buf[: min(256, n - i), : min(256, n - j)]
+                        np.multiply.outer(a[i:i + 256], b[j:j + 256], out=block)
                         acc += float(block.sum())
             return acc
 

@@ -129,19 +129,21 @@ def kmeans_gather(keys, num_slots, iters, seed):
         cdf = np.cumsum(np.divide(d2, total, out=np.zeros_like(d2), where=live), axis=1)
         np.divide(cdf, cdf[:, -1:], out=cdf, where=live)
         for gi, rng in enumerate(rngs):
-            if live[gi, 0]:
-                idx[gi] = cdf[gi].searchsorted(rng.random(), side="right")
-            else:
-                idx[gi] = rng.integers(n)
+            idx[gi] = (cdf[gi].searchsorted(rng.random(), side="right") if live[gi, 0]
+                       else rng.integers(n))
         centroids[:, j] = points[groups, idx]
         d2 = np.minimum(d2, np.square(points - centroids[:, j:j + 1]).sum(axis=2))
 
     sq = np.square(points).sum(axis=2)[:, :, None]
     base = groups[:, None] * m
+    dist = np.empty((g, n, m))
     for _ in range(iters):
-        # Squared Euclidean distances; argmin ties resolve to the lowest slot.
-        dist = (sq - 2.0 * points @ centroids.transpose(0, 2, 1)
-                + np.square(centroids).sum(axis=2)[:, None, :])
+        # Squared Euclidean distances in one reused [G, N, M] buffer, bit for
+        # bit |p|^2 - 2pc + |c|^2; argmin ties resolve to the lowest slot.
+        np.matmul(points, centroids.transpose(0, 2, 1), out=dist)
+        dist *= -2.0
+        dist += sq
+        dist += np.square(centroids).sum(axis=2)[:, None, :]
         assign = dist.argmin(axis=2)
         own = np.take_along_axis(dist, assign[..., None], axis=2)[..., 0]
         counts = np.bincount((base + assign).ravel(), minlength=g * m).reshape(g, m)
@@ -162,4 +164,5 @@ def kmeans_gather(keys, num_slots, iters, seed):
         filled = counts > 0
         centroids[filled] = sums.reshape(g, m, d)[filled] / counts[filled][:, None]
 
+    del dist  # the one-hot below is the only [G, N, M] array left
     return (assign[..., None] == np.arange(m)).astype(np.float64).reshape(b, h, n, m)

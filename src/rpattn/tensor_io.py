@@ -76,15 +76,18 @@ def read_record(fh):
     # numpy sizes an array by its nonzero dims, so (0, 2**63) is too big as well
     if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
         raise BadShapeError(f"dims {tuple(dims)} exceed the largest {dtype} array numpy can hold")
-    # sized against the bytes left before reading, so a huge header cannot
-    # ask for more memory than the file holds
+    # size a seekable file first, so a huge header cannot allocate past its end
     nbytes = math.prod(dims) * dtype.itemsize
-    start = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - start
-    fh.seek(start)
-    if nbytes > left:
-        raise TruncatedPayloadError(f"payload has {left} bytes, expected {nbytes}")
-    return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(dims).copy()
+    if fh.seekable():
+        start = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+        if nbytes > left:
+            raise TruncatedPayloadError(f"payload has {left} bytes, expected {nbytes}")
+    payload = fh.read(nbytes)
+    if len(payload) < nbytes:
+        raise TruncatedPayloadError(f"payload has {len(payload)} bytes, expected {nbytes}")
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
 def write_tensor(path, arr):

@@ -1,6 +1,7 @@
 """Tests for synthetic data, the Adam optimizer, the tiny trainer, and
 binary tensor I/O."""
 
+import io
 import struct
 
 import numpy as np
@@ -33,7 +34,7 @@ from rpattn.errors import (
     TruncatedPayloadError,
 )
 from rpattn.synthetic import majority_label
-from rpattn.tensor_io import MAGIC, VERSION, read_record
+from rpattn.tensor_io import MAGIC, VERSION, read_record, write_record
 
 TASK = SyntheticTask(grid_h=4, grid_w=4, channels=8, num_clusters=3,
                      mean_scale=1.0, sigma=0.05, seed=7, num_samples=120)
@@ -261,6 +262,19 @@ class TestTensorIO:
         path.write_bytes(header + params.read_bytes())
         with pytest.raises(TruncatedPayloadError):
             load_params(path, ATTN)
+
+    def test_short_payload_from_unseekable_stream(self):
+        # a stream that cannot seek is not sized up front; the short read
+        # itself is the truncation
+        class Unseekable(io.BytesIO):
+            def seekable(self):
+                return False
+
+        record = io.BytesIO()
+        write_record(record, np.arange(4.0))
+        assert np.array_equal(read_record(Unseekable(record.getvalue())), np.arange(4.0))
+        with pytest.raises(TruncatedPayloadError):
+            read_record(Unseekable(record.getvalue()[:-1]))
 
     def test_error_codes_distinct(self):
         codes = {cls.code for cls in (BadMagicError, BadShapeError, BadVersionError,
