@@ -231,13 +231,9 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
     v_l_bar = kernels.layer_norm(v_l, params.ln_v_gamma, params.ln_v_beta, LN_EPS)
     if not config.enable_interact:
         return k_l_bar, v_l_bar, None, v_l_bar
-    q_t = kernels.matmul(v_l_bar, params.w_lq)
-    k_t = kernels.matmul(v_l_bar, params.w_lk)
-    v_t = kernels.matmul(v_l_bar, params.w_lv)
-    scale = 1.0 / math.sqrt(config.head_dim)
-    p_lat = kernels.softmax_lastdim(kernels.matmul(q_t, np.swapaxes(k_t, -1, -2)) * scale)
-    z_l = v_l_bar + kernels.matmul(p_lat, v_t)
-    return k_l_bar, v_l_bar, p_lat, z_l
+    q_t, k_t, v_t = (kernels.matmul(v_l_bar, w) for w in (params.w_lq, params.w_lk, params.w_lv))
+    p_lat, o_lat = kernels.attention(q_t, k_t, v_t)
+    return k_l_bar, v_l_bar, p_lat, v_l_bar + o_lat
 
 
 def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray):
@@ -245,10 +241,8 @@ def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray):
 
     Returns (p_dist, o_global) with heads merged back to C channels.
     """
-    d = q.shape[-1]
-    scale = 1.0 / math.sqrt(d)
-    p_dist = kernels.softmax_lastdim(kernels.matmul(q, np.swapaxes(k_l_bar, -1, -2)) * scale)
-    return p_dist, merge_heads(kernels.matmul(p_dist, z_l))
+    p_dist, o = kernels.attention(q, k_l_bar, z_l)
+    return p_dist, merge_heads(o)
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -305,7 +299,6 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
         a = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
-        a = a.astype(config.np_dtype, copy=False)
     else:
         a = gather_assign(k, params.w_g)
     mass = a.sum(axis=-2)[..., None] + SLOT_MASS_EPS  # mass_normalize on [M, d], not [N, M]

@@ -9,7 +9,6 @@ The forwards take the layer's (x, params, config) and share its input
 check; the dense backward lives in grad next to the layer's.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,31 +34,26 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_c
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
     Reads only the w_q, w_k, w_v and w_o projections of params. row_chunk
-    bounds peak memory by computing the attention matrix in query blocks
-    (the result is identical; total work stays quadratic in N); the chunked
-    trace keeps no attention weights (p is None), so it cannot be
-    differentiated.
+    (>= 1) bounds peak memory by computing the attention matrix in query
+    blocks (the result is identical; total work stays quadratic in N); a
+    trace with more than one block keeps no attention weights (p is None),
+    so it cannot be differentiated.
     """
+    if row_chunk is not None and row_chunk < 1:
+        raise ConfigError(f"row_chunk must be >= 1, got {row_chunk}")
     x = check_input(x, params, config)
     n = x.shape[1]
     q, k, v = project_qkv(x, params, config)
-    scale = 1.0 / math.sqrt(config.head_dim)
 
-    if row_chunk is None or row_chunk >= n:
-        p = kernels.softmax_lastdim(kernels.matmul(q, np.swapaxes(k, -1, -2)) * scale)
-        o = kernels.matmul(p, v)
-    else:
-        p = None
-        o = np.empty_like(q)
-        k_t = np.swapaxes(k, -1, -2)
-        for start in range(0, n, row_chunk):
-            stop = min(start + row_chunk, n)
-            p_blk = kernels.softmax_lastdim(kernels.matmul(q[:, :, start:stop, :], k_t) * scale)
-            o[:, :, start:stop, :] = kernels.matmul(p_blk, v)
+    chunk = n if row_chunk is None else min(row_chunk, n)
+    o = np.empty_like(q)
+    for start in range(0, n, chunk):
+        p, o[:, :, start:start + chunk] = kernels.attention(q[:, :, start:start + chunk], k, v)
 
     o_merged = merge_heads(o)
     out = kernels.linear(o_merged, params.w_o)
-    return out, DenseTrace(x=x, q=q, k=k, v=v, p=p, o_merged=o_merged, output=out)
+    return out, DenseTrace(x=x, q=q, k=k, v=v, p=p if chunk == n else None,
+                           o_merged=o_merged, output=out)
 
 
 def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid):
@@ -71,6 +65,8 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     the latents are exposed for the shift experiment.
     """
     g_h, g_w = pool_grid
+    if g_h < 1 or g_w < 1:
+        raise ConfigError(f"pool grid entries must be >= 1, got {g_h}x{g_w}")
     if config.grid_h % g_h != 0 or config.grid_w % g_w != 0:
         raise ConfigError(
             f"grid {config.grid_h}x{config.grid_w} not divisible by pool grid {g_h}x{g_w}")
@@ -92,25 +88,25 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     latent_k = pool(k)
     latent_v = pool(v)
 
-    scale = 1.0 / math.sqrt(d)
-    p = kernels.softmax_lastdim(kernels.matmul(q, np.swapaxes(latent_k, -1, -2)) * scale)
-    y = kernels.linear(merge_heads(kernels.matmul(p, latent_v)), params.w_o)
+    _, o = kernels.attention(q, latent_k, latent_v)
+    y = kernels.linear(merge_heads(o), params.w_o)
     return y, latent_k, latent_v
 
 
 def kmeans_gather(keys, num_slots, iters, seed):
     """Hard routing of tokens to slots by per-(batch, head) k-means on key vectors.
 
-    Returns one-hot assignments [B, h, N, M]. Lloyd's algorithm with
-    plus-plus seeding runs on all G = B*h groups at once. Each (batch, head)
-    group draws from its own random stream derived from the master seed, so
-    its assignments do not depend on the rest of the batch.
+    Returns one-hot assignments [B, h, N, M] in the dtype of keys. Lloyd's
+    algorithm with plus-plus seeding runs on all G = B*h groups at once. Each
+    (batch, head) group draws from its own random stream derived from the
+    master seed, so its assignments do not depend on the rest of the batch.
     """
     if iters < 1:
         raise ConfigError("kmeans iters must be >= 1")
     if num_slots < 1:
         raise ConfigError("kmeans needs at least one slot")
-    b, h, n, d = np.shape(keys)
+    keys = np.asarray(keys)
+    b, h, n, d = keys.shape
     g, m = b * h, num_slots
     points = np.ascontiguousarray(keys, dtype=np.float64).reshape(g, n, d)
     groups = np.arange(g)
@@ -165,4 +161,4 @@ def kmeans_gather(keys, num_slots, iters, seed):
         centroids[filled] = sums.reshape(g, m, d)[filled] / counts[filled][:, None]
 
     del dist  # the one-hot below is the only [G, N, M] array left
-    return (assign[..., None] == np.arange(m)).astype(np.float64).reshape(b, h, n, m)
+    return (assign[..., None] == np.arange(m)).astype(keys.dtype).reshape(b, h, n, m)

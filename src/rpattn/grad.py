@@ -5,9 +5,10 @@ Gradients are derived by hand as the exact reverse of the forward pipeline:
 output projection, depthwise bypass, distribution cross-attention, latent
 self-attention, the two latent layer norms, slot gathering with its mass
 normalization (in slot space, on the M latent rows), the assignment
-softmax, and the input projections. The dense backward reuses the same
-softmax, weight-gradient and projection steps. A central-finite-difference
-harness verifies every parameter.
+softmax, and the input projections. The distribution, the latent
+interaction and the dense baseline share `_attention_backward`, the reverse
+of `kernels.attention`. A central-finite-difference harness verifies every
+parameter.
 """
 
 import math
@@ -42,6 +43,26 @@ class GradSet(RPAttnParams):
 def _softmax_backward(p, dp):
     # p = softmax(s) rowwise: ds = p * (dp - sum(dp * p))
     return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+
+
+def _attention_backward(q, k, v, p, d_o):
+    # Reverse of kernels.attention: p = softmax(q k^T / sqrt(d)), o = p v.
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    d_p = kernels.matmul(d_o, np.swapaxes(v, -1, -2))
+    d_v = kernels.matmul(np.swapaxes(p, -1, -2), d_o)
+    d_s = _softmax_backward(p, d_p)
+    d_q = kernels.matmul(d_s, k) * scale
+    d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), q) * scale
+    return d_q, d_k, d_v
+
+
+def _check_grad_output(grad_output, output):
+    grad_output = np.asarray(grad_output, dtype=output.dtype)
+    if grad_output.shape != output.shape:
+        raise ContractError(f"grad_output shape {grad_output.shape} != output shape {output.shape}")
+    if not np.isfinite(grad_output).all():
+        raise ContractError("grad_output holds NaN or inf")
+    return grad_output
 
 
 def _layer_norm_backward(x, gamma, eps, dy):
@@ -106,19 +127,14 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
     config. With routing="kmeans" the hard assignments are treated as
     constants: no gradient flows into the anchors or through the routing.
     """
-    grad_output = np.asarray(grad_output, dtype=config.np_dtype)
+    grad_output = _check_grad_output(grad_output, trace.output)
     b, n, c = trace.x.shape
-    if grad_output.shape != trace.output.shape:
-        raise ContractError(
-            f"grad_output shape {grad_output.shape} != output shape {trace.output.shape}")
     if c != config.channels or n != config.num_tokens:
         raise ContractError("trace does not match config (channels or token count differ)")
     if trace.a.shape != (b, config.heads, n, config.num_representatives):
         raise ContractError("trace assignment shape does not match config")
     if (trace.p_lat is None) == config.enable_interact:
         raise ContractError("trace interact state does not match config")
-
-    scale = 1.0 / math.sqrt(config.head_dim)
 
     # Output projection: output = fused @ w_o, fused = o_global + bypass
     d_w_o = _weight_grad(trace.fused, grad_output)
@@ -136,37 +152,23 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
         d_dwc_kernel = np.zeros_like(params.dwc_kernel)
         d_dwc_bias = np.zeros_like(params.dwc_bias)
 
-    # Distribution: o = p_dist @ z_l per head, p_dist = softmax(q @ k_l_bar^T * scale)
-    d_o_heads = split_heads(d_fused, config.heads)
-    d_p_dist = kernels.matmul(d_o_heads, np.swapaxes(trace.z_l, -1, -2))
-    d_z_l = kernels.matmul(np.swapaxes(trace.p_dist, -1, -2), d_o_heads)
-    d_s_dist = _softmax_backward(trace.p_dist, d_p_dist)
-    d_q = kernels.matmul(d_s_dist, trace.k_l_bar) * scale
-    d_k_l_bar = kernels.matmul(np.swapaxes(d_s_dist, -1, -2), trace.q) * scale
+    # Distribution: attention of the queries q over the slots (k_l_bar, z_l).
+    d_q, d_k_l_bar, d_z_l = _attention_backward(
+        trace.q, trace.k_l_bar, trace.z_l, trace.p_dist, split_heads(d_fused, config.heads))
 
-    # Latent interaction: z = v_bar + p_lat @ (v_bar @ w_lv), attn from v_bar.
+    # Latent interaction: z = v_bar + attention(v_bar @ w_lq, v_bar @ w_lk, v_bar @ w_lv).
     if config.enable_interact:
         v_bar = trace.v_l_bar
-        q_t = kernels.matmul(v_bar, params.w_lq)
-        k_t = kernels.matmul(v_bar, params.w_lk)
-        v_t = kernels.matmul(v_bar, params.w_lv)
+        q_t, k_t, v_t = (kernels.matmul(v_bar, w) for w in (params.w_lq, params.w_lk, params.w_lv))
         d_v_l_bar = d_z_l.copy()  # residual
-        d_p_lat = kernels.matmul(d_z_l, np.swapaxes(v_t, -1, -2))
-        d_v_t = kernels.matmul(np.swapaxes(trace.p_lat, -1, -2), d_z_l)
-        d_s_lat = _softmax_backward(trace.p_lat, d_p_lat)
-        d_q_t = kernels.matmul(d_s_lat, k_t) * scale
-        d_k_t = kernels.matmul(np.swapaxes(d_s_lat, -1, -2), q_t) * scale
-        d_w_lq = _weight_grad(v_bar, d_q_t)
-        d_w_lk = _weight_grad(v_bar, d_k_t)
-        d_w_lv = _weight_grad(v_bar, d_v_t)
+        d_q_t, d_k_t, d_v_t = _attention_backward(q_t, k_t, v_t, trace.p_lat, d_z_l)
+        d_w_lq, d_w_lk, d_w_lv = (_weight_grad(v_bar, t) for t in (d_q_t, d_k_t, d_v_t))
         d_v_l_bar += kernels.matmul(d_q_t, params.w_lq.T)
         d_v_l_bar += kernels.matmul(d_k_t, params.w_lk.T)
         d_v_l_bar += kernels.matmul(d_v_t, params.w_lv.T)
     else:
         d_v_l_bar = d_z_l
-        d_w_lq = np.zeros_like(params.w_lq)
-        d_w_lk = np.zeros_like(params.w_lk)
-        d_w_lv = np.zeros_like(params.w_lv)
+        d_w_lq, d_w_lk, d_w_lv = (np.zeros_like(w) for w in (params.w_lq, params.w_lk, params.w_lv))
 
     # Latent layer norms.
     d_k_l, d_ln_k_gamma, d_ln_k_beta = _layer_norm_backward(
@@ -217,21 +219,11 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray,
     """
     if trace.p is None:
         raise ContractError("dense backward needs the attention weights of an unchunked forward")
-    grad_output = np.asarray(grad_output, dtype=trace.output.dtype)
-    if grad_output.shape != trace.output.shape:
-        raise ContractError(
-            f"grad_output shape {grad_output.shape} != output shape {trace.output.shape}")
-    heads = trace.q.shape[1]
-    scale = 1.0 / math.sqrt(trace.q.shape[-1])
+    grad_output = _check_grad_output(grad_output, trace.output)
 
     d_w_o = _weight_grad(trace.o_merged, grad_output)
-    d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), heads)
-
-    d_p = kernels.matmul(d_o, np.swapaxes(trace.v, -1, -2))
-    d_v = kernels.matmul(np.swapaxes(trace.p, -1, -2), d_o)
-    d_s = _softmax_backward(trace.p, d_p)
-    d_q = kernels.matmul(d_s, trace.k) * scale
-    d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), trace.q) * scale
+    d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), trace.q.shape[1])
+    d_q, d_k, d_v = _attention_backward(trace.q, trace.k, trace.v, trace.p, d_o)
 
     d_w_q, d_w_k, d_w_v, d_x = _project_qkv_backward(trace.x, d_q, d_k, d_v, params)
     grads = {name: np.zeros_like(value) for name, value in params.field_dict().items()}

@@ -1,5 +1,8 @@
 """Dense numeric primitives every attention variant is built from.
 
+`attention` is the package's one scaled dot-product attention, reversed by
+`grad._attention_backward`.
+
 All kernels operate on plain numpy arrays (row-major, C order). Both dtypes
 share one path: contractions dispatch to BLAS through np.matmul. float64 is
 the precision for correctness work (gradient checks, oracle comparisons);
@@ -8,6 +11,8 @@ are bit-identical under one and two BLAS threads.
 
 Kernels are pure functions of their inputs and never mutate arguments.
 """
+
+import math
 
 import numpy as np
 
@@ -51,6 +56,15 @@ def softmax_lastdim(x: np.ndarray) -> np.ndarray:
         raise ShapeError("softmax needs a non-empty last axis")
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Queries [..., n_q, d] over keys [..., n_k, d] and values [..., n_k, d_v].
+
+    Returns (p, o): weights p = softmax(q k^T / sqrt(d)) and readout o = p v.
+    """
+    p = softmax_lastdim(matmul(q, np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1])))
+    return p, matmul(p, v)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:

@@ -108,6 +108,13 @@ class TestDenseAttention:
             if name not in DENSE_FIELDS:
                 assert not value.any(), name
 
+    @pytest.mark.parametrize("row_chunk", [0, -1])
+    def test_nonpositive_row_chunk_rejected(self, row_chunk):
+        cfg = _dense_config(6, 5)
+        x = np.random.default_rng(11).standard_normal((1, 5, 6))
+        with pytest.raises(ConfigError):
+            softmax_attention_forward(x, init_params(cfg, 9), cfg, row_chunk=row_chunk)
+
     def test_backward_rejects_chunked_trace(self):
         cfg = _dense_config(6, 5)
         params = init_params(cfg, 9)
@@ -155,8 +162,9 @@ class TestPooledProxy:
     def test_indivisible_grid_rejected(self):
         params = init_params(self.CFG, 6)
         x = np.zeros((1, 16, 8))
-        with pytest.raises(ConfigError):
-            pooled_proxy_forward(x, params, self.CFG, (3, 3))
+        for pool_grid in [(3, 3), (0, 2), (-2, 2)]:
+            with pytest.raises(ConfigError):
+                pooled_proxy_forward(x, params, self.CFG, pool_grid)
 
     def test_cross_cell_swap_changes_latents(self):
         # Latents are tied to grid cells: swapping one token between two cells
@@ -221,6 +229,15 @@ class TestKMeans:
                 other[bi, hi] = keys[bi, hi]
                 got = kmeans_gather(other, num_slots=3, iters=2, seed=5)
                 assert np.array_equal(got[bi:bi + 1, hi:hi + 1], a[bi:bi + 1, hi:hi + 1])
+
+    def test_one_hot_in_key_dtype(self):
+        keys = np.random.default_rng(8).standard_normal((2, 2, 10, 3)).astype(np.float32)
+        a32 = kmeans_gather(keys, num_slots=3, iters=2, seed=9)
+        a64 = kmeans_gather(keys.astype(np.float64), num_slots=3, iters=2, seed=9)
+        assert a32.dtype == np.float32
+        assert a64.dtype == np.float64
+        # Routing runs in float64 either way, so the slots are the same.
+        assert np.array_equal(a32, a64)
 
     def test_more_slots_than_points(self):
         # Slots that cannot all be filled keep their centroids: no empty-set

@@ -18,7 +18,9 @@ from rpattn import (
     rpattention_forward,
 )
 from rpattn.attention import SLOT_MASS_EPS
+from rpattn.baselines import softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError
+from rpattn.grad import softmax_attention_backward
 
 SMALL = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=3, grid_w=4)
 
@@ -221,6 +223,16 @@ class TestContract:
         params, x, g, y, trace = _forward_backward(SMALL, 10)
         with pytest.raises(ContractError):
             rpattention_backward(trace, np.zeros((1, 12, 4)), params, SMALL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grad_output(self, bad):
+        params, x, g, y, trace = _forward_backward(SMALL, 10)
+        g[0, 3, 1] = bad
+        with pytest.raises(ContractError):
+            rpattention_backward(trace, g, params, SMALL)
+        _, dense_trace = softmax_attention_forward(x, params, SMALL)
+        with pytest.raises(ContractError):
+            softmax_attention_backward(dense_trace, g, params)
 
     def test_mismatched_config(self):
         params, x, g, y, trace = _forward_backward(SMALL, 11)
