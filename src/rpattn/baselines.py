@@ -10,6 +10,7 @@ check; the dense backward lives in grad next to the layer's.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,12 @@ class DenseTrace:
     output: np.ndarray
 
 
+def _check_count(name, value):
+    # Block and grid sizes index arrays: an integer >= 1, and not a bool.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_chunk=None):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
@@ -39,8 +46,8 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_c
     trace with more than one block keeps no attention weights (p is None),
     so it cannot be differentiated.
     """
-    if row_chunk is not None and row_chunk < 1:
-        raise ConfigError(f"row_chunk must be >= 1, got {row_chunk}")
+    if row_chunk is not None:
+        _check_count("row_chunk", row_chunk)
     x = check_input(x, params, config)
     n = x.shape[1]
     q, k, v = project_qkv(x, params, config)
@@ -65,8 +72,8 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     the latents are exposed for the shift experiment.
     """
     g_h, g_w = pool_grid
-    if g_h < 1 or g_w < 1:
-        raise ConfigError(f"pool grid entries must be >= 1, got {g_h}x{g_w}")
+    _check_count("pool grid height", g_h)
+    _check_count("pool grid width", g_w)
     if config.grid_h % g_h != 0 or config.grid_w % g_w != 0:
         raise ConfigError(
             f"grid {config.grid_h}x{config.grid_w} not divisible by pool grid {g_h}x{g_w}")
@@ -93,6 +100,33 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     return y, latent_k, latent_v
 
 
+@lru_cache(maxsize=64)
+def _seed_draws(seed, b, h, n, m):
+    """The plus-plus seeding draws of every (batch, head) group, read-only.
+
+    Group g = bi*h + hi draws from default_rng([seed, bi, hi]): one
+    integers(n) for the first centroid, then one random() per later slot.
+    """
+    first = np.empty(b * h, dtype=np.intp)
+    draws = np.empty((b * h, m - 1))
+    for gi in range(b * h):
+        rng = np.random.default_rng([seed, *divmod(gi, h)])
+        first[gi] = rng.integers(n)
+        draws[gi] = rng.random(m - 1)
+    first.setflags(write=False)
+    draws.setflags(write=False)
+    return first, draws
+
+
+def _uniform_draws(seed, gi, h, n, j, m):
+    # Slots j..m-1 of a group whose points all sit on its first j centroids
+    # draw integers(n) each, after the j draws that seeded the live slots.
+    rng = np.random.default_rng([seed, *divmod(int(gi), h)])
+    rng.integers(n)
+    rng.random(j - 1)
+    return {slot: rng.integers(n) for slot in range(j, m)}
+
+
 def kmeans_gather(keys, num_slots, iters, seed):
     """Hard routing of tokens to slots by per-(batch, head) k-means on key vectors.
 
@@ -100,6 +134,7 @@ def kmeans_gather(keys, num_slots, iters, seed):
     algorithm with plus-plus seeding runs on all G = B*h groups at once. Each
     (batch, head) group draws from its own random stream derived from the
     master seed, so its assignments do not depend on the rest of the batch.
+    The seeding draws are cached per (seed, B, h, N, M), at most 64 entries.
     """
     if iters < 1:
         raise ConfigError("kmeans iters must be >= 1")
@@ -110,28 +145,33 @@ def kmeans_gather(keys, num_slots, iters, seed):
     g, m = b * h, num_slots
     points = np.ascontiguousarray(keys, dtype=np.float64).reshape(g, n, d)
     groups = np.arange(g)
-    rngs = [np.random.default_rng([seed, bi, hi]) for bi in range(b) for hi in range(h)]
+    first, draws = _seed_draws(seed, b, h, n, m)
 
     # Seeding: first centroid uniform, the rest by squared-distance sampling.
     # Generator.choice(n, p=p) searches the normalized cumsum of p at one
-    # uniform draw; a group whose points all sit on centroids draws uniformly.
+    # uniform draw (side="right", which on a non-decreasing cdf counts the
+    # entries <= the draw); a group whose points all sit on centroids draws
+    # uniformly, and stays so for every later slot.
     centroids = np.empty((g, m, d))
-    idx = np.array([rng.integers(n) for rng in rngs], dtype=np.intp)
-    centroids[:, 0] = points[groups, idx]
+    centroids[:, 0] = points[groups, first]
     d2 = np.square(points - centroids[:, :1]).sum(axis=2)
+    uniform = {}
     for j in range(1, m):
         total = d2.sum(axis=1, keepdims=True)
         live = total > 0.0
         cdf = np.cumsum(np.divide(d2, total, out=np.zeros_like(d2), where=live), axis=1)
         np.divide(cdf, cdf[:, -1:], out=cdf, where=live)
-        for gi, rng in enumerate(rngs):
-            idx[gi] = (cdf[gi].searchsorted(rng.random(), side="right") if live[gi, 0]
-                       else rng.integers(n))
+        idx = (cdf <= draws[:, j - 1:j]).sum(axis=1)
+        for gi in np.flatnonzero(~live[:, 0]):
+            if gi not in uniform:
+                uniform[gi] = _uniform_draws(seed, gi, h, n, j, m)
+            idx[gi] = uniform[gi][j]
         centroids[:, j] = points[groups, idx]
         d2 = np.minimum(d2, np.square(points - centroids[:, j:j + 1]).sum(axis=2))
 
     sq = np.square(points).sum(axis=2)[:, :, None]
     base = groups[:, None] * m
+    cells = np.arange(d)
     dist = np.empty((g, n, m))
     for _ in range(iters):
         # Squared Euclidean distances in one reused [G, N, M] buffer, bit for
@@ -141,7 +181,7 @@ def kmeans_gather(keys, num_slots, iters, seed):
         dist += sq
         dist += np.square(centroids).sum(axis=2)[:, None, :]
         assign = dist.argmin(axis=2)
-        own = np.take_along_axis(dist, assign[..., None], axis=2)[..., 0]
+        own = dist.min(axis=2)
         counts = np.bincount((base + assign).ravel(), minlength=g * m).reshape(g, m)
         # Empty clusters re-seed to the point currently farthest from its
         # assigned centroid (ascending slot order, each point used once).
@@ -153,12 +193,12 @@ def kmeans_gather(keys, num_slots, iters, seed):
                     counts[gi, slot] += 1
                     assign[gi, far] = slot
                     own[gi, far] = -1.0
-        # Member means, summed in point order; a slot re-seeding could not
-        # fill (as when M > N) keeps its centroid.
-        sums = np.zeros((g * m, d))
-        np.add.at(sums, (base + assign).ravel(), points.reshape(g * n, d))
+        # Member means, summed in point order per (slot, dim) cell; a slot
+        # re-seeding could not fill (as when M > N) keeps its centroid.
+        sums = np.bincount(((base + assign)[..., None] * d + cells).ravel(),
+                           weights=points.ravel(), minlength=g * m * d).reshape(g, m, d)
         filled = counts > 0
-        centroids[filled] = sums.reshape(g, m, d)[filled] / counts[filled][:, None]
+        centroids[filled] = sums[filled] / counts[filled][:, None]
 
     del dist  # the one-hot below is the only [G, N, M] array left
     return (assign[..., None] == np.arange(m)).astype(keys.dtype).reshape(b, h, n, m)

@@ -90,7 +90,8 @@ def _dwc_backward(x_grid, kernel, dy):
     b, h, w, c = x_grid.shape
     k = kernel.shape[0]
     pad = (k - 1) // 2
-    xp = np.pad(x_grid, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x_grid.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x_grid
     dxp = np.zeros_like(xp)
     dkernel = np.zeros_like(kernel)
     for ki in range(k):

@@ -22,19 +22,17 @@ from .errors import ConfigError, ShapeError
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched matrix product of [..., p, q] and [..., q, r] -> [..., p, r].
 
-    Leading dimensions broadcast. Every dtype goes through np.matmul (BLAS).
+    Leading dimensions broadcast. Every dtype goes through np.matmul (BLAS);
+    its own shape check raises, re-raised as a ShapeError naming both shapes.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return np.matmul(a, b)
     except ValueError as exc:
-        raise ShapeError(f"matmul leading dims do not broadcast: {a.shape} x {b.shape}") from exc
-    return np.matmul(a, b)
+        raise ShapeError(f"matmul shapes do not match: {a.shape} x {b.shape}") from exc
 
 
 def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -101,7 +99,8 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
 
     b, h, w, c = x.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
     out = np.zeros_like(x)
     for ki in range(k):
         for kj in range(k):

@@ -2,8 +2,9 @@
 
 The model is one attention layer, mean pooling over output tokens, and a
 linear classification head; the loss is cross entropy against the majority
-cluster label. Adam updates run in float64 so two runs with the same seed
-produce byte-identical loss curves.
+cluster label. Every trainable array is a view into one vector in the
+layer's dtype, so each Adam step is one pass over that vector. Two runs
+with the same seed produce byte-identical loss curves.
 """
 
 import math
@@ -14,7 +15,7 @@ from typing import List
 import numpy as np
 
 from . import kernels
-from .attention import AttnConfig, init_params, rpattention_forward
+from .attention import AttnConfig, RPAttnParams, init_params, rpattention_forward
 from .baselines import softmax_attention_forward
 from .errors import ConfigError, TrainDivergedError
 from .grad import rpattention_backward, softmax_attention_backward
@@ -118,15 +119,14 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig,
     if len(x_train) == 0:
         raise ConfigError("no training samples left after the eval split")
 
-    layer = init_params(cfg, train_config.seed)
     head_rng = np.random.default_rng([train_config.seed, 1])
     bound = 1.0 / math.sqrt(cfg.channels)
-    head_w = head_rng.uniform(-bound, bound, (cfg.channels, g))
-    head_b = np.zeros(g)
-
-    trainable = dict(layer.field_dict())
-    trainable["head_w"] = head_w
-    trainable["head_b"] = head_b
+    arrays = [*init_params(cfg, train_config.seed).field_dict().values(),
+              head_rng.uniform(-bound, bound, (cfg.channels, g)), np.zeros(g)]
+    flat = np.concatenate([a.ravel() for a in arrays]).astype(cfg.np_dtype, copy=False)
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    *fields, head_w, head_b = (part.reshape(a.shape) for part, a in zip(parts, arrays))
+    layer = RPAttnParams(*fields)
 
     if variant == "softmax_baseline":
         forward = softmax_attention_forward
@@ -163,11 +163,10 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig,
         d_logits /= bsz
         d_pooled = d_logits @ head_w.T
         grad_out = np.repeat(d_pooled[:, None, :], out.shape[1], axis=1) / out.shape[1]
-        grads = backward(trace, grad_out).field_dict()
-        grads["head_w"] = pooled.T @ d_logits
-        grads["head_b"] = d_logits.sum(axis=0)
-
-        adam_step(trainable, grads, state, train_config.lr)
+        grads = [*backward(trace, grad_out).field_dict().values(),
+                 pooled.T @ d_logits, d_logits.sum(axis=0)]
+        adam_step({"flat": flat}, {"flat": np.concatenate([gr.ravel() for gr in grads])},
+                  state, train_config.lr)
 
     out_eval, _ = forward(x_eval, layer, cfg)
     logits_eval = out_eval.mean(axis=1) @ head_w + head_b

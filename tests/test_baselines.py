@@ -13,7 +13,7 @@ from rpattn import (
     pooled_proxy_forward,
     rpattention_forward,
 )
-from rpattn.baselines import softmax_attention_forward
+from rpattn.baselines import _seed_draws, softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError, ShapeError
 from rpattn.grad import finite_diff_grad, softmax_attention_backward
 
@@ -280,9 +280,61 @@ class TestKMeans:
                 got = kmeans_gather(keys, m, iters, trial)
             assert np.array_equal(got, oracles.kmeans_gather_loops(keys, m, iters, trial)), trial
 
+    def test_group_dead_from_third_slot_matches_oracle(self):
+        # A group of exactly two distinct points has zero total distance once
+        # both are centroids, so slots 2..M-1 draw uniformly from its stream;
+        # the live groups beside it keep their own draws.
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            m = int(rng.integers(4, 8))
+            keys = rng.standard_normal((3, 2, 9, 3))
+            bi, hi = int(rng.integers(3)), int(rng.integers(2))
+            pair = rng.standard_normal((2, 3))
+            keys[bi, hi] = pair[np.arange(9) % 2]
+            got = kmeans_gather(keys, m, 2, trial)
+            assert np.array_equal(got, oracles.kmeans_gather_loops(keys, m, 2, trial)), trial
+
+    def test_interleaved_seeding_keys_match_oracle(self):
+        # Calls that differ in one of (seed, B, h, N, M) each get their own
+        # cached seeding draws, whatever order they come in.
+        cases = [(0, (2, 2, 6, 3), 3), (1, (2, 2, 6, 3), 3), (0, (1, 2, 6, 3), 3),
+                 (0, (2, 1, 6, 3), 3), (0, (2, 2, 7, 3), 3), (0, (2, 2, 6, 3), 4),
+                 (0, (4, 1, 6, 3), 3)]
+        rng = np.random.default_rng(22)
+        keys = [rng.standard_normal(shape) for _, shape, _ in cases]
+        for _ in range(2):
+            for (seed, _, m), k in zip(cases, keys):
+                expect = oracles.kmeans_gather_loops(k, m, 2, seed)
+                assert np.array_equal(kmeans_gather(k, m, 2, seed), expect), (seed, k.shape, m)
+
+    def test_cached_seeding_draws_read_only(self):
+        first, draws = _seed_draws(3, 2, 2, 5, 4)
+        assert first.shape == (4,) and draws.shape == (4, 3)
+        for arr in (first, draws):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_bad_iters(self):
         with pytest.raises(ConfigError):
             kmeans_gather(np.zeros((1, 1, 4, 2)), num_slots=2, iters=0, seed=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_non_integer_block_and_grid_sizes_rejected(bad):
+    cfg = AttnConfig(channels=8, heads=2, num_representatives=4, grid_h=4, grid_w=4)
+    params = init_params(cfg, 0)
+    x = np.random.default_rng(12).standard_normal((1, 16, 8))
+    with pytest.raises(ConfigError):
+        softmax_attention_forward(x, params, cfg, row_chunk=bad)
+    for pool_grid in [(bad, 2), (2, bad)]:
+        with pytest.raises(ConfigError):
+            pooled_proxy_forward(x, params, cfg, pool_grid)
+    # numpy integers are integers
+    chunked, _ = softmax_attention_forward(x, params, cfg, row_chunk=np.int64(3))
+    assert np.array_equal(chunked, softmax_attention_forward(x, params, cfg, row_chunk=3)[0])
+    pooled = pooled_proxy_forward(x, params, cfg, (np.int64(2), 2))[0]
+    assert np.array_equal(pooled, pooled_proxy_forward(x, params, cfg, (2, 2))[0])
 
 
 def test_all_baselines_preserve_token_shape():

@@ -1,6 +1,7 @@
 """Kernel-level tests against naive loop oracles and frozen values."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,8 +48,10 @@ class TestMatmul:
         assert np.array_equal(kernels.matmul(x, np.eye(4)), x)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            kernels.matmul(np.zeros((2, 3)), np.zeros((4, 5)))
+        # Inner dims differ, leading dims do not broadcast, a 1-d operand.
+        for a, b in [((2, 3), (4, 5)), ((2, 1, 3), (3, 3, 4)), ((3,), (3, 4))]:
+            with pytest.raises(ShapeError, match=re.escape(str(a)) + ".*" + re.escape(str(b))):
+                kernels.matmul(np.zeros(a), np.zeros(b))
 
     def test_float32_path(self):
         rng = np.random.default_rng(3)
@@ -148,12 +151,14 @@ class TestDepthwiseConv:
         assert out[0, 2] == 6.0 and out[2, 0] == 6.0
 
     def test_matches_six_loop_oracle(self):
+        # Kernel sizes 1, 3 and 5 zero-pad a border of width 0, 1 and 2.
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 5, 4, 3))
-        kernel = rng.standard_normal((3, 3, 3))
-        bias = rng.standard_normal(3)
-        got = kernels.depthwise_conv2d(x, kernel, bias)
-        assert np.abs(got - oracles.depthwise_conv2d_loops(x, kernel, bias)).max() < 1e-12
+        for k in (1, 3, 5):
+            kernel = rng.standard_normal((k, k, 3))
+            bias = rng.standard_normal(3)
+            got = kernels.depthwise_conv2d(x, kernel, bias)
+            assert np.abs(got - oracles.depthwise_conv2d_loops(x, kernel, bias)).max() < 1e-12, k
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):

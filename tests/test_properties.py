@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from rpattn import kernels  # noqa: E402
+from rpattn.attention import AttnConfig, init_params, rpattention_forward  # noqa: E402
 from rpattn.grad import _attention_backward, finite_diff_grad  # noqa: E402
 
 
@@ -36,3 +37,23 @@ def test_attention_backward_matches_finite_differences(batch, heads, d, n_q, n_k
     )
     for name, analytic, fd in zip("qkv", (d_q, d_k, d_v), numeric):
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8, err_msg=name)
+
+
+@given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(1, 3),
+       grid_h=st.integers(1, 3), grid_w=st.integers(1, 3), num_reps=st.integers(1, 12),
+       interact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_learned_forward_contract_and_token_equivariance(batch, heads, head_dim, grid_h, grid_w,
+                                                         num_reps, interact, seed):
+    # Learned routing without the depthwise bypass sees the tokens as a set,
+    # so permuting the input tokens permutes the output rows; M may exceed N.
+    cfg = AttnConfig(channels=heads * head_dim, heads=heads, num_representatives=num_reps,
+                     grid_h=grid_h, grid_w=grid_w, enable_interact=interact, enable_dwc=False)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, int(rng.integers(2**31)))
+    x = rng.standard_normal((batch, cfg.num_tokens, cfg.channels))
+    y, _ = rpattention_forward(x, params, cfg)
+    assert y.shape == x.shape and y.dtype == np.float64 and np.isfinite(y).all()
+
+    perm = rng.permutation(cfg.num_tokens)
+    y_perm, _ = rpattention_forward(x[:, perm], params, cfg)
+    np.testing.assert_allclose(y_perm, y[:, perm], rtol=0, atol=1e-12)
