@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .attention import AttnConfig, init_params, rpattention_forward
 from .baselines import pooled_proxy_forward, softmax_attention_forward
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_count
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +55,7 @@ def flops_estimate(n: int, m: int, c: int, k: int) -> FlopsBreakdown:
     interaction 2M^2C; distribution 2NMC; depthwise bypass k^2 NC. Lower
     order terms (latent projections, normalizations) are omitted.
     """
-    for name, val in (("n", n), ("m", m), ("c", c), ("k", k)):
-        if not isinstance(val, int) or val < 1:
-            raise ConfigError(f"flops_estimate requires positive integer {name}, got {val!r}")
+    n, m, c, k = (check_count(name, val) for name, val in zip("nmck", (n, m, c, k)))
     return FlopsBreakdown(
         proj=4 * n * c * c,
         gather=3 * n * m * c,
@@ -70,8 +68,7 @@ def flops_estimate(n: int, m: int, c: int, k: int) -> FlopsBreakdown:
 def softmax_flops(n: int, c: int) -> int:
     """Dense attention cost: 4NC^2 projections plus 2N^2C for the attention
     matrix and value aggregation."""
-    if not isinstance(n, int) or not isinstance(c, int) or n < 1 or c < 1:
-        raise ConfigError("softmax_flops requires positive integers")
+    n, c = check_count("n", n), check_count("c", c)
     return 4 * n * c * c + 2 * n * n * c
 
 

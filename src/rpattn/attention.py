@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_count
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -49,16 +49,13 @@ class AttnConfig:
     kmeans_seed: int = 0
 
     def __post_init__(self):
-        if self.channels <= 0 or self.heads <= 0:
-            raise ConfigError("channels and heads must be positive")
+        for name in ("channels", "heads", "num_representatives", "grid_h", "grid_w", "dwc_kernel"):
+            check_count(name, getattr(self, name))
+        check_count("kmeans_seed", self.kmeans_seed, minimum=0)
         if self.channels % self.heads != 0:
             raise ConfigError(f"channels ({self.channels}) not divisible by heads ({self.heads})")
-        if self.num_representatives < 1:
-            raise ConfigError("num_representatives must be >= 1")
-        if self.grid_h <= 0 or self.grid_w <= 0:
-            raise ConfigError("grid dims must be positive")
-        if self.dwc_kernel <= 0 or self.dwc_kernel % 2 == 0:
-            raise ConfigError(f"dwc_kernel must be odd and positive, got {self.dwc_kernel}")
+        if self.dwc_kernel % 2 == 0:
+            raise ConfigError(f"dwc_kernel must be odd, got {self.dwc_kernel}")
         if self.routing not in ROUTING_MODES:
             raise ConfigError(f"routing must be one of {ROUTING_MODES}, got {self.routing!r}")
         if self.dtype not in _DTYPES:
@@ -202,21 +199,20 @@ def gather_assign(k: np.ndarray, w_g: np.ndarray) -> np.ndarray:
     return kernels.softmax_lastdim(kernels.matmul(k, w_g))
 
 
-def mass_normalize(a: np.ndarray, epsilon: float) -> np.ndarray:
-    """Divide each slot column by its token mass plus epsilon.
-
-    Keeps slots gathered from many tokens on the same scale as slots fed by
-    few tokens; epsilon guards columns with no mass, which simply stay zero.
-    The layer forward divides the M gathered latent rows by the same mass.
-    """
-    col = a.sum(axis=-2, keepdims=True)
-    return a / (col + epsilon)
-
-
-def gather_latents(a_hat: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Weighted aggregation of spatial keys/values into the M slots."""
-    a_t = np.swapaxes(a_hat, -1, -2)
+def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Raw slot sums aᵀk and aᵀv: every slot's assignment-weighted total of keys and values."""
+    a_t = np.swapaxes(a, -1, -2)
     return kernels.matmul(a_t, k), kernels.matmul(a_t, v)
+
+
+def mass_normalize(a: np.ndarray, k_sum: np.ndarray, v_sum: np.ndarray):
+    """Slot sums over slot mass: (mass, k_l, v_l), mass = Σ_n a + SLOT_MASS_EPS [B, h, M, 1].
+
+    Equals gathering with the column-normalized â = a / massᵀ, never built
+    on [N, M]; the epsilon keeps a slot with no mass at zero.
+    """
+    mass = a.sum(axis=-2)[..., None] + SLOT_MASS_EPS
+    return mass, k_sum / mass, v_sum / mass
 
 
 def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, config: AttnConfig):
@@ -301,8 +297,7 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
         a = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
     else:
         a = gather_assign(k, params.w_g)
-    mass = a.sum(axis=-2)[..., None] + SLOT_MASS_EPS  # mass_normalize on [M, d], not [N, M]
-    k_l, v_l = (t / mass for t in gather_latents(a, k, v))
+    mass, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     p_dist, o_global = distribute_global(q, k_l_bar, z_l)
     fused = o_global + local_bypass(merge_heads(v), params, config)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 
 @dataclass
@@ -31,12 +31,6 @@ class DenseTrace:
     output: np.ndarray
 
 
-def _check_count(name, value):
-    # Block and grid sizes index arrays: an integer >= 1, and not a bool.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_chunk=None):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
@@ -47,7 +41,7 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_c
     so it cannot be differentiated.
     """
     if row_chunk is not None:
-        _check_count("row_chunk", row_chunk)
+        check_count("row_chunk", row_chunk)
     x = check_input(x, params, config)
     n = x.shape[1]
     q, k, v = project_qkv(x, params, config)
@@ -72,8 +66,8 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
     the latents are exposed for the shift experiment.
     """
     g_h, g_w = pool_grid
-    _check_count("pool grid height", g_h)
-    _check_count("pool grid width", g_w)
+    check_count("pool grid height", g_h)
+    check_count("pool grid width", g_w)
     if config.grid_h % g_h != 0 or config.grid_w % g_w != 0:
         raise ConfigError(
             f"grid {config.grid_h}x{config.grid_w} not divisible by pool grid {g_h}x{g_w}")
@@ -136,10 +130,8 @@ def kmeans_gather(keys, num_slots, iters, seed):
     master seed, so its assignments do not depend on the rest of the batch.
     The seeding draws are cached per (seed, B, h, N, M), at most 64 entries.
     """
-    if iters < 1:
-        raise ConfigError("kmeans iters must be >= 1")
-    if num_slots < 1:
-        raise ConfigError("kmeans needs at least one slot")
+    check_count("kmeans iters", iters)
+    check_count("kmeans num_slots", num_slots)
     keys = np.asarray(keys)
     b, h, n, d = keys.shape
     g, m = b * h, num_slots

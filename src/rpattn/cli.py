@@ -291,16 +291,15 @@ def cmd_emcheck(args):
     import numpy as np
 
     from .analysis import em_one_step_oracle
-    from .attention import gather_assign, gather_latents, mass_normalize
+    from .attention import SLOT_MASS_EPS, gather_assign, gather_latents, mass_normalize
 
-    keys = ["trials", "heads", "tokens", "head_dim", "slots", "epsilon", "tol", "seed"]
+    keys = ["trials", "heads", "tokens", "head_dim", "slots", "tol", "seed"]
     cfg = _load_config(args.config, keys) if args.config else {}
     trials = cfg.get("trials", 20)
     heads = cfg.get("heads", 2)
     tokens = cfg.get("tokens", 10)
     dim = cfg.get("head_dim", 5)
     slots = cfg.get("slots", 4)
-    epsilon = cfg.get("epsilon", 1e-6)
     tol = cfg.get("tol", 1e-12)
     rng = np.random.default_rng(cfg.get("seed", 0))
 
@@ -309,13 +308,12 @@ def cmd_emcheck(args):
     for trial in range(trials):
         keys = rng.standard_normal((heads, tokens, dim))
         w_g = rng.standard_normal((dim, slots))
-        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, epsilon)
+        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         k4 = keys[None]
         a = gather_assign(k4, w_g)
-        a_hat = mass_normalize(a, epsilon)
-        k_l, _ = gather_latents(a_hat, k4, k4)
+        mass, k_l, _ = mass_normalize(a, *gather_latents(a, k4, k4))
         diff = max(float(np.abs(a[0] - a_o).max()),
-                   float(np.abs(a_hat[0] - a_hat_o).max()),
+                   float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
                    float(np.abs(k_l[0] - k_l_o).max()))
         worst = max(worst, diff)
         rows.append([trial, repr(diff), str(diff < tol).lower()])

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-count check."""
+
+from numbers import Integral
 
 
 class RPAttnError(Exception):
@@ -11,6 +13,16 @@ class ShapeError(RPAttnError):
 
 class ConfigError(RPAttnError):
     """A configuration value is invalid or inconsistent."""
+
+
+def check_count(name, value, minimum=1) -> int:
+    """value as an int; ConfigError unless it is an integer >= minimum.
+
+    Python and numpy integers pass; bools and floats, even 2.0, do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class ContractError(RPAttnError):

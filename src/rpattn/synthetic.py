@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,10 @@ class SyntheticTask:
     num_samples: int = 64
 
     def __post_init__(self):
-        if self.num_clusters < 2:
-            raise ConfigError("need at least 2 clusters")
-        if self.grid_h < 1 or self.grid_w < 1 or self.channels < 1 or self.num_samples < 1:
-            raise ConfigError("grid, channels and num_samples must be positive")
+        for name in ("grid_h", "grid_w", "channels", "num_samples"):
+            check_count(name, getattr(self, name))
+        check_count("num_clusters", self.num_clusters, minimum=2)
+        check_count("seed", self.seed, minimum=0)
         if self.sigma < 0:
             raise ConfigError("sigma must be >= 0")
 

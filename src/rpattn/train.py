@@ -8,16 +8,16 @@ with the same seed produce byte-identical loss curves.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from . import kernels
 from .attention import AttnConfig, RPAttnParams, init_params, rpattention_forward
 from .baselines import softmax_attention_forward
-from .errors import ConfigError, TrainDivergedError
+from .errors import ConfigError, TrainDivergedError, check_count
 from .grad import rpattention_backward, softmax_attention_backward
 from .synthetic import SyntheticTask, gen_synthetic
 
@@ -36,10 +36,9 @@ class TrainConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_count("steps", self.steps)
+        check_count("batch_size", self.batch_size)
+        check_count("seed", self.seed, minimum=0)
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.variant not in VARIANTS:
@@ -48,26 +47,26 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Step count and the first and second moments, shaped like the parameter after step 1."""
+
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr) -> AdamState:
-    """Bias-corrected Adam update, applied in place to the parameter dict."""
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr) -> AdamState:
+    """Bias-corrected Adam update, applied in place to param."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(param), np.zeros_like(param)
     state.t += 1
-    t = state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    t, m, v = state.t, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(grad)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -165,8 +164,7 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig,
         grad_out = np.repeat(d_pooled[:, None, :], out.shape[1], axis=1) / out.shape[1]
         grads = [*backward(trace, grad_out).field_dict().values(),
                  pooled.T @ d_logits, d_logits.sum(axis=0)]
-        adam_step({"flat": flat}, {"flat": np.concatenate([gr.ravel() for gr in grads])},
-                  state, train_config.lr)
+        adam_step(flat, np.concatenate([gr.ravel() for gr in grads]), state, train_config.lr)
 
     out_eval, _ = forward(x_eval, layer, cfg)
     logits_eval = out_eval.mean(axis=1) @ head_w + head_b

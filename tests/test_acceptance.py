@@ -31,7 +31,7 @@ from rpattn.analysis import (
     measure_scaling,
     shift_robustness,
 )
-from rpattn.attention import gather_assign, gather_latents, mass_normalize
+from rpattn.attention import SLOT_MASS_EPS, gather_assign, gather_latents, mass_normalize
 from rpattn.tensor_io import read_tensor, write_tensor
 
 import oracles
@@ -67,16 +67,14 @@ def test_criterion_2_em_equivalence():
         n = int(rng.integers(1, 13))
         d = int(rng.integers(1, 7))
         m = int(rng.integers(1, 6))
-        eps = 1e-6
         keys = rng.standard_normal((h, n, d))
         w_g = rng.standard_normal((d, m))
-        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, eps)
+        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         a = gather_assign(keys[None], w_g)
-        a_hat = mass_normalize(a, eps)
-        k_l, _ = gather_latents(a_hat, keys[None], keys[None])
+        mass, k_l, _ = mass_normalize(a, *gather_latents(a, keys[None], keys[None]))
         worst = max(worst,
                     float(np.abs(a[0] - a_o).max()),
-                    float(np.abs(a_hat[0] - a_hat_o).max()),
+                    float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
                     float(np.abs(k_l[0] - k_l_o).max()))
     _report(2, "one-step EM equivalence", worst < 1e-12,
             f"worst_abs_diff={worst:.3e} over 20 trials")

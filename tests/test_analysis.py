@@ -25,7 +25,7 @@ from rpattn.analysis import (
     shift_image,
     shift_robustness,
 )
-from rpattn.attention import gather_assign, gather_latents, mass_normalize
+from rpattn.attention import SLOT_MASS_EPS, gather_assign, gather_latents, mass_normalize
 from rpattn.errors import ConfigError
 
 
@@ -93,12 +93,10 @@ class TestEMOracle:
         keys[0, :, :2] = np.random.default_rng(2).standard_normal((4, 2))
         w_g = np.zeros((3, 2))
         w_g[2, :] = [1.0, -1.0]
-        eps = 1e-6
-        a, a_hat, k_l = em_one_step_oracle(keys, w_g, eps)
+        a, a_hat, k_l = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         assert np.abs(a - 0.5).max() < 1e-15
         a_p = gather_assign(keys[None], w_g)
-        a_hat_p = mass_normalize(a_p, eps)
-        k_l_p, _ = gather_latents(a_hat_p, keys[None], keys[None])
+        _, k_l_p, _ = mass_normalize(a_p, *gather_latents(a_p, keys[None], keys[None]))
         assert np.abs(a_p[0] - a).max() < 1e-12
         assert np.abs(k_l_p[0] - k_l).max() < 1e-12
 
@@ -107,13 +105,11 @@ class TestEMOracle:
         rng = np.random.default_rng(seed)
         keys = rng.standard_normal((2, 9, 5))
         w_g = rng.standard_normal((5, 4))
-        eps = 1e-6
-        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, eps)
+        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         a = gather_assign(keys[None], w_g)
-        a_hat = mass_normalize(a, eps)
-        k_l, _ = gather_latents(a_hat, keys[None], keys[None])
+        mass, k_l, _ = mass_normalize(a, *gather_latents(a, keys[None], keys[None]))
         assert np.abs(a[0] - a_o).max() < 1e-12
-        assert np.abs(a_hat[0] - a_hat_o).max() < 1e-12
+        assert np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max() < 1e-12
         assert np.abs(k_l[0] - k_l_o).max() < 1e-12
 
 

@@ -120,26 +120,37 @@ class TestGatherAssign:
         assert (a >= 0).all()
 
 
+def _gather(a, k, v):
+    """The layer's gather (slot sums, then the mass division) and its â = a / massᵀ."""
+    mass, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
+    return a / np.swapaxes(mass, -1, -2), k_l, v_l
+
+
 class TestMassNormalize:
     def test_uniform(self):
-        n, m, eps = 6, 3, 1e-6
+        n, m, eps = 6, 3, SLOT_MASS_EPS
         a = np.full((1, 1, n, m), 1.0 / m)
-        a_hat = mass_normalize(a, eps)
+        k = np.ones((1, 1, n, 2))
+        a_hat, k_l, _ = _gather(a, k, k)
         expect = (1.0 / m) / (n / m + eps)
         assert np.abs(a_hat - expect).max() < 1e-15
+        assert np.abs(k_l - n * expect).max() < 1e-15
 
     def test_zero_column_stays_zero(self):
         a = np.zeros((1, 1, 4, 2))
         a[..., 0] = 0.5
-        a_hat = mass_normalize(a, 1e-6)
-        assert np.isfinite(a_hat).all()
+        k = np.random.default_rng(6).standard_normal((1, 1, 4, 3))
+        a_hat, k_l, v_l = _gather(a, k, k)
+        assert np.isfinite(a_hat).all() and np.isfinite(k_l).all()
         assert not a_hat[..., 1].any()
+        assert not k_l[..., 1, :].any() and not v_l[..., 1, :].any()
 
     def test_column_sums(self):
         rng = np.random.default_rng(6)
         a = rng.uniform(0, 1, (2, 2, 7, 3))
-        eps = 1e-6
-        a_hat = mass_normalize(a, eps)
+        k = rng.standard_normal((2, 2, 7, 4))
+        eps = SLOT_MASS_EPS
+        a_hat, _, _ = _gather(a, k, k)
         s = a.sum(axis=-2)
         assert np.abs(a_hat.sum(axis=-2) - s / (s + eps)).max() < 1e-12
         assert (a_hat.sum(axis=-2) < 1.0).all()
@@ -151,9 +162,8 @@ class TestGatherLatents:
         token = rng.standard_normal(4)
         k = np.broadcast_to(token, (1, 1, 6, 4)).copy()
         a = gather_assign(k, rng.standard_normal((4, 3)))
-        eps = 1e-6
-        a_hat = mass_normalize(a, eps)
-        k_l, _ = gather_latents(a_hat, k, k)
+        eps = SLOT_MASS_EPS
+        _, k_l, _ = _gather(a, k, k)
         s = a.sum(axis=-2)[0, 0]
         for m in range(3):
             assert np.abs(k_l[0, 0, m] - token * s[m] / (s[m] + eps)).max() < 1e-12
@@ -163,24 +173,24 @@ class TestGatherLatents:
         n = 5
         k = rng.standard_normal((1, 1, n, 3))
         perm = rng.permutation(n)
-        a_hat = np.zeros((1, 1, n, n))
-        a_hat[0, 0, np.arange(n), perm] = 1.0
-        k_l, v_l = gather_latents(a_hat, k, k)
+        a = np.zeros((1, 1, n, n))
+        a[0, 0, np.arange(n), perm] = 1.0
+        k_l, v_l = gather_latents(a, k, k)
         inv = np.argsort(perm)
         assert np.abs(k_l[0, 0] - k[0, 0][inv]).max() < 1e-15
         assert np.abs(v_l[0, 0] - k[0, 0][inv]).max() < 1e-15
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(9)
-        a_hat = rng.uniform(0, 0.3, (2, 2, 6, 3))
+        a = rng.uniform(0, 0.3, (2, 2, 6, 3))
         k = rng.standard_normal((2, 2, 6, 4))
         v = rng.standard_normal((2, 2, 6, 4))
-        k_l, v_l = gather_latents(a_hat, k, v)
+        k_l, v_l = gather_latents(a, k, v)
         for bi in range(2):
             for hi in range(2):
                 for m in range(3):
-                    expect_k = sum(a_hat[bi, hi, n, m] * k[bi, hi, n] for n in range(6))
-                    expect_v = sum(a_hat[bi, hi, n, m] * v[bi, hi, n] for n in range(6))
+                    expect_k = sum(a[bi, hi, n, m] * k[bi, hi, n] for n in range(6))
+                    expect_v = sum(a[bi, hi, n, m] * v[bi, hi, n] for n in range(6))
                     assert np.abs(k_l[bi, hi, m] - expect_k).max() < 1e-12
                     assert np.abs(v_l[bi, hi, m] - expect_v).max() < 1e-12
 
@@ -347,9 +357,10 @@ class TestForward:
         expect = oracles.straight_line_forward(
             x, params, heads=2, num_reps=3, grid_h=3, grid_w=4,
             epsilon=SLOT_MASS_EPS, ln_eps=LN_EPS)
-        # The trace keeps no normalized assignments and only the sum of readout and bypass.
+        # The trace keeps the slot mass instead of â, and only the sum of readout and bypass.
         fused = expect.pop("o_global") + expect.pop("bypass_out")
-        del expect["a_hat"]
+        a_hat = trace.a / np.swapaxes(trace.mass, -1, -2)
+        assert np.abs(a_hat - expect.pop("a_hat")).max() < 1e-12
         assert np.abs(trace.fused - fused).max() < 1e-12
         for name, val in expect.items():
             got = getattr(trace, name)

@@ -13,7 +13,7 @@ from rpattn import (
     pooled_proxy_forward,
     rpattention_forward,
 )
-from rpattn.baselines import _seed_draws, softmax_attention_forward
+from rpattn.baselines import _seed_draws, _uniform_draws, softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError, ShapeError
 from rpattn.grad import finite_diff_grad, softmax_attention_backward
 
@@ -306,6 +306,25 @@ class TestKMeans:
             for (seed, _, m), k in zip(cases, keys):
                 expect = oracles.kmeans_gather_loops(k, m, 2, seed)
                 assert np.array_equal(kmeans_gather(k, m, 2, seed), expect), (seed, k.shape, m)
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_dead_group_draws_replay_oracle_stream(self, seed):
+        # A group whose points all sit on its first j centroids draws slots
+        # j..M-1 with integers(n), after one integers(n) and j-1 choice(n, p)
+        # calls. No kmeans_gather output was seen to change when this replay
+        # is off by one draw, so it is checked against the oracle's calls here.
+        b, h, n, m = 2, 3, 7, 6
+        p = np.random.default_rng(23).dirichlet(np.ones(n))
+        for bi in range(b):
+            for hi in range(h):
+                for j in range(1, m):
+                    rng = np.random.default_rng([seed, bi, hi])
+                    rng.integers(n)
+                    for _ in range(1, j):
+                        rng.choice(n, p=p)
+                    expect = {slot: rng.integers(n) for slot in range(j, m)}
+                    gi = np.intp(bi * h + hi)  # as kmeans_gather passes it
+                    assert _uniform_draws(seed, gi, h, n, j, m) == expect, (bi, hi, j)
 
     def test_cached_seeding_draws_read_only(self):
         first, draws = _seed_draws(3, 2, 2, 5, 4)

@@ -160,6 +160,25 @@ def test_unknown_or_missing_key_exit_2(tmp_path, capsys, command, payload, key):
     assert key in capsys.readouterr().err
 
 
+BAD_COUNT_CASES = [
+    ("task", "grid_h", 4.0),
+    ("task", "seed", -1),
+    ("attn", "num_representatives", 2.5),
+    ("attn", "kmeans_seed", -1),
+    ("train", "seed", -1),
+    ("train", "batch_size", True),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_COUNT_CASES,
+                         ids=[f"{section}-{key}" for section, key, _ in BAD_COUNT_CASES])
+def test_bad_count_exit_2(tmp_path, capsys, section, key, value):
+    cfg = _write_config(tmp_path, "c.json", _with(TRAIN_CFG, section, key, value))
+    rc = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
 def test_bench_subcommand_fast(tmp_path, capsys):
     cfg = _write_config(tmp_path, "b.json", {
         "mechanisms": ["constant_dummy"],

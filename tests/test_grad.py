@@ -208,14 +208,18 @@ def test_kmeans_routing_backward_matches_finite_differences(slots):
 
 @pytest.mark.parametrize("routing", ["learned", "kmeans"])
 def test_trace_latents_equal_mass_normalized_gather(routing):
-    # Ties the composition that criterion 2 checks to the layer's own latents.
+    # The layer's latents are the gather that criterion 2 checks, and equal
+    # gathering with the token-space â = a / (column mass + eps) on [N, M].
     cfg = replace(SMALL, routing=routing)
     x = np.random.default_rng(15).standard_normal((2, 12, 8))
     _, trace = rpattention_forward(x, init_params(cfg, 16), cfg)
-    k_l, v_l = gather_latents(mass_normalize(trace.a, SLOT_MASS_EPS), trace.k, trace.v)
-    assert np.abs(trace.k_l - k_l).max() < 1e-12
-    assert np.abs(trace.v_l - v_l).max() < 1e-12
-    assert np.abs(trace.mass - SLOT_MASS_EPS - trace.a.sum(axis=-2)[..., None]).max() < 1e-12
+    mass, k_l, v_l = mass_normalize(trace.a, *gather_latents(trace.a, trace.k, trace.v))
+    assert np.array_equal(trace.mass, mass)
+    assert np.array_equal(trace.k_l, k_l) and np.array_equal(trace.v_l, v_l)
+    a_hat = trace.a / (trace.a.sum(axis=-2, keepdims=True) + SLOT_MASS_EPS)
+    a_hat_t = np.swapaxes(a_hat, -1, -2)
+    assert np.abs(trace.k_l - a_hat_t @ trace.k).max() < 1e-12
+    assert np.abs(trace.v_l - a_hat_t @ trace.v).max() < 1e-12
 
 
 class TestContract:

@@ -82,16 +82,16 @@ class TestSynthetic:
 
 class TestAdam:
     def test_zero_grads_leave_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        state = AdamState()
-        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-        assert np.array_equal(params["w"], np.array([1.0, -2.0]))
+        param = np.array([1.0, -2.0])
+        state = adam_step(param, np.zeros(2), AdamState(), lr=0.1)
+        assert np.array_equal(param, np.array([1.0, -2.0]))
+        assert state.t == 1 and state.m.shape == state.v.shape == (2,)
 
     def test_first_step_closed_form(self):
         lr, eps = 0.05, 1e-8
-        params = {"w": np.array([0.0])}
-        adam_step(params, {"w": np.array([1.0])}, AdamState(), lr=lr)
-        assert abs(params["w"][0] - (-lr * 1.0 / (1.0 + eps))) < 1e-16
+        param = np.array([0.0])
+        adam_step(param, np.array([1.0]), AdamState(), lr=lr)
+        assert abs(param[0] - (-lr * 1.0 / (1.0 + eps))) < 1e-16
 
     def test_five_step_scalar_trace(self):
         # independent plain-float reimplementation as the reference
@@ -107,12 +107,12 @@ class TestAdam:
             theta = theta - lr * m_hat / (v_hat ** 0.5 + eps)
             expected.append(theta)
 
-        params = {"w": np.array([0.3])}
+        param = np.array([0.3])
         state = AdamState()
         got = []
         for g in grads:
-            adam_step(params, {"w": np.array([g])}, state, lr=lr)
-            got.append(float(params["w"][0]))
+            adam_step(param, np.array([g]), state, lr=lr)
+            got.append(float(param[0]))
         assert np.abs(np.array(got) - np.array(expected)).max() < 1e-12
 
 
