@@ -464,18 +464,17 @@ def write_pgm(path, image_u8):
         fh.write(image_u8.tobytes(order="C"))
 
 
-def export_assignment_maps(trace, grid, out_dir):
-    """One grayscale PGM per (batch, head, slot) of the assignments.
+def export_assignment_maps(trace, out_dir):
+    """One grayscale PGM per (batch, head, slot) of a forward trace's assignments.
 
-    Pixel (r, c) of slot m is a[r*grid_w + c, m] rescaled per slot to [0, 255],
-    which cancels the slot's mass normalization; a constant slot renders
-    mid-gray. Returns the written paths.
+    The grid is the forward's, read from trace.config. Pixel (r, c) of slot
+    m is a[r*grid_w + c, m] rescaled per slot to [0, 255], which cancels the
+    slot's mass normalization; a constant slot renders mid-gray. Returns the
+    written paths.
     """
-    grid_h, grid_w = grid
+    grid_h, grid_w = trace.config.grid_h, trace.config.grid_w
     a = trace.a
-    b, h, n, m = a.shape
-    if n != grid_h * grid_w:
-        raise ConfigError(f"trace token count {n} does not match grid {grid_h}x{grid_w}")
+    b, h, _, m = a.shape
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ContractError, ShapeError, check_count
+from .errors import ConfigError, ContractError, ShapeError, check_count, check_flag
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -52,6 +52,8 @@ class AttnConfig:
         for name in ("channels", "heads", "num_representatives", "grid_h", "grid_w", "dwc_kernel"):
             check_count(name, getattr(self, name))
         check_count("kmeans_seed", self.kmeans_seed, minimum=0)
+        check_flag("enable_interact", self.enable_interact)
+        check_flag("enable_dwc", self.enable_dwc)
         if self.channels % self.heads != 0:
             raise ConfigError(f"channels ({self.channels}) not divisible by heads ({self.heads})")
         if self.dwc_kernel % 2 == 0:
@@ -155,7 +157,11 @@ def init_params(config: AttnConfig, seed: int) -> RPAttnParams:
 
 @dataclass
 class ForwardTrace:
-    """What the backward reads, plus the latents and routing the reports read; each held once."""
+    """The record of one rpattention_forward call, everything its backward reads.
+
+    Each intermediate is held once, with the call's own params and config
+    (references, not copies).
+    """
 
     x: np.ndarray          # [B, N, C] layer input
     q: np.ndarray          # [B, h, N, d]
@@ -172,6 +178,8 @@ class ForwardTrace:
     p_dist: np.ndarray     # [B, h, N, M] distribution attention
     fused: np.ndarray      # [B, N, C] cross-attention readout plus depthwise bypass
     output: np.ndarray     # [B, N, C]
+    params: RPAttnParams   # the forward's params
+    config: AttnConfig     # the forward's config
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -306,6 +314,6 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     trace = ForwardTrace(
         x=x, q=q, k=k, v=v, a=a, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
-        p_dist=p_dist, fused=fused, output=output,
+        p_dist=p_dist, fused=fused, output=output, params=params, config=config,
     )
     return output, trace

@@ -22,6 +22,8 @@ from .errors import ConfigError, check_count
 
 @dataclass
 class DenseTrace:
+    """The record of one softmax_attention_forward call, with the call's own params."""
+
     x: np.ndarray
     q: np.ndarray
     k: np.ndarray
@@ -29,6 +31,7 @@ class DenseTrace:
     p: Optional[np.ndarray]  # [B, h, N, N] attention weights, None when row-chunked
     o_merged: np.ndarray  # [B, N, C]
     output: np.ndarray
+    params: RPAttnParams  # the forward's params (a reference, not a copy)
 
 
 def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_chunk=None):
@@ -54,7 +57,7 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_c
     o_merged = merge_heads(o)
     out = kernels.linear(o_merged, params.w_o)
     return out, DenseTrace(x=x, q=q, k=k, v=v, p=p if chunk == n else None,
-                           o_merged=o_merged, output=out)
+                           o_merged=o_merged, output=out, params=params)
 
 
 def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid):

@@ -3,8 +3,8 @@
 Subcommands: gradcheck, flops, bench, shift, train, ablate, emcheck, maps.
 Each reads a JSON config (--config), writes CSV/PGM artifacts into the
 --out directory, and prints a one-line summary. Exit codes: 0 pass, 1 a
-check failed, 2 config error; a config key the subcommand does not know, or
-a missing required one, is a config error.
+check failed, 2 config error; a config key the subcommand does not know or
+sets itself, or a missing required one, is a config error.
 
 The RPATTN_THREADS environment variable caps BLAS worker threads; the cap
 is applied when the rpattn package is imported (see rpattn/__init__.py).
@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .errors import ConfigError, TrainDivergedError
+from .errors import ConfigError, TrainDivergedError, check_count, check_real
 
 
 def _reject_unknown(entries, keys, where):
@@ -26,6 +26,12 @@ def _reject_unknown(entries, keys, where):
     unknown = sorted(set(entries) - set(keys))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
+def _reject_missing(entries, keys, where):
+    missing = [key for key in keys if key not in entries]
+    if missing:
+        raise ConfigError(f"missing {where} key(s): {', '.join(missing)}")
 
 
 def _load_config(path, keys):
@@ -44,17 +50,21 @@ def _field_names(cls):
 
 
 def _build(cls, entries, where, **overrides):
-    """cls(**entries, **overrides); a ConfigError names every unknown or missing key."""
+    """cls(**entries, **overrides); a ConfigError names every unknown or missing key.
+
+    Overrides are the keys the subcommand sets itself, so entries may not hold them.
+    """
     _reject_unknown(entries, _field_names(cls), where)
+    fixed = sorted(set(entries) & set(overrides))
+    if fixed:
+        raise ConfigError(f"{where} key(s) set by the subcommand: {', '.join(fixed)}")
     kwargs = {**entries, **overrides}
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
-    if missing:
-        raise ConfigError(f"missing {where} key(s): {', '.join(missing)}")
+    _reject_missing(kwargs, [f.name for f in fields(cls) if f.default is MISSING], where)
     return cls(**kwargs)
 
 
 def _attn_config(cfg, **overrides):
-    """The AttnConfig of a flat config whose other keys belong to the subcommand."""
+    """The AttnConfig of a flat config whose other keys belong to the subcommand (see _build)."""
     from .attention import AttnConfig
 
     names = _field_names(AttnConfig)
@@ -105,8 +115,10 @@ def cmd_flops(args):
     from .analysis import flops_estimate, softmax_flops
 
     if args.config:
-        cfg = _load_config(args.config, ["n", "m", "c", "k"])
-        n, m, c, k = cfg["n"], cfg["m"], cfg["c"], cfg["k"]
+        keys = ["n", "m", "c", "k"]
+        cfg = _load_config(args.config, keys)
+        _reject_missing(cfg, keys, "config")
+        n, m, c, k = (cfg[key] for key in keys)
     elif None not in (args.n, args.m, args.c, args.k):
         n, m, c, k = args.n, args.m, args.c, args.k
     else:
@@ -184,14 +196,14 @@ def cmd_shift(args):
     patch = cfg.get("patch_size", 4)
     shifts = cfg.get("shifts", list(range(0, 9)))
     seeds = cfg.get("seeds", [0, 1, 2, 3, 4, 5])
-    pool_grid = tuple(cfg.get("pool_grid", (4, 4)))
+    pool_grid = cfg.get("pool_grid", [4, 4])
+    if not isinstance(pool_grid, list) or len(pool_grid) != 2:
+        raise ConfigError(f"pool_grid must be two integers, got {pool_grid!r}")
+    pool_grid = tuple(check_count("pool_grid", g) for g in pool_grid)
     mode = cfg.get("mode", "zero")
     grid = size // patch
-    config = _attn_config(cfg, grid_h=grid, grid_w=grid, dtype="float64",
-                          channels=cfg.get("channels", 32),
-                          heads=cfg.get("heads", 2),
-                          num_representatives=cfg.get("num_representatives",
-                                                      pool_grid[0] * pool_grid[1]))
+    defaults = {"channels": 32, "heads": 2, "num_representatives": pool_grid[0] * pool_grid[1]}
+    config = _attn_config({**defaults, **cfg}, grid_h=grid, grid_w=grid, dtype="float64")
 
     reports = []
     for seed in seeds:
@@ -295,13 +307,13 @@ def cmd_emcheck(args):
 
     keys = ["trials", "heads", "tokens", "head_dim", "slots", "tol", "seed"]
     cfg = _load_config(args.config, keys) if args.config else {}
-    trials = cfg.get("trials", 20)
-    heads = cfg.get("heads", 2)
-    tokens = cfg.get("tokens", 10)
-    dim = cfg.get("head_dim", 5)
-    slots = cfg.get("slots", 4)
-    tol = cfg.get("tol", 1e-12)
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    trials = check_count("trials", cfg.get("trials", 20))
+    heads = check_count("heads", cfg.get("heads", 2))
+    tokens = check_count("tokens", cfg.get("tokens", 10))
+    dim = check_count("head_dim", cfg.get("head_dim", 5))
+    slots = check_count("slots", cfg.get("slots", 4))
+    tol = check_real("tol", cfg.get("tol", 1e-12), minimum=0)
+    rng = np.random.default_rng(check_count("seed", cfg.get("seed", 0), minimum=0))
 
     rows = []
     worst = 0.0
@@ -340,7 +352,7 @@ def cmd_maps(args):
         rng = np.random.default_rng(cfg.get("seed", 0))
         x = rng.standard_normal((1, config.num_tokens, config.channels))
     _, trace = rpattention_forward(x, params, config)
-    paths = export_assignment_maps(trace, (config.grid_h, config.grid_w), _out_dir(args))
+    paths = export_assignment_maps(trace, _out_dir(args))
     print(f"maps: wrote {len(paths)} assignment maps to {args.out}")
     return 0
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one integer-count check."""
+"""Exception types shared across the package, and the checks of config field types."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class RPAttnError(Exception):
@@ -25,8 +26,29 @@ def check_count(name, value, minimum=1) -> int:
     return int(value)
 
 
+def check_flag(name, value) -> bool:
+    """value as a bool; ConfigError unless it is a Python or numpy bool (not 0/1 or a string)."""
+    import numpy as np  # not at module level: the package sets its BLAS thread cap first
+
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def check_real(name, value, minimum=None) -> float:
+    """value as a float; ConfigError unless it is a finite real number >= minimum.
+
+    Python and numpy integers and floats pass; bools and strings do not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be a finite real{bound}, got {value!r}")
+    return float(value)
+
+
 class ContractError(RPAttnError):
-    """Caller violated an API contract (e.g. trace/config mismatch)."""
+    """Caller violated an API contract (e.g. NaN input or a misshapen grad_output)."""
 
 
 class TrainDivergedError(RPAttnError):

@@ -56,6 +56,13 @@ def _attention_backward(q, k, v, p, d_o):
     return d_q, d_k, d_v
 
 
+def _grad_set(params, grads, grad_x):
+    # The fields a forward did not read get zero gradients; grad_x is always computed.
+    zeros = {name: np.zeros_like(value) for name, value in params.field_dict().items()
+             if name not in grads}
+    return GradSet(**grads, **zeros, grad_x=grad_x)
+
+
 def _check_grad_output(grad_output, output):
     grad_output = np.asarray(grad_output, dtype=output.dtype)
     if grad_output.shape != output.shape:
@@ -120,25 +127,20 @@ def _project_qkv_backward(x, d_q, d_k, d_v, params):
     return _weight_grad(x, d_q), _weight_grad(x, d_k), _weight_grad(x, d_v), d_x
 
 
-def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
-                         params: RPAttnParams, config: AttnConfig) -> GradSet:
+def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSet:
     """Exact gradients of sum(grad_output * output) w.r.t. every parameter and x.
 
-    The trace must come from rpattention_forward with the same params and
-    config. With routing="kmeans" the hard assignments are treated as
-    constants: no gradient flows into the anchors or through the routing.
+    Params and config are the forward's own, read from the trace. Fields the
+    forward did not read (dwc or interaction when disabled, w_g under k-means
+    routing) get zero gradients: the hard k-means assignments are constants,
+    so no gradient flows into the anchors or through the routing.
     """
+    params, config = trace.params, trace.config
     grad_output = _check_grad_output(grad_output, trace.output)
     b, n, c = trace.x.shape
-    if c != config.channels or n != config.num_tokens:
-        raise ContractError("trace does not match config (channels or token count differ)")
-    if trace.a.shape != (b, config.heads, n, config.num_representatives):
-        raise ContractError("trace assignment shape does not match config")
-    if (trace.p_lat is None) == config.enable_interact:
-        raise ContractError("trace interact state does not match config")
 
     # Output projection: output = fused @ w_o, fused = o_global + bypass
-    d_w_o = _weight_grad(trace.fused, grad_output)
+    grads = {"w_o": _weight_grad(trace.fused, grad_output)}
     d_fused = kernels.matmul(grad_output, params.w_o.T)
 
     # Depthwise bypass branch over the projected values xv = merge_heads(v);
@@ -147,11 +149,9 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
     if config.enable_dwc:
         xv_grid = merge_heads(trace.v).reshape(b, config.grid_h, config.grid_w, c)
         dy_grid = d_fused.reshape(b, config.grid_h, config.grid_w, c)
-        d_xv_grid, d_dwc_kernel, d_dwc_bias = _dwc_backward(xv_grid, params.dwc_kernel, dy_grid)
+        d_xv_grid, grads["dwc_kernel"], grads["dwc_bias"] = _dwc_backward(
+            xv_grid, params.dwc_kernel, dy_grid)
         d_xv = d_xv_grid.reshape(b, n, c)
-    else:
-        d_dwc_kernel = np.zeros_like(params.dwc_kernel)
-        d_dwc_bias = np.zeros_like(params.dwc_bias)
 
     # Distribution: attention of the queries q over the slots (k_l_bar, z_l).
     d_q, d_k_l_bar, d_z_l = _attention_backward(
@@ -163,18 +163,18 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
         q_t, k_t, v_t = (kernels.matmul(v_bar, w) for w in (params.w_lq, params.w_lk, params.w_lv))
         d_v_l_bar = d_z_l.copy()  # residual
         d_q_t, d_k_t, d_v_t = _attention_backward(q_t, k_t, v_t, trace.p_lat, d_z_l)
-        d_w_lq, d_w_lk, d_w_lv = (_weight_grad(v_bar, t) for t in (d_q_t, d_k_t, d_v_t))
+        grads["w_lq"], grads["w_lk"], grads["w_lv"] = (
+            _weight_grad(v_bar, t) for t in (d_q_t, d_k_t, d_v_t))
         d_v_l_bar += kernels.matmul(d_q_t, params.w_lq.T)
         d_v_l_bar += kernels.matmul(d_k_t, params.w_lk.T)
         d_v_l_bar += kernels.matmul(d_v_t, params.w_lv.T)
     else:
         d_v_l_bar = d_z_l
-        d_w_lq, d_w_lk, d_w_lv = (np.zeros_like(w) for w in (params.w_lq, params.w_lk, params.w_lv))
 
     # Latent layer norms.
-    d_k_l, d_ln_k_gamma, d_ln_k_beta = _layer_norm_backward(
+    d_k_l, grads["ln_k_gamma"], grads["ln_k_beta"] = _layer_norm_backward(
         trace.k_l, params.ln_k_gamma, LN_EPS, d_k_l_bar)
-    d_v_l, d_ln_v_gamma, d_ln_v_beta = _layer_norm_backward(
+    d_v_l, grads["ln_v_gamma"], grads["ln_v_beta"] = _layer_norm_backward(
         trace.v_l, params.ln_v_gamma, LN_EPS, d_v_l_bar)
 
     # Gathered latents: k_l = (a^T @ k) / mass, v_l = (a^T @ v) / mass.
@@ -191,45 +191,35 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray,
         d_a += kernels.matmul(trace.v, np.swapaxes(g_v, -1, -2))
         d_a -= np.swapaxes((trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True), -1, -2)
         d_logits = _softmax_backward(trace.a, d_a)
-        d_w_g = _weight_grad(trace.k, d_logits)
+        grads["w_g"] = _weight_grad(trace.k, d_logits)
         d_k_att = d_k_att + kernels.matmul(d_logits, params.w_g.T)
-    else:
-        d_w_g = np.zeros_like(params.w_g)
 
     # Input projections; the bypass gradient joins the value gradient first.
     if d_xv is not None:
         d_v_att += split_heads(d_xv, config.heads)
-    d_w_q, d_w_k, d_w_v, d_x = _project_qkv_backward(trace.x, d_q, d_k_att, d_v_att, params)
-
-    return GradSet(
-        w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o, w_g=d_w_g,
-        w_lq=d_w_lq, w_lk=d_w_lk, w_lv=d_w_lv,
-        ln_k_gamma=d_ln_k_gamma, ln_k_beta=d_ln_k_beta,
-        ln_v_gamma=d_ln_v_gamma, ln_v_beta=d_ln_v_beta,
-        dwc_kernel=d_dwc_kernel, dwc_bias=d_dwc_bias,
-        grad_x=d_x,
-    )
+    grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
+        trace.x, d_q, d_k_att, d_v_att, params)
+    return _grad_set(params, grads, d_x)
 
 
-def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray,
-                               params: RPAttnParams) -> GradSet:
+def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> GradSet:
     """Exact gradients of sum(grad_output * output) for the dense baseline.
 
-    The trace must come from an unchunked softmax_attention_forward with the
-    same params. Fields the dense forward does not read get zero gradients.
+    The trace must come from an unchunked softmax_attention_forward; params
+    are the forward's own, read from the trace. Fields the dense forward
+    does not read get zero gradients.
     """
     if trace.p is None:
         raise ContractError("dense backward needs the attention weights of an unchunked forward")
+    params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
 
-    d_w_o = _weight_grad(trace.o_merged, grad_output)
+    grads = {"w_o": _weight_grad(trace.o_merged, grad_output)}
     d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), trace.q.shape[1])
     d_q, d_k, d_v = _attention_backward(trace.q, trace.k, trace.v, trace.p, d_o)
-
-    d_w_q, d_w_k, d_w_v, d_x = _project_qkv_backward(trace.x, d_q, d_k, d_v, params)
-    grads = {name: np.zeros_like(value) for name, value in params.field_dict().items()}
-    grads.update(w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o)
-    return GradSet(**grads, grad_x=d_x)
+    grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
+        trace.x, d_q, d_k, d_v, params)
+    return _grad_set(params, grads, d_x)
 
 
 def finite_diff_grad(loss_fn: Callable[[np.ndarray], float], tensor: np.ndarray,
@@ -300,7 +290,7 @@ def gradcheck(config: AttnConfig, seed: int, step: float = 1e-5, tol: float = 1e
     g_out = rng.standard_normal((batch, config.num_tokens, config.channels)) * 2e-3
 
     y, trace = rpattention_forward(x, params, config)
-    grads = rpattention_backward(trace, g_out, params, config)
+    grads = rpattention_backward(trace, g_out)
 
     def loss_with(p: RPAttnParams, xin: np.ndarray) -> float:
         out, _ = rpattention_forward(xin, p, config)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class SyntheticTask:
             check_count(name, getattr(self, name))
         check_count("num_clusters", self.num_clusters, minimum=2)
         check_count("seed", self.seed, minimum=0)
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
+        check_real("mean_scale", self.mean_scale, minimum=0)
+        check_real("sigma", self.sigma, minimum=0)
 
     @property
     def num_tokens(self) -> int:

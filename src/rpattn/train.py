@@ -9,7 +9,6 @@ with the same seed produce byte-identical loss curves.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import kernels
 from .attention import AttnConfig, RPAttnParams, init_params, rpattention_forward
 from .baselines import softmax_attention_forward
-from .errors import ConfigError, TrainDivergedError, check_count
+from .errors import ConfigError, TrainDivergedError, check_count, check_real
 from .grad import rpattention_backward, softmax_attention_backward
 from .synthetic import SyntheticTask, gen_synthetic
 
@@ -39,8 +38,7 @@ class TrainConfig:
         check_count("steps", self.steps)
         check_count("batch_size", self.batch_size)
         check_count("seed", self.seed, minimum=0)
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        check_real("lr", self.lr, minimum=0)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -127,12 +125,11 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig,
     *fields, head_w, head_b = (part.reshape(a.shape) for part, a in zip(parts, arrays))
     layer = RPAttnParams(*fields)
 
+    # Names read at call time, so patching them (as perfbench's tracer does) takes effect.
     if variant == "softmax_baseline":
-        forward = softmax_attention_forward
-        backward = partial(softmax_attention_backward, params=layer)
+        forward, backward = softmax_attention_forward, softmax_attention_backward
     else:
-        forward = rpattention_forward
-        backward = partial(rpattention_backward, params=layer, config=cfg)
+        forward, backward = rpattention_forward, rpattention_backward
 
     state = AdamState()
     batch_rng = np.random.default_rng([train_config.seed, 2])

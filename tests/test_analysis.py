@@ -224,8 +224,9 @@ class TestScaling:
         assert slopes[0] == "mechanism,slope:volatile"
 
 
-def _trace_with(a):
-    return SimpleNamespace(a=a)
+def _trace_with(a, grid):
+    grid_h, grid_w = grid
+    return SimpleNamespace(a=a, config=SimpleNamespace(grid_h=grid_h, grid_w=grid_w))
 
 
 def _read_pgm(path):
@@ -239,7 +240,7 @@ def _read_pgm(path):
 class TestAssignmentMaps:
     def test_uniform_is_flat_gray(self, tmp_path):
         a = np.full((1, 1, 6, 2), 0.125)
-        paths = export_assignment_maps(_trace_with(a), (2, 3), tmp_path)
+        paths = export_assignment_maps(_trace_with(a, (2, 3)), tmp_path)
         assert len(paths) == 2
         for path in paths:
             img = _read_pgm(path)
@@ -250,7 +251,7 @@ class TestAssignmentMaps:
         a = np.zeros((1, 1, 4, 2))
         a[0, 0, [0, 3], 0] = 0.5
         a[0, 0, [1, 2], 1] = 0.5
-        paths = export_assignment_maps(_trace_with(a), (2, 2), tmp_path)
+        paths = export_assignment_maps(_trace_with(a, (2, 2)), tmp_path)
         imgs = [_read_pgm(p) for p in paths]
         assert set(np.unique(imgs[0])) == {0, 255}
         assert np.array_equal(imgs[0], 255 - imgs[1])
@@ -258,7 +259,7 @@ class TestAssignmentMaps:
     def test_pixel_index_oracle(self, tmp_path):
         rng = np.random.default_rng(3)
         a = rng.uniform(0, 0.2, (2, 2, 12, 3))
-        paths = export_assignment_maps(_trace_with(a), (3, 4), tmp_path)
+        paths = export_assignment_maps(_trace_with(a, (3, 4)), tmp_path)
         assert len(paths) == 2 * 2 * 3
         img = _read_pgm(tmp_path / "assign_b1_h0_slot2.pgm")
         flat = a[1, 0, :, 2]
@@ -267,7 +268,3 @@ class TestAssignmentMaps:
             for c in range(4):
                 expect = np.rint((flat[r * 4 + c] - lo) / (hi - lo) * 255.0)
                 assert img[r, c] == int(expect)
-
-    def test_grid_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            export_assignment_maps(_trace_with(np.zeros((1, 1, 6, 2))), (2, 2), tmp_path)

@@ -87,7 +87,7 @@ class TestDenseAttention:
         x = rng.standard_normal((batch, 5, 6))
         g = rng.standard_normal((batch, 5, 6)) * 1e-2
         _, trace = softmax_attention_forward(x, params, cfg)
-        grads = softmax_attention_backward(trace, g, params)
+        grads = softmax_attention_backward(trace, g)
 
         def loss(p, xin):
             out, _ = softmax_attention_forward(xin, p, cfg)
@@ -121,7 +121,7 @@ class TestDenseAttention:
         x = np.random.default_rng(10).standard_normal((1, 5, 6))
         out, trace = softmax_attention_forward(x, params, cfg, row_chunk=2)
         with pytest.raises(ContractError):
-            softmax_attention_backward(trace, np.ones_like(out), params)
+            softmax_attention_backward(trace, np.ones_like(out))
 
 
 class TestPooledProxy:

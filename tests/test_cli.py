@@ -122,6 +122,13 @@ TRAIN_CFG = {
 }
 MAPS_CFG = {"attn": {"channels": 4, "heads": 2, "num_representatives": 3,
                      "grid_h": 2, "grid_w": 2}}
+SHIFT_CFG = {
+    "image_size": 16, "image_channels": 4, "num_blobs": 2,
+    "patch_size": 4, "channels": 8, "heads": 2,
+    "pool_grid": [2, 2], "num_representatives": 4,
+    "shifts": [0, 1, 2], "seeds": [0, 1], "margin": 6,
+    "assert_ordering": False,
+}
 
 
 def _with(cfg, section, key, value=None):
@@ -148,6 +155,15 @@ BAD_KEY_CASES = [
     ("maps", _with(MAPS_CFG, "attn", "grid_w"), "grid_w"),
     ("gradcheck", _with(MAPS_CFG["attn"], None, "ln_eps", 1e-5), "ln_eps"),
     ("bench", {"mechanisms": ["constant_dummy"], "expected_slopes": {}}, "expected_slopes"),
+    # keys the subcommand sets itself
+    ("gradcheck", _with(MAPS_CFG["attn"], None, "dtype", "float32"), "dtype"),
+    *[("shift", _with(SHIFT_CFG, None, key, value), key)
+      for key, value in (("grid_h", 99), ("grid_w", 99), ("dtype", "float32"))],
+    *[(command, _with(TRAIN_CFG, "attn", key, value), key)
+      for command in ("train", "ablate")
+      for key, value in (("grid_h", 3), ("grid_w", 3), ("channels", 8), ("dtype", "float32"))],
+    ("ablate", _with(TRAIN_CFG, "train", "variant", "softmax_baseline"), "variant"),
+    ("maps", _with(MAPS_CFG, "attn", "dtype", "float32"), "dtype"),
 ]
 
 
@@ -179,6 +195,35 @@ def test_bad_count_exit_2(tmp_path, capsys, section, key, value):
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+BAD_VALUE_CASES = [
+    pytest.param("flops", {"n": 196, "m": 49, "k": 3}, "missing config key(s): c",
+                 id="flops-missing-key"),
+    *[pytest.param("emcheck", {key: 0}, f"{key} must be an integer >= 1", id=f"emcheck-{key}")
+      for key in ("trials", "heads", "tokens", "head_dim", "slots")],
+    pytest.param("emcheck", {"seed": -1}, "seed must be an integer >= 0", id="emcheck-seed"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", 4),
+                 "pool_grid must be two integers", id="shift-pool_grid-scalar"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", [2, 2.0]),
+                 "pool_grid must be an integer", id="shift-pool_grid-float"),
+    pytest.param("train", _with(TRAIN_CFG, "attn", "enable_interact", "false"),
+                 "enable_interact must be a bool", id="train-enable_interact"),
+    pytest.param("train", _with(TRAIN_CFG, "train", "lr", True),
+                 "lr must be a finite real", id="train-lr"),
+    pytest.param("train", _with(TRAIN_CFG, "task", "sigma", "0.1"),
+                 "sigma must be a finite real", id="train-sigma"),
+    pytest.param("train", _with(TRAIN_CFG, "task", "mean_scale", "x"),
+                 "mean_scale must be a finite real", id="train-mean_scale"),
+]
+
+
+@pytest.mark.parametrize("command,payload,message", BAD_VALUE_CASES)
+def test_bad_value_exit_2(tmp_path, capsys, command, payload, message):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bench_subcommand_fast(tmp_path, capsys):
     cfg = _write_config(tmp_path, "b.json", {
         "mechanisms": ["constant_dummy"],
@@ -192,13 +237,7 @@ def test_bench_subcommand_fast(tmp_path, capsys):
 
 
 def test_shift_subcommand_fast(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "s.json", {
-        "image_size": 16, "image_channels": 4, "num_blobs": 2,
-        "patch_size": 4, "channels": 8, "heads": 2,
-        "pool_grid": [2, 2], "num_representatives": 4,
-        "shifts": [0, 1, 2], "seeds": [0, 1], "margin": 6,
-        "assert_ordering": False,
-    })
+    cfg = _write_config(tmp_path, "s.json", SHIFT_CFG)
     rc = main(["shift", "--config", cfg, "--out", str(tmp_path / "shift")])
     assert rc == 0
     lines = (tmp_path / "shift" / "shift_mean.csv").read_text().splitlines()

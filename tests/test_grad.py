@@ -36,7 +36,7 @@ def _forward_backward(cfg, seed, g_scale=1.0):
 
 def test_zero_grad_output_gives_zero_grads():
     params, x, _, y, trace = _forward_backward(SMALL, 0)
-    grads = rpattention_backward(trace, np.zeros_like(y), params, SMALL)
+    grads = rpattention_backward(trace, np.zeros_like(y))
     for name, arr in grads.field_dict().items():
         assert not arr.any(), name
     assert not grads.grad_x.any()
@@ -61,7 +61,7 @@ def test_scalar_hand_case():
     y, trace = rpattention_forward(x, params, cfg)
     assert abs(y[0, 0, 0] - (kv * x0 * w_v + bv) * w_o) < 1e-14
 
-    grads = rpattention_backward(trace, np.ones_like(y), params, cfg)
+    grads = rpattention_backward(trace, np.ones_like(y))
     assert abs(grads.grad_x[0, 0, 0] - w_v * kv * w_o) < 1e-14
     assert abs(grads.w_v[0, 0] - x0 * kv * w_o) < 1e-14
     assert abs(grads.dwc_bias[0] - w_o) < 1e-14
@@ -118,7 +118,7 @@ class TestGradcheck:
     def test_disabled_dwc_grads_exactly_zero(self):
         cfg = replace(SMALL, enable_dwc=False)
         params, x, g, y, trace = _forward_backward(cfg, 3)
-        grads = rpattention_backward(trace, g, params, cfg)
+        grads = rpattention_backward(trace, g)
         assert not grads.dwc_kernel.any() and not grads.dwc_bias.any()
         report = gradcheck(cfg, seed=3)
         assert report.passed
@@ -145,9 +145,9 @@ def test_backward_linear_in_grad_output():
     rng = np.random.default_rng(5)
     g1 = rng.standard_normal(y.shape)
     g2 = rng.standard_normal(y.shape)
-    ga = rpattention_backward(trace, g1, params, SMALL)
-    gb = rpattention_backward(trace, g2, params, SMALL)
-    gsum = rpattention_backward(trace, g1 + g2, params, SMALL)
+    ga = rpattention_backward(trace, g1)
+    gb = rpattention_backward(trace, g2)
+    gsum = rpattention_backward(trace, g1 + g2)
     for name in gsum.field_dict():
         lhs = getattr(gsum, name)
         rhs = getattr(ga, name) + getattr(gb, name)
@@ -162,10 +162,10 @@ def test_grad_x_permutation_equivariance():
     x = rng.standard_normal((1, 12, 8))
     g = rng.standard_normal((1, 12, 8))
     _, trace = rpattention_forward(x, params, cfg)
-    base = rpattention_backward(trace, g, params, cfg)
+    base = rpattention_backward(trace, g)
     perm = rng.permutation(12)
     _, trace_p = rpattention_forward(x[:, perm, :], params, cfg)
-    permuted = rpattention_backward(trace_p, g[:, perm, :], params, cfg)
+    permuted = rpattention_backward(trace_p, g[:, perm, :])
     assert np.abs(permuted.grad_x - base.grad_x[:, perm, :]).max() < 1e-10
 
 
@@ -175,7 +175,7 @@ def test_kmeans_routing_backward_trains_other_params():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 12, 8))
     y, trace = rpattention_forward(x, params, cfg)
-    grads = rpattention_backward(trace, np.ones_like(y), params, cfg)
+    grads = rpattention_backward(trace, np.ones_like(y))
     assert not grads.w_g.any()          # assignments are constants
     assert grads.w_v.any() and grads.w_o.any()
     assert np.isfinite(grads.grad_x).all()
@@ -194,7 +194,7 @@ def test_kmeans_routing_backward_matches_finite_differences(slots):
     _, trace = rpattention_forward(x, params, cfg)
     if slots > 12:
         assert (trace.mass == SLOT_MASS_EPS).any()
-    grads = rpattention_backward(trace, g, params, cfg)
+    grads = rpattention_backward(trace, g)
     for name in sorted(set(PARAM_FIELDS) - {"w_k", "w_g"}):
         def loss(t, _name=name):
             out, _ = rpattention_forward(x, replace(params, **{_name: t}), cfg)
@@ -226,26 +226,14 @@ class TestContract:
     def test_wrong_grad_shape(self):
         params, x, g, y, trace = _forward_backward(SMALL, 10)
         with pytest.raises(ContractError):
-            rpattention_backward(trace, np.zeros((1, 12, 4)), params, SMALL)
+            rpattention_backward(trace, np.zeros((1, 12, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grad_output(self, bad):
         params, x, g, y, trace = _forward_backward(SMALL, 10)
         g[0, 3, 1] = bad
         with pytest.raises(ContractError):
-            rpattention_backward(trace, g, params, SMALL)
+            rpattention_backward(trace, g)
         _, dense_trace = softmax_attention_forward(x, params, SMALL)
         with pytest.raises(ContractError):
-            softmax_attention_backward(dense_trace, g, params)
-
-    def test_mismatched_config(self):
-        params, x, g, y, trace = _forward_backward(SMALL, 11)
-        other = replace(SMALL, num_representatives=4)
-        with pytest.raises(ContractError):
-            rpattention_backward(trace, g, params, other)
-
-    def test_interact_state_mismatch(self):
-        params, x, g, y, trace = _forward_backward(SMALL, 12)
-        other = replace(SMALL, enable_interact=False)
-        with pytest.raises(ContractError):
-            rpattention_backward(trace, g, params, other)
+            softmax_attention_backward(dense_trace, g)

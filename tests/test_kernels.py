@@ -224,7 +224,7 @@ rng = np.random.default_rng(1)
 x = rng.standard_normal((2, cfg.num_tokens, cfg.channels))
 g = rng.standard_normal(x.shape)
 y, trace = rpattention_forward(x, params, cfg)
-grads = rpattention_backward(trace, g, params, cfg)
+grads = rpattention_backward(trace, g)
 arrays = {"output": y, "grad_x": grads.grad_x, **grads.field_dict()}
 for name, arr in arrays.items():
     print(name, arr.dtype, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest())

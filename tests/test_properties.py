@@ -1,14 +1,17 @@
 """Property-based tests under the deterministic hypothesis profile of conftest.py."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rpattn import kernels  # noqa: E402
-from rpattn.attention import AttnConfig, init_params, rpattention_forward  # noqa: E402
-from rpattn.grad import _attention_backward, finite_diff_grad  # noqa: E402
+from rpattn.attention import (  # noqa: E402
+    PARAM_FIELDS, AttnConfig, init_params, rpattention_forward)
+from rpattn.grad import _attention_backward, finite_diff_grad, rpattention_backward  # noqa: E402
 
 
 @given(batch=st.integers(1, 2), heads=st.integers(1, 2), d=st.integers(1, 3),
@@ -57,3 +60,33 @@ def test_learned_forward_contract_and_token_equivariance(batch, heads, head_dim,
     perm = rng.permutation(cfg.num_tokens)
     y_perm, _ = rpattention_forward(x[:, perm], params, cfg)
     np.testing.assert_allclose(y_perm, y[:, perm], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(1, 3),
+       grid_h=st.integers(1, 3), grid_w=st.integers(1, 3), num_reps=st.integers(1, 6),
+       interact=st.booleans(), dwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_learned_backward_matches_finite_differences(batch, heads, head_dim, grid_h, grid_w,
+                                                     num_reps, interact, dwc, seed):
+    # Every parameter and the input, at unit-scale grad_output; M may exceed N.
+    # The bound has an absolute floor, unlike gradcheck's relative metric:
+    # central differences at step 1e-6 carry rounding noise of order 1e-9,
+    # which a relative error blows up on near-zero entries.
+    cfg = AttnConfig(channels=heads * head_dim, heads=heads, num_representatives=num_reps,
+                     grid_h=grid_h, grid_w=grid_w, enable_interact=interact, enable_dwc=dwc)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, int(rng.integers(2**31)))
+    x = rng.standard_normal((batch, cfg.num_tokens, cfg.channels))
+    g = rng.standard_normal(x.shape)
+    _, trace = rpattention_forward(x, params, cfg)
+    grads = rpattention_backward(trace, g)
+
+    def loss(p, xin):
+        return float((rpattention_forward(xin, p, cfg)[0] * g).sum())
+
+    for name in PARAM_FIELDS:
+        fd = finite_diff_grad(lambda t, _n=name: loss(replace(params, **{_n: t}), x),
+                              getattr(params, name), 1e-6)
+        np.testing.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-6, err_msg=name)
+    fd_x = finite_diff_grad(lambda t: loss(params, t), x, 1e-6)
+    np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
