@@ -3,14 +3,13 @@ runtime scaling measurement, and assignment-map export.
 
 All counts in the cost model are exact Python integers (arbitrary
 precision, no wraparound) in the multiply-accumulate-pair convention of the
-five-term breakdown; every report type documents its CSV columns.
+five-term breakdown.
 """
 
-import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List
 
@@ -19,7 +18,8 @@ import numpy as np
 from . import kernels
 from .attention import AttnConfig, init_params, rpattention_forward
 from .baselines import pooled_proxy_forward, softmax_attention_forward
-from .errors import ConfigError, ShapeError, check_count
+from .errors import ConfigError, ShapeError, check_count, check_real
+from .synthetic import make_blob_image
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +131,11 @@ def em_one_step_oracle(keys, w_g, epsilon):
 
 @dataclass
 class ShiftReport:
-    """Cosine similarity of latent values against the unshifted input.
-
-    CSV columns: shift, cosine_rp, cosine_pooled.
-    """
+    """Cosine similarity of latent values against the unshifted input, per shift."""
 
     shifts: List[int]
     cosine_rp: List[float]
     cosine_pooled: List[float]
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["shift", "cosine_rp", "cosine_pooled"])
-            for s, cr, cp in zip(self.shifts, self.cosine_rp, self.cosine_pooled):
-                writer.writerow([s, repr(cr), repr(cp)])
 
 
 def patch_embed(image, patch_size, embed_w):
@@ -172,6 +162,8 @@ def shift_image(image, shift, mode="zero"):
     periodically.
     """
     image = np.asarray(image)
+    if mode not in ("zero", "wrap"):
+        raise ConfigError(f"shift mode must be 'zero' or 'wrap', got {mode!r}")
     if shift == 0:
         return image.copy()
     if shift < 0 or shift >= image.shape[1]:
@@ -193,21 +185,21 @@ def _cosine(a, b):
     return min(1.0, max(-1.0, float(a @ b) / (na * nb)))
 
 
-def shift_robustness(image, embed_w, params_rp, config_rp: AttnConfig,
-                     params_pooled, config_pooled: AttnConfig, pool_grid,
-                     shifts, patch_size=4, mode="zero") -> ShiftReport:
+def shift_robustness(image, embed_w, params_rp, params_pooled, config: AttnConfig,
+                     pool_grid, shifts, patch_size=4, mode="zero") -> ShiftReport:
     """Latent stability of both mechanisms under pixel shifts of one image.
 
     For each shift the image is translated, patch-embedded, and the flattened
     per-head latent values (the layer's gathered v_l, the proxy's pooled
-    values) are compared (cosine) against the unshifted ones.
+    values) are compared (cosine) against the unshifted ones. Both mechanisms
+    share the layer shape config; each has its own params.
     The representative mechanism gathers by feature similarity, so its
     latents depend only on the token features; the pooled proxy ties latents
     to grid cells and reacts to content crossing cell boundaries.
     """
     shifts = list(shifts)
-    if not shifts or shifts[0] != 0:
-        raise ConfigError("shift list must start at 0")
+    if len(shifts) < 2 or shifts[0] != 0:
+        raise ConfigError(f"shifts must start at 0 and hold a second shift, got {shifts}")
     if max(shifts) >= np.asarray(image).shape[1]:
         raise ConfigError("max shift must be smaller than the image width")
 
@@ -215,13 +207,35 @@ def shift_robustness(image, embed_w, params_rp, config_rp: AttnConfig,
     ref_rp = ref_pooled = None
     for s in shifts:
         tokens = patch_embed(shift_image(image, s, mode=mode), patch_size, embed_w)
-        lat_rp = rpattention_forward(tokens, params_rp, config_rp)[1].v_l
-        _, _, lat_pooled = pooled_proxy_forward(tokens, params_pooled, config_pooled, pool_grid)
+        lat_rp = rpattention_forward(tokens, params_rp, config)[1].v_l
+        _, _, lat_pooled = pooled_proxy_forward(tokens, params_pooled, config, pool_grid)
         if s == 0:
             ref_rp, ref_pooled = lat_rp, lat_pooled
         cos_rp.append(_cosine(lat_rp, ref_rp))
         cos_pooled.append(_cosine(lat_pooled, ref_pooled))
     return ShiftReport(shifts=shifts, cosine_rp=cos_rp, cosine_pooled=cos_pooled)
+
+
+def shift_experiment(config, seeds, shifts, image_size, image_channels, num_blobs,
+                     patch_size, pool_grid):
+    """One shift_robustness report per seed, on that seed's blob image.
+
+    Seed s draws the image from make_blob_image(..., s) with a margin of
+    max(shifts) + 4 pixels, the patch embedding from default_rng([s, 17]), the
+    layer's params from init_params(config, s) and the proxy's from
+    init_params(config, s + 1000). Shifts zero-fill the vacated pixels.
+    """
+    reports = []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 17])
+        image = make_blob_image(image_size, image_channels, num_blobs, seed,
+                                margin=max(shifts) + 4)
+        fan_in = patch_size * patch_size * image_channels
+        embed_w = rng.normal(0.0, 1.0 / fan_in ** 0.5, (fan_in, config.channels))
+        reports.append(shift_robustness(
+            image, embed_w, init_params(config, seed), init_params(config, seed + 1000),
+            config, pool_grid, shifts, patch_size=patch_size))
+    return reports
 
 
 def mean_shift_report(reports) -> ShiftReport:
@@ -260,31 +274,15 @@ class MechanismScaling:
 
 @dataclass
 class ScalingReport:
-    """Median forward latency per mechanism and fitted log-log slope.
+    """Median forward latency and fitted log-log slope per mechanism.
 
-    Times CSV columns: mechanism, n, median_ms:volatile. Slopes CSV columns:
-    mechanism, slope:volatile. Timing columns are volatile: they vary run to
-    run and are excluded from determinism guarantees.
+    results maps each mechanism name to its MechanismScaling; the timings
+    vary run to run.
     """
 
     sizes: List[int]
     results: dict
     warnings: List[str] = field(default_factory=list)
-    settings: dict = field(default_factory=dict)
-
-    def write_csv(self, out_dir):
-        out_dir = Path(out_dir)
-        with open(out_dir / "bench_times.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mechanism", "n", "median_ms:volatile"])
-            for name, res in self.results.items():
-                for n, med in zip(self.sizes, res.median_s):
-                    writer.writerow([name, n, repr(med * 1e3)])
-        with open(out_dir / "bench_slopes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mechanism", "slope:volatile"])
-            for name, res in self.results.items():
-                writer.writerow([name, repr(res.slope)])
 
 
 def _autorange(fn, min_sample_s):
@@ -312,13 +310,14 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
     round over all sizes, so a transient host slowdown hits one repetition
     of several sizes, not every repetition of one size.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = [check_count(f"sizes[{i}]", n) for i, n in enumerate(sizes)]
+    reps, iters = check_count("reps", reps), check_count("iters", iters)
+    warmup = check_count("warmup", warmup, minimum=0)
+    min_sample_s = check_real("min_sample_s", min_sample_s, minimum=0)
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise ConfigError("sizes must be strictly increasing")
     if len(sizes) < 3 or sizes[-1] < 8 * sizes[0]:
         raise ConfigError("need >= 3 sizes spanning at least an 8x range")
-    if reps < 1 or iters < 1 or warmup < 0:
-        raise ConfigError("reps/iters must be >= 1 and warmup >= 0")
 
     resolution = time.get_clock_info("perf_counter").resolution
     warnings = []
@@ -351,11 +350,7 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
                                  np.log(np.array(medians)), 1)[0])
         results[mech.name] = MechanismScaling(median_s=medians, slope=slope)
 
-    return ScalingReport(
-        sizes=sizes, results=results, warnings=warnings,
-        settings={"reps": reps, "warmup": warmup, "iters": iters,
-                  "min_sample_s": min_sample_s},
-    )
+    return ScalingReport(sizes=sizes, results=results, warnings=warnings)
 
 
 def make_constant_dummy() -> Mechanism:
@@ -412,16 +407,17 @@ def _forward_mechanism(name, forward, channels, heads, num_representatives, **kw
     """One float32 forward, batch 1, on a near-square grid of n tokens.
 
     Weights come from init_params(config, 0) and the input from
-    default_rng(1), the same for every mechanism built here.
+    default_rng(1), the same for every mechanism built here. The layer shape
+    is checked here, before any mechanism is timed.
     """
+    base = AttnConfig(channels=channels, heads=heads, num_representatives=num_representatives,
+                      grid_h=1, grid_w=1, dtype="float32")
 
     def prepare(n):
         grid_h = math.isqrt(n)
         while n % grid_h:
             grid_h -= 1
-        config = AttnConfig(channels=channels, heads=heads,
-                            num_representatives=num_representatives,
-                            grid_h=grid_h, grid_w=n // grid_h, dtype="float32")
+        config = replace(base, grid_h=grid_h, grid_w=n // grid_h)
         params = init_params(config, 0)
         x = np.random.default_rng(1).standard_normal((1, n, channels)).astype(np.float32)
         return lambda: forward(x, params, config, **kwargs)

@@ -1,10 +1,10 @@
 """Command-line harness driving the desk-scale experiments.
 
 Subcommands: gradcheck, flops, bench, shift, train, ablate, emcheck, maps.
-Each reads a JSON config (--config), writes CSV/PGM artifacts into the
---out directory, and prints a one-line summary. Exit codes: 0 pass, 1 a
-check failed, 2 config error; a config key the subcommand does not know or
-sets itself, or a missing required one, is a config error.
+Each reads a JSON config (--config), checks all of it against its TABLES
+entry before any work runs, writes CSV/PGM artifacts into the --out
+directory, and prints a one-line summary. Exit codes: 0 pass, 1 a check
+failed, 2 config error (it names the key).
 
 The RPATTN_THREADS environment variable caps BLAS worker threads; the cap
 is applied when the rpattn package is imported (see rpattn/__init__.py).
@@ -15,61 +15,131 @@ import csv
 import json
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, TrainDivergedError, check_count, check_real
+from .train import VARIANTS
+
+EMCHECK_TOL = 1e-12  # fixed, like _BENCH_BANDS and gradcheck's tol, so a config cannot loosen it
+
+_BENCH_BANDS = {
+    "constant_dummy": (-0.2, 0.2),
+    "quadratic_dummy": (1.8, 2.3),
+    "rpattention": (0.8, 1.4),
+    "softmax_dense": (1.6, 2.4),
+}
+
+# A rule(key, value) returns the checked value or raises ConfigError.
+REQUIRED = object()  # the default of a key the config must give
+_seed = partial(check_count, minimum=0)
 
 
-def _reject_unknown(entries, keys, where):
-    if not isinstance(entries, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(entries) - set(keys))
+def _passed_on(name, value):
+    """Rule of a value that the library call it is passed to checks first."""
+    return value
+
+
+def _set_by_subcommand(name, value):
+    raise ConfigError(f"{name} is set by the subcommand")
+
+
+def _typed(kind, what):
+    def rule(name, value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return rule
+
+
+_section, _string = _typed(dict, "a JSON object"), _typed(str, "a string")
+
+
+def _path(name, value):
+    if not Path(_string(name, value)).is_file():
+        raise ConfigError(f"{name} must name an existing file, got {value!r}")
+    return value
+
+
+def _one_of(*options):
+    def rule(name, value):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {options}, got {value!r}")
+        return value
+    return rule
+
+
+def _list_of(item_rule, length=None):
+    """Rule of a non-empty JSON list (of exactly length items, if given) of item_rule values."""
+    def rule(name, value):
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            raise ConfigError(f"{name} must be a list of {length or 'one or more'} "
+                              f"value(s), got {value!r}")
+        return [item_rule(f"{name}[{i}]", item) for i, item in enumerate(value)]
+    return rule
+
+
+_count = check_count
+_TRAIN = {key: (REQUIRED, _section) for key in ("task", "attn", "train")}
+
+# Each subcommand's keys: key -> (default, rule). The attn, task and train
+# sections hold the fields of AttnConfig, SyntheticTask and TrainConfig (see _build).
+TABLES = {
+    "gradcheck": {"attn": (REQUIRED, _section), "seeds": ([0], _list_of(_seed))},
+    "flops": dict.fromkeys("nmck", (REQUIRED, _passed_on)),
+    "bench": {"mechanisms": (list(_BENCH_BANDS), _list_of(_string)),
+              "sizes": ([256, 1024, 4096], _list_of(_count)), "reps": (3, _count),
+              "warmup": (30, _seed), "iters": (100, _count),
+              "min_sample_ms": (2.0, partial(check_real, minimum=0)),
+              "channels": (64, _count), "heads": (2, _count),
+              "num_representatives": (49, _count), "row_chunk": (1024, _count)},
+    "shift": {"attn": (REQUIRED, _section), "image_size": (32, _count),
+              "image_channels": (8, _count), "num_blobs": (3, _count),
+              "patch_size": (4, _count), "pool_grid": ([4, 4], _list_of(_count, length=2)),
+              "shifts": (list(range(0, 9)), _list_of(_seed)),
+              "seeds": ([0, 1, 2, 3, 4, 5], _list_of(_seed))},
+    "train": _TRAIN,
+    "ablate": {**_TRAIN, "variants": (["full", "gather_distribute", "kmeans"],
+                                      _list_of(_one_of(*VARIANTS)))},
+    "emcheck": {"trials": (20, _count), "heads": (2, _count), "tokens": (10, _count),
+                "head_dim": (5, _count), "slots": (4, _count), "seed": (0, _seed)},
+    "maps": {"attn": (REQUIRED, _section), "seed": (0, _seed), "input": (None, _path)},
+}
+
+
+def _resolve(entries, table, where):
+    """entries checked against table, with the defaults of missing keys filled in.
+
+    Every key must be in table and every REQUIRED one present; a given value passes its rule.
+    """
+    unknown = sorted(set(entries) - set(table))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
-def _reject_missing(entries, keys, where):
-    missing = [key for key in keys if key not in entries]
+    missing = [key for key in table if key not in entries and table[key][0] is REQUIRED]
     if missing:
         raise ConfigError(f"missing {where} key(s): {', '.join(missing)}")
+    return {key: rule(key, entries[key]) if key in entries else default
+            for key, (default, rule) in table.items()}
 
 
-def _load_config(path, keys):
-    """The JSON object at path; a ConfigError names every top-level key not in keys."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _reject_unknown(cfg, keys, "config")
-    return cfg
+def _load_config(path, table, flags):
+    """The JSON object at path resolved against table; without a path, the table keys in flags."""
+    cfg = {key: value for key, value in flags.items() if key in table and value is not None}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _resolve(_section("config", cfg), table, "config")
 
 
-def _field_names(cls):
-    return [f.name for f in fields(cls)]
-
-
-def _build(cls, entries, where, **overrides):
-    """cls(**entries, **overrides); a ConfigError names every unknown or missing key.
-
-    Overrides are the keys the subcommand sets itself, so entries may not hold them.
-    """
-    _reject_unknown(entries, _field_names(cls), where)
-    fixed = sorted(set(entries) & set(overrides))
-    if fixed:
-        raise ConfigError(f"{where} key(s) set by the subcommand: {', '.join(fixed)}")
-    kwargs = {**entries, **overrides}
-    _reject_missing(kwargs, [f.name for f in fields(cls) if f.default is MISSING], where)
-    return cls(**kwargs)
-
-
-def _attn_config(cfg, **overrides):
-    """The AttnConfig of a flat config whose other keys belong to the subcommand (see _build)."""
-    from .attention import AttnConfig
-
-    names = _field_names(AttnConfig)
-    return _build(AttnConfig, {k: v for k, v in cfg.items() if k in names}, "config",
-                  **overrides)
+def _build(cls, entries, where, **fixed):
+    """cls from a section resolved against its fields; fixed are the ones the subcommand sets."""
+    table = {f.name: (fixed[f.name], _set_by_subcommand) if f.name in fixed
+             else (REQUIRED if f.default is MISSING else f.default, _passed_on)
+             for f in fields(cls)}
+    return cls(**_resolve(entries, table, where))
 
 
 def _out_dir(args):
@@ -85,47 +155,33 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def cmd_gradcheck(args):
+def cmd_gradcheck(cfg, args):
     from .attention import AttnConfig
     from .grad import gradcheck
 
-    cfg = _load_config(args.config, _field_names(AttnConfig) + ["seeds", "step", "tol"])
-    config = _attn_config(cfg, dtype="float64")
-    seeds = cfg.get("seeds", [0])
-    step = cfg.get("step", 1e-5)
-    tol = cfg.get("tol", 1e-4)
+    config = _build(AttnConfig, cfg["attn"], "attn", dtype="float64")
     out = _out_dir(args)
 
     rows = []
     worst = 0.0
     ok = True
-    for seed in seeds:
-        report = gradcheck(config, seed, step=step, tol=tol)
+    for seed in cfg["seeds"]:
+        report = gradcheck(config, seed)
         ok = ok and report.passed
         for entry in report.entries:
             worst = max(worst, entry.max_rel_err)
             rows.append([seed, entry.name, repr(entry.max_rel_err), str(entry.passed).lower()])
     _write_csv(out / "gradcheck.csv", ["seed", "parameter", "max_rel_err", "pass"], rows)
     print(f"gradcheck: {'PASS' if ok else 'FAIL'} "
-          f"(seeds={len(seeds)}, worst_rel_err={worst:.3e}, tol={tol:g})")
+          f"(seeds={len(cfg['seeds'])}, worst_rel_err={worst:.3e}, tol={report.tol:g})")
     return 0 if ok else 1
 
 
-def cmd_flops(args):
+def cmd_flops(cfg, args):
     from .analysis import flops_estimate, softmax_flops
 
-    if args.config:
-        keys = ["n", "m", "c", "k"]
-        cfg = _load_config(args.config, keys)
-        _reject_missing(cfg, keys, "config")
-        n, m, c, k = (cfg[key] for key in keys)
-    elif None not in (args.n, args.m, args.c, args.k):
-        n, m, c, k = args.n, args.m, args.c, args.k
-    else:
-        raise ConfigError("flops needs either --config or all of --n/--m/--c/--k")
-
-    breakdown = flops_estimate(n, m, c, k)
-    dense = softmax_flops(n, c)
+    breakdown = flops_estimate(cfg["n"], cfg["m"], cfg["c"], cfg["k"])
+    dense = softmax_flops(cfg["n"], cfg["c"])
     if args.out:
         out = _out_dir(args)
         _write_csv(out / "flops.csv", ["term", "count"],
@@ -136,35 +192,20 @@ def cmd_flops(args):
     return 0
 
 
-_BENCH_BANDS = {
-    "constant_dummy": (-0.2, 0.2),
-    "quadratic_dummy": (1.8, 2.3),
-    "rpattention": (0.8, 1.4),
-    "softmax_dense": (1.6, 2.4),
-}
-
-
-def cmd_bench(args):
+def cmd_bench(cfg, args):
     from .analysis import bench_mechanisms, measure_scaling
 
-    cfg = _load_config(args.config, [
-        "mechanisms", "sizes", "reps", "warmup", "iters", "min_sample_ms",
-        "channels", "heads", "num_representatives", "row_chunk"])
-    names = cfg.get("mechanisms",
-                    ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"])
-    sizes = cfg.get("sizes", [256, 1024, 4096])
     mechanisms = bench_mechanisms(
-        names, channels=cfg.get("channels", 64), heads=cfg.get("heads", 2),
-        num_representatives=cfg.get("num_representatives", 49),
-        row_chunk=cfg.get("row_chunk", 1024))
-    report = measure_scaling(
-        mechanisms, sizes,
-        reps=cfg.get("reps", 3), warmup=cfg.get("warmup", 30),
-        iters=cfg.get("iters", 100),
-        min_sample_s=cfg.get("min_sample_ms", 2.0) / 1e3,
-    )
+        cfg["mechanisms"], channels=cfg["channels"], heads=cfg["heads"],
+        num_representatives=cfg["num_representatives"], row_chunk=cfg["row_chunk"])
+    report = measure_scaling(mechanisms, cfg["sizes"], reps=cfg["reps"], warmup=cfg["warmup"],
+                             iters=cfg["iters"], min_sample_s=cfg["min_sample_ms"] / 1e3)
     out = _out_dir(args)
-    report.write_csv(out)
+    _write_csv(out / "bench_times.csv", ["mechanism", "n", "median_ms:volatile"],
+               [[name, n, repr(med * 1e3)] for name, res in report.results.items()
+                for n, med in zip(report.sizes, res.median_s)])
+    _write_csv(out / "bench_slopes.csv", ["mechanism", "slope:volatile"],
+               [[name, repr(res.slope)] for name, res in report.results.items()])
     for warning in report.warnings:
         print(f"bench warning: {warning}", file=sys.stderr)
 
@@ -181,60 +222,31 @@ def cmd_bench(args):
     return 0 if not failures else 1
 
 
-def cmd_shift(args):
-    import numpy as np
+def cmd_shift(cfg, args):
+    from .analysis import mean_shift_report, shift_experiment
+    from .attention import AttnConfig
 
-    from .analysis import mean_shift_report, shift_robustness
-    from .attention import AttnConfig, init_params
-    from .synthetic import make_blob_image
-
-    cfg = _load_config(args.config, _field_names(AttnConfig) + [
-        "image_size", "image_channels", "num_blobs", "patch_size", "shifts", "seeds",
-        "pool_grid", "mode", "margin", "assert_ordering"])
-    size = cfg.get("image_size", 32)
-    image_channels = cfg.get("image_channels", 8)
-    patch = cfg.get("patch_size", 4)
-    shifts = cfg.get("shifts", list(range(0, 9)))
-    seeds = cfg.get("seeds", [0, 1, 2, 3, 4, 5])
-    pool_grid = cfg.get("pool_grid", [4, 4])
-    if not isinstance(pool_grid, list) or len(pool_grid) != 2:
-        raise ConfigError(f"pool_grid must be two integers, got {pool_grid!r}")
-    pool_grid = tuple(check_count("pool_grid", g) for g in pool_grid)
-    mode = cfg.get("mode", "zero")
-    grid = size // patch
-    defaults = {"channels": 32, "heads": 2, "num_representatives": pool_grid[0] * pool_grid[1]}
-    config = _attn_config({**defaults, **cfg}, grid_h=grid, grid_w=grid, dtype="float64")
-
-    reports = []
-    for seed in seeds:
-        rng = np.random.default_rng([seed, 17])
-        image = make_blob_image(size, image_channels, cfg.get("num_blobs", 3), seed,
-                                margin=cfg.get("margin", max(shifts) + 4))
-        embed_w = rng.normal(0.0, 1.0 / (patch * patch * image_channels) ** 0.5,
-                             (patch * patch * image_channels, config.channels))
-        params_rp = init_params(config, seed)
-        params_pooled = init_params(config, seed + 1000)
-        reports.append(shift_robustness(
-            image, embed_w, params_rp, config, params_pooled, config,
-            pool_grid, shifts, patch_size=patch, mode=mode))
+    grid = cfg["image_size"] // cfg["patch_size"]
+    config = _build(AttnConfig, cfg["attn"], "attn", grid_h=grid, grid_w=grid, dtype="float64")
+    # The other keys of the table are shift_experiment's arguments.
+    reports = shift_experiment(config, **{k: v for k, v in cfg.items() if k != "attn"})
 
     mean = mean_shift_report(reports)
     out = _out_dir(args)
-    mean.write_csv(out / "shift_mean.csv")
-    _write_csv(out / "shift_raw.csv", ["seed", "shift", "cosine_rp", "cosine_pooled"],
-               [[seed, s, repr(cr), repr(cp)]
-                for seed, rep in zip(seeds, reports)
-                for s, cr, cp in zip(rep.shifts, rep.cosine_rp, rep.cosine_pooled)])
 
-    ok = True
-    if cfg.get("assert_ordering", True):
-        ok = abs(mean.cosine_rp[0] - 1.0) < 1e-6 and abs(mean.cosine_pooled[0] - 1.0) < 1e-6
-        for i, s in enumerate(mean.shifts):
-            if s > 0 and mean.cosine_rp[i] < mean.cosine_pooled[i]:
-                ok = False
-    worst_gap = min(r - p for r, p in zip(mean.cosine_rp[1:], mean.cosine_pooled[1:]))
+    def rows(rep):
+        return [[s, repr(cr), repr(cp)]
+                for s, cr, cp in zip(rep.shifts, rep.cosine_rp, rep.cosine_pooled)]
+    header = ["shift", "cosine_rp", "cosine_pooled"]
+    _write_csv(out / "shift_mean.csv", header, rows(mean))
+    _write_csv(out / "shift_raw.csv", ["seed"] + header,
+               [[seed] + row for seed, rep in zip(cfg["seeds"], reports) for row in rows(rep)])
+
+    gaps = [r - p for r, p in zip(mean.cosine_rp[1:], mean.cosine_pooled[1:])]
+    ok = (abs(mean.cosine_rp[0] - 1.0) < 1e-6 and abs(mean.cosine_pooled[0] - 1.0) < 1e-6
+          and min(gaps) >= 0.0)
     print(f"shift: {'PASS' if ok else 'FAIL'} "
-          f"(seeds={len(seeds)}, min(rp - pooled)={worst_gap:+.4f})")
+          f"(seeds={len(cfg['seeds'])}, min(rp - pooled)={min(gaps):+.4f})")
     return 0 if ok else 1
 
 
@@ -243,18 +255,17 @@ def _task_and_layer(cfg):
     from .attention import AttnConfig
     from .synthetic import SyntheticTask
 
-    task = _build(SyntheticTask, cfg.get("task", {}), "task")
-    attn = _build(AttnConfig, cfg.get("attn", {}), "attn", dtype="float64",
+    task = _build(SyntheticTask, cfg["task"], "task")
+    attn = _build(AttnConfig, cfg["attn"], "attn", dtype="float64",
                   grid_h=task.grid_h, grid_w=task.grid_w, channels=task.channels)
     return task, attn
 
 
-def cmd_train(args):
+def cmd_train(cfg, args):
     from .train import TrainConfig, train_tiny
 
-    cfg = _load_config(args.config, ["task", "attn", "train"])
     task, attn = _task_and_layer(cfg)
-    train_cfg = _build(TrainConfig, cfg.get("train", {}), "train")
+    train_cfg = _build(TrainConfig, cfg["train"], "train")
     out = _out_dir(args)
     try:
         history = train_tiny(task, attn, train_cfg)
@@ -270,19 +281,17 @@ def cmd_train(args):
     return 0 if improved else 1
 
 
-def cmd_ablate(args):
+def cmd_ablate(cfg, args):
     from .train import TrainConfig, train_tiny
 
-    cfg = _load_config(args.config, ["task", "attn", "train", "variants"])
     task, attn = _task_and_layer(cfg)
-    variants = cfg.get("variants", ["full", "gather_distribute", "kmeans"])
     out = _out_dir(args)
 
     rows = []
     ok = True
     pieces = []
-    for variant in variants:
-        train_cfg = _build(TrainConfig, cfg.get("train", {}), "train", variant=variant)
+    for variant in cfg["variants"]:
+        train_cfg = _build(TrainConfig, cfg["train"], "train", variant=variant)
         try:
             history = train_tiny(task, attn, train_cfg)
         except TrainDivergedError as exc:
@@ -299,27 +308,19 @@ def cmd_ablate(args):
     return 0 if ok else 1
 
 
-def cmd_emcheck(args):
+def cmd_emcheck(cfg, args):
     import numpy as np
 
     from .analysis import em_one_step_oracle
     from .attention import SLOT_MASS_EPS, gather_assign, gather_latents, mass_normalize
 
-    keys = ["trials", "heads", "tokens", "head_dim", "slots", "tol", "seed"]
-    cfg = _load_config(args.config, keys) if args.config else {}
-    trials = check_count("trials", cfg.get("trials", 20))
-    heads = check_count("heads", cfg.get("heads", 2))
-    tokens = check_count("tokens", cfg.get("tokens", 10))
-    dim = check_count("head_dim", cfg.get("head_dim", 5))
-    slots = check_count("slots", cfg.get("slots", 4))
-    tol = check_real("tol", cfg.get("tol", 1e-12), minimum=0)
-    rng = np.random.default_rng(check_count("seed", cfg.get("seed", 0), minimum=0))
+    rng = np.random.default_rng(cfg["seed"])
 
     rows = []
     worst = 0.0
-    for trial in range(trials):
-        keys = rng.standard_normal((heads, tokens, dim))
-        w_g = rng.standard_normal((dim, slots))
+    for trial in range(cfg["trials"]):
+        keys = rng.standard_normal((cfg["heads"], cfg["tokens"], cfg["head_dim"]))
+        w_g = rng.standard_normal((cfg["head_dim"], cfg["slots"]))
         a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         k4 = keys[None]
         a = gather_assign(k4, w_g)
@@ -328,28 +329,28 @@ def cmd_emcheck(args):
                    float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
                    float(np.abs(k_l[0] - k_l_o).max()))
         worst = max(worst, diff)
-        rows.append([trial, repr(diff), str(diff < tol).lower()])
+        rows.append([trial, repr(diff), str(diff < EMCHECK_TOL).lower()])
     out = _out_dir(args)
     _write_csv(out / "emcheck.csv", ["trial", "max_abs_diff", "pass"], rows)
-    ok = worst < tol
-    print(f"emcheck: {'PASS' if ok else 'FAIL'} (trials={trials}, worst={worst:.3e}, tol={tol:g})")
+    ok = worst < EMCHECK_TOL
+    print(f"emcheck: {'PASS' if ok else 'FAIL'} "
+          f"(trials={cfg['trials']}, worst={worst:.3e}, tol={EMCHECK_TOL:g})")
     return 0 if ok else 1
 
 
-def cmd_maps(args):
+def cmd_maps(cfg, args):
     import numpy as np
 
     from .analysis import export_assignment_maps
     from .attention import AttnConfig, init_params, rpattention_forward
     from .tensor_io import read_tensor
 
-    cfg = _load_config(args.config, ["attn", "seed", "input"])
-    config = _build(AttnConfig, cfg.get("attn", {}), "attn", dtype="float64")
-    params = init_params(config, cfg.get("seed", 0))
-    if "input" in cfg:
+    config = _build(AttnConfig, cfg["attn"], "attn", dtype="float64")
+    params = init_params(config, cfg["seed"])
+    if cfg["input"] is not None:
         x = read_tensor(cfg["input"]).astype(np.float64)
     else:
-        rng = np.random.default_rng(cfg.get("seed", 0))
+        rng = np.random.default_rng(cfg["seed"])
         x = rng.standard_normal((1, config.num_tokens, config.channels))
     _, trace = rpattention_forward(x, params, config)
     paths = export_assignment_maps(trace, _out_dir(args))
@@ -373,10 +374,8 @@ def _build_parser():
 
     add("gradcheck", cmd_gradcheck)
     flops = add("flops", cmd_flops)
-    flops.add_argument("--n", type=int)
-    flops.add_argument("--m", type=int)
-    flops.add_argument("--c", type=int)
-    flops.add_argument("--k", type=int)
+    for key in TABLES["flops"]:
+        flops.add_argument(f"--{key}", type=int)
     add("bench", cmd_bench)
     add("shift", cmd_shift)
     add("train", cmd_train)
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(_load_config(args.config, TABLES[args.command], vars(args)), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

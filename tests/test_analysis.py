@@ -16,12 +16,14 @@ from rpattn import (
     softmax_flops,
 )
 from rpattn.analysis import (
+    bench_mechanisms,
     export_assignment_maps,
     make_constant_dummy,
     make_linear_dummy,
     make_quadratic_dummy,
     mean_shift_report,
     patch_embed,
+    shift_experiment,
     shift_image,
     shift_robustness,
 )
@@ -133,6 +135,9 @@ class TestShift:
         assert np.array_equal(wrap, np.roll(img, 2, axis=1))
         with pytest.raises(ConfigError):
             shift_image(img, 6)
+        for shift in (0, 2):
+            with pytest.raises(ConfigError, match="mode must be 'zero' or 'wrap', got 'wrapp'"):
+                shift_image(img, shift, mode="wrapp")
 
     def test_patch_embed_layout(self):
         img = np.arange(16, dtype=np.float64).reshape(4, 4, 1)
@@ -145,8 +150,7 @@ class TestShift:
     def test_zero_shift_gives_cosine_one(self):
         cfg, embed_w, p_rp, p_pool = _shift_setup(0)
         image = make_blob_image(32, 8, 3, 0, margin=12)
-        rep = shift_robustness(image, embed_w, p_rp, cfg, p_pool, cfg, (4, 4),
-                               [0, 1], patch_size=4)
+        rep = shift_robustness(image, embed_w, p_rp, p_pool, cfg, (4, 4), [0, 1], patch_size=4)
         assert abs(rep.cosine_rp[0] - 1.0) < 1e-6
         assert abs(rep.cosine_pooled[0] - 1.0) < 1e-6
         assert all(-1.0 <= v <= 1.0 for v in rep.cosine_rp + rep.cosine_pooled)
@@ -154,12 +158,9 @@ class TestShift:
     def test_shift_list_must_start_at_zero(self):
         cfg, embed_w, p_rp, p_pool = _shift_setup(1)
         image = make_blob_image(32, 8, 3, 1, margin=12)
-        with pytest.raises(ConfigError):
-            shift_robustness(image, embed_w, p_rp, cfg, p_pool, cfg, (4, 4),
-                             [1, 2], patch_size=4)
-        with pytest.raises(ConfigError):
-            shift_robustness(image, embed_w, p_rp, cfg, p_pool, cfg, (4, 4),
-                             [0, 32], patch_size=4)
+        for shifts in ([1, 2], [0, 32], [0], []):
+            with pytest.raises(ConfigError):
+                shift_robustness(image, embed_w, p_rp, p_pool, cfg, (4, 4), shifts, patch_size=4)
 
     def test_wrap_sanity_full_cell_recovers(self):
         # Image periodic with the pool-cell size: a full-cell wrap reproduces
@@ -168,9 +169,9 @@ class TestShift:
         cfg, embed_w, p_rp, p_pool = _shift_setup(2)
         rng = np.random.default_rng([2, 3])
         image = np.tile(rng.standard_normal((8, 8, 8)), (4, 4, 1))
-        wrap = shift_robustness(image, embed_w, p_rp, cfg, p_pool, cfg, (4, 4),
+        wrap = shift_robustness(image, embed_w, p_rp, p_pool, cfg, (4, 4),
                                 [0, 2, 6, 8], patch_size=4, mode="wrap")
-        zero = shift_robustness(image, embed_w, p_rp, cfg, p_pool, cfg, (4, 4),
+        zero = shift_robustness(image, embed_w, p_rp, p_pool, cfg, (4, 4),
                                 [0, 8], patch_size=4, mode="zero")
         aligned = wrap.cosine_pooled[3]
         assert aligned > 1.0 - 1e-9
@@ -179,13 +180,10 @@ class TestShift:
         assert zero.cosine_pooled[1] < aligned - 0.05
 
     def test_ordering_against_pooled_proxy(self):
-        reports = []
-        for seed in range(3):
-            cfg, embed_w, p_rp, p_pool = _shift_setup(seed)
-            image = make_blob_image(32, 8, 3, seed, margin=12)
-            reports.append(shift_robustness(image, embed_w, p_rp, cfg, p_pool, cfg,
-                                            (4, 4), list(range(0, 9)), patch_size=4))
-        mean = mean_shift_report(reports)
+        cfg = AttnConfig(channels=32, heads=2, num_representatives=16, grid_h=8, grid_w=8)
+        mean = mean_shift_report(shift_experiment(
+            cfg, range(3), list(range(0, 9)), image_size=32, image_channels=8, num_blobs=3,
+            patch_size=4, pool_grid=(4, 4)))
         for i, s in enumerate(mean.shifts):
             if s > 0:
                 assert mean.cosine_rp[i] >= mean.cosine_pooled[i]
@@ -212,16 +210,22 @@ class TestScaling:
             measure_scaling(mech, [2048, 512, 8192], reps=1, warmup=0, iters=1)
         with pytest.raises(ConfigError):
             measure_scaling(mech, [512, 1024, 2048], reps=1, warmup=0, iters=1)
+        with pytest.raises(ConfigError, match=r"^sizes\[0\] must be an integer >= 1, got 64.7"):
+            measure_scaling(mech, [64.7, 512, 4096.9], reps=1, warmup=0, iters=1)
+        for name, value in (("reps", 0), ("iters", 1.5), ("warmup", -1), ("iters", True)):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+                measure_scaling(mech, [512, 2048, 8192], **{"reps": 1, "warmup": 0, "iters": 1,
+                                                            name: value})
+        for value in (-1e-3, "2", float("nan")):
+            with pytest.raises(ConfigError, match="^min_sample_s must be a finite real >= 0"):
+                measure_scaling(mech, [512, 2048, 8192], reps=1, warmup=0, iters=1,
+                                min_sample_s=value)
 
-    def test_report_csv(self, tmp_path):
-        report = measure_scaling([make_constant_dummy()], [512, 4096, 32768],
-                                 reps=1, warmup=0, iters=2, min_sample_s=1e-4)
-        report.write_csv(tmp_path)
-        times = (tmp_path / "bench_times.csv").read_text().splitlines()
-        assert times[0] == "mechanism,n,median_ms:volatile"
-        assert len(times) == 4
-        slopes = (tmp_path / "bench_slopes.csv").read_text().splitlines()
-        assert slopes[0] == "mechanism,slope:volatile"
+    def test_bench_layer_shape_checked_before_timing(self):
+        # channels not divisible by heads fails when the subjects are built,
+        # not when the first layer subject is prepared after the dummies ran.
+        with pytest.raises(ConfigError, match="not divisible by heads"):
+            bench_mechanisms(["constant_dummy", "rpattention"], channels=6, heads=4)
 
 
 def _trace_with(a, grid):

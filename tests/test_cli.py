@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rpattn.cli import main
+from rpattn.cli import TABLES, _load_config, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(tmp_path, name, payload):
@@ -52,8 +55,8 @@ def test_flops_flags(capsys, tmp_path):
 
 def test_gradcheck_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, "g.json", {
-        "channels": 4, "heads": 2, "num_representatives": 2,
-        "grid_h": 2, "grid_w": 2, "seeds": [0], "tol": 1e-4,
+        "attn": {"channels": 4, "heads": 2, "num_representatives": 2, "grid_h": 2, "grid_w": 2},
+        "seeds": [0],
     })
     rc = main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "a")])
     assert rc == 0
@@ -123,12 +126,12 @@ TRAIN_CFG = {
 MAPS_CFG = {"attn": {"channels": 4, "heads": 2, "num_representatives": 3,
                      "grid_h": 2, "grid_w": 2}}
 SHIFT_CFG = {
-    "image_size": 16, "image_channels": 4, "num_blobs": 2,
-    "patch_size": 4, "channels": 8, "heads": 2,
-    "pool_grid": [2, 2], "num_representatives": 4,
-    "shifts": [0, 1, 2], "seeds": [0, 1], "margin": 6,
-    "assert_ordering": False,
+    "attn": {"channels": 8, "heads": 2, "num_representatives": 4},
+    "image_size": 16, "image_channels": 4, "num_blobs": 2, "patch_size": 4,
+    "pool_grid": [2, 2], "shifts": [0, 1, 2], "seeds": [0, 1],
 }
+BENCH_CFG = {"mechanisms": ["constant_dummy"], "sizes": [64, 512, 4096],
+             "reps": 1, "warmup": 0, "iters": 2, "min_sample_ms": 0.2}
 
 
 def _with(cfg, section, key, value=None):
@@ -153,11 +156,19 @@ BAD_KEY_CASES = [
     ("ablate", _with(TRAIN_CFG, "task", "num_clusters"), "num_clusters"),
     ("maps", _with(MAPS_CFG, "attn", "routng", "kmeans"), "routng"),
     ("maps", _with(MAPS_CFG, "attn", "grid_w"), "grid_w"),
-    ("gradcheck", _with(MAPS_CFG["attn"], None, "ln_eps", 1e-5), "ln_eps"),
+    ("gradcheck", _with(MAPS_CFG, "attn", "ln_eps", 1e-5), "ln_eps"),
     ("bench", {"mechanisms": ["constant_dummy"], "expected_slopes": {}}, "expected_slopes"),
+    # retired settings: fixed pass bounds and shift switches
+    ("gradcheck", _with(MAPS_CFG, None, "step", "1e-5"), "step"),
+    ("gradcheck", _with(MAPS_CFG, None, "tol", "x"), "tol"),
+    ("emcheck", {"tol": 1e-3}, "tol"),
+    ("shift", _with(SHIFT_CFG, None, "mode", "wrapp"), "mode"),
+    ("shift", _with(SHIFT_CFG, None, "assert_ordering", "false"), "assert_ordering"),
+    ("shift", _with(SHIFT_CFG, None, "margin", 6), "margin"),
+    ("shift", _with(SHIFT_CFG, None, "attn"), "attn"),
     # keys the subcommand sets itself
-    ("gradcheck", _with(MAPS_CFG["attn"], None, "dtype", "float32"), "dtype"),
-    *[("shift", _with(SHIFT_CFG, None, key, value), key)
+    ("gradcheck", _with(MAPS_CFG, "attn", "dtype", "float32"), "dtype"),
+    *[("shift", _with(SHIFT_CFG, "attn", key, value), key)
       for key, value in (("grid_h", 99), ("grid_w", 99), ("dtype", "float32"))],
     *[(command, _with(TRAIN_CFG, "attn", key, value), key)
       for command in ("train", "ablate")
@@ -202,9 +213,9 @@ BAD_VALUE_CASES = [
       for key in ("trials", "heads", "tokens", "head_dim", "slots")],
     pytest.param("emcheck", {"seed": -1}, "seed must be an integer >= 0", id="emcheck-seed"),
     pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", 4),
-                 "pool_grid must be two integers", id="shift-pool_grid-scalar"),
+                 "pool_grid must be a list of 2 value(s)", id="shift-pool_grid-scalar"),
     pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", [2, 2.0]),
-                 "pool_grid must be an integer", id="shift-pool_grid-float"),
+                 "pool_grid[1] must be an integer", id="shift-pool_grid-float"),
     pytest.param("train", _with(TRAIN_CFG, "attn", "enable_interact", "false"),
                  "enable_interact must be a bool", id="train-enable_interact"),
     pytest.param("train", _with(TRAIN_CFG, "train", "lr", True),
@@ -213,6 +224,36 @@ BAD_VALUE_CASES = [
                  "sigma must be a finite real", id="train-sigma"),
     pytest.param("train", _with(TRAIN_CFG, "task", "mean_scale", "x"),
                  "mean_scale must be a finite real", id="train-mean_scale"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "patch_size", 0),
+                 "patch_size must be an integer >= 1", id="shift-patch_size"),
+    pytest.param("bench", _with(BENCH_CFG, None, "min_sample_ms", "x"),
+                 "min_sample_ms must be a finite real", id="bench-min_sample_ms"),
+    pytest.param("bench", _with(BENCH_CFG, None, "iters", 2.5),
+                 "iters must be an integer >= 1", id="bench-iters"),
+    pytest.param("maps", _with(MAPS_CFG, None, "seed", -1),
+                 "seed must be an integer >= 0", id="maps-seed"),
+    pytest.param("maps", _with(MAPS_CFG, None, "input", 5),
+                 "input must be a string", id="maps-input-int"),
+    pytest.param("maps", _with(MAPS_CFG, None, "input", "no-such-file.rptn"),
+                 "input must name an existing file", id="maps-input-missing"),
+    pytest.param("gradcheck", _with(MAPS_CFG, None, "seeds", []),
+                 "seeds must be a list of one or more", id="gradcheck-seeds-empty"),
+    pytest.param("gradcheck", _with(MAPS_CFG, None, "seeds", [-1]),
+                 "seeds[0] must be an integer >= 0", id="gradcheck-seeds-negative"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "seeds", []),
+                 "seeds must be a list of one or more", id="shift-seeds-empty"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "shifts", []),
+                 "shifts must be a list of one or more", id="shift-shifts-empty"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "shifts", [0]),
+                 "shifts must start at 0 and hold a second shift", id="shift-shifts-zero-only"),
+    pytest.param("ablate", _with(TRAIN_CFG, None, "variants", []),
+                 "variants must be a list of one or more", id="ablate-variants-empty"),
+    pytest.param("ablate", _with(TRAIN_CFG, None, "variants", "full"),
+                 "variants must be a list of one or more", id="ablate-variants-string"),
+    pytest.param("ablate", _with(TRAIN_CFG, None, "variants", ["full", "ful"]),
+                 "variants[1] must be one of", id="ablate-variants-unknown"),
+    pytest.param("flops", {"n": 196, "m": 49, "c": 192, "k": 2.0},
+                 "k must be an integer >= 1", id="flops-k-float"),
 ]
 
 
@@ -225,15 +266,16 @@ def test_bad_value_exit_2(tmp_path, capsys, command, payload, message):
 
 
 def test_bench_subcommand_fast(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "b.json", {
-        "mechanisms": ["constant_dummy"],
-        "sizes": [64, 512, 4096],
-        "reps": 1, "warmup": 0, "iters": 2, "min_sample_ms": 0.2,
-    })
+    cfg = _write_config(tmp_path, "b.json", BENCH_CFG)
     rc = main(["bench", "--config", cfg, "--out", str(tmp_path / "bench")])
     assert rc == 0
-    assert (tmp_path / "bench" / "bench_times.csv").exists()
-    assert (tmp_path / "bench" / "bench_slopes.csv").exists()
+    times = (tmp_path / "bench" / "bench_times.csv").read_text().splitlines()
+    assert times[0] == "mechanism,n,median_ms:volatile"
+    assert [row.split(",")[:2] for row in times[1:]] == [
+        ["constant_dummy", "64"], ["constant_dummy", "512"], ["constant_dummy", "4096"]]
+    slopes = (tmp_path / "bench" / "bench_slopes.csv").read_text().splitlines()
+    assert slopes[0] == "mechanism,slope:volatile"
+    assert [row.split(",")[0] for row in slopes[1:]] == ["constant_dummy"]
 
 
 def test_shift_subcommand_fast(tmp_path, capsys):
@@ -243,6 +285,20 @@ def test_shift_subcommand_fast(tmp_path, capsys):
     lines = (tmp_path / "shift" / "shift_mean.csv").read_text().splitlines()
     assert lines[0] == "shift,cosine_rp,cosine_pooled"
     assert len(lines) == 4
+
+
+def test_every_shipped_config_has_a_subcommand():
+    assert sorted(path.stem for path in CONFIGS.glob("*.json")) == sorted(TABLES)
+
+
+@pytest.mark.parametrize("command", list(TABLES))
+def test_shipped_config_runs(tmp_path, capsys, command):
+    # configs/<command>.json resolves against the subcommand's table, and all
+    # but bench (about four minutes) run to a pass.
+    path = str(CONFIGS / f"{command}.json")
+    _load_config(path, TABLES[command], {})
+    if command != "bench":
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
 
 
 def test_module_entrypoint_with_thread_cap(tmp_path):

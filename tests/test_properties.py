@@ -1,6 +1,9 @@
 """Property-based tests under the deterministic hypothesis profile of conftest.py."""
 
-from dataclasses import replace
+import contextlib
+import io
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rpattn import kernels  # noqa: E402
+from rpattn import SyntheticTask, TrainConfig, cli, kernels  # noqa: E402
 from rpattn.attention import (  # noqa: E402
     PARAM_FIELDS, AttnConfig, init_params, rpattention_forward)
 from rpattn.grad import _attention_backward, finite_diff_grad, rpattention_backward  # noqa: E402
@@ -90,3 +93,72 @@ def test_learned_backward_matches_finite_differences(batch, heads, head_dim, gri
         np.testing.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-6, err_msg=name)
     fd_x = finite_diff_grad(lambda t: loss(params, t), x, 1e-6)
     np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
+
+
+# Values that are wrong for every setting of a kind; JSON null (None) is wrong everywhere.
+WRONG = {
+    "count": ["x", True, 2.5, -1, [], None],
+    "real": ["x", True, -1, [], None],
+    "flag": ["x", 1, 0, [], None],
+    "str": [True, 2.5, -1, [], 3, None],
+    "list": ["x", True, 2.5, -1, [], 3, None],
+    "section": ["x", True, 2.5, -1, [], 3, None],
+}
+FIELD_KINDS = {int: "count", float: "real", bool: "flag", str: "str"}
+SECTIONS = {"attn": AttnConfig, "task": SyntheticTask, "train": TrainConfig}
+LAYER = {"channels": 4, "heads": 2, "num_representatives": 2, "grid_h": 2, "grid_w": 2}
+TRAIN = {"task": {"grid_h": 2, "grid_w": 2, "channels": 4, "num_clusters": 2, "num_samples": 8},
+         "attn": {"heads": 2, "num_representatives": 2},
+         "train": {"steps": 1, "batch_size": 4, "lr": 0.01}}
+# A valid, quick config per subcommand.
+VALID = {
+    "gradcheck": {"attn": LAYER},
+    "flops": {"n": 196, "m": 49, "c": 192, "k": 3},
+    "bench": {"mechanisms": ["constant_dummy"], "sizes": [64, 512, 4096], "reps": 1,
+              "warmup": 0, "iters": 1, "min_sample_ms": 0.1},
+    "shift": {"attn": {"channels": 8, "heads": 2, "num_representatives": 4}, "image_size": 16,
+              "image_channels": 4, "num_blobs": 2, "pool_grid": [2, 2], "shifts": [0, 1],
+              "seeds": [0]},
+    "train": TRAIN,
+    "ablate": {**TRAIN, "variants": ["full"]},
+    "emcheck": {},
+    "maps": {"attn": LAYER},
+}
+
+
+def _kind(default, rule):
+    if rule is cli._section:
+        return "section"
+    if isinstance(default, list):
+        return "list"
+    if isinstance(default, float):
+        return "real"
+    return "str" if rule is cli._path else "count"
+
+
+# (subcommand, section or None, key, kind): every table key and every section field.
+SETTINGS = [(command, None, key, _kind(default, rule))
+            for command, table in cli.TABLES.items()
+            for key, (default, rule) in table.items()]
+SETTINGS += [(command, key, f.name, FIELD_KINDS[f.type])
+             for command, section, key, kind in SETTINGS if kind == "section"
+             for f in fields(SECTIONS[key])]
+
+
+@settings(max_examples=300)
+@given(setting=st.sampled_from(SETTINGS), data=st.data())
+def test_cli_rejects_a_wrong_value_by_name(tmp_path_factory, setting, data):
+    # One wrong value anywhere in a config is a config error (exit 2) that
+    # names the key, found before any work runs; never a traceback.
+    command, section, key, kind = setting
+    value = data.draw(st.sampled_from(WRONG[kind]), label="value")
+    cfg = json.loads(json.dumps(VALID[command]))
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    tmp = tmp_path_factory.mktemp("cli")
+    path = tmp / "c.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([command, "--config", str(path), "--out", str(tmp / "out")])
+    assert rc == 2, (cfg, err.getvalue())
+    assert key in err.getvalue() and "Traceback" not in err.getvalue()
