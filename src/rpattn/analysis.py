@@ -1,5 +1,5 @@
-"""Analytical artifacts: cost model, one-step-EM oracle, shift robustness,
-runtime scaling measurement, and assignment-map export.
+"""Analytical artifacts: cost model, one-step-EM oracle and check, shift
+robustness, runtime scaling measurement, and assignment-map export.
 
 All counts in the cost model are exact Python integers (arbitrary
 precision, no wraparound) in the multiply-accumulate-pair convention of the
@@ -9,16 +9,17 @@ five-term breakdown.
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List
 
 import numpy as np
 
 from . import kernels
-from .attention import AttnConfig, init_params, rpattention_forward
+from .attention import (SLOT_MASS_EPS, AttnConfig, gather_assign, gather_latents, init_params,
+                        mass_normalize, rpattention_forward)
 from .baselines import pooled_proxy_forward, softmax_attention_forward
-from .errors import ConfigError, ShapeError, check_count, check_real
+from .errors import ConfigError, ShapeError, check_count
 from .synthetic import make_blob_image
 
 
@@ -125,6 +126,33 @@ def em_one_step_oracle(keys, w_g, epsilon):
     return a, a_hat, k_l
 
 
+def em_deviations(trials=20, seed=0):
+    """Worst absolute deviation of the layer's gather from em_one_step_oracle, per trial.
+
+    Each trial draws h in 1..3, N in 1..12, d in 1..6 and M in 1..5, in that
+    order, from one default_rng(seed), then keys [h, N, d] and anchors [d, M],
+    so M > N and d = 1 both occur. The layer's assignments a, its
+    column-normalized a / mass^T and its latent keys are compared with the
+    oracle's a, a_hat and k_l; a trial's deviation is the largest of the three.
+    """
+    rng = np.random.default_rng(seed)
+    deviations = []
+    for _ in range(trials):
+        h = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 13))
+        d = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 6))
+        keys = rng.standard_normal((h, n, d))
+        w_g = rng.standard_normal((d, m))
+        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
+        a = gather_assign(keys[None], w_g)
+        mass, k_l, _ = mass_normalize(a, *gather_latents(a, keys[None], keys[None]))
+        deviations.append(max(float(np.abs(a[0] - a_o).max()),
+                              float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
+                              float(np.abs(k_l[0] - k_l_o).max())))
+    return deviations
+
+
 # ---------------------------------------------------------------------------
 # Shift robustness
 # ---------------------------------------------------------------------------
@@ -223,13 +251,23 @@ def shift_experiment(config, seeds, shifts, image_size, image_channels, num_blob
     Seed s draws the image from make_blob_image(..., s) with a margin of
     max(shifts) + 4 pixels, the patch embedding from default_rng([s, 17]), the
     layer's params from init_params(config, s) and the proxy's from
-    init_params(config, s + 1000). Shifts zero-fill the vacated pixels.
+    init_params(config, s + 1000). Shifts zero-fill the vacated pixels. The
+    settings that constrain each other are checked before the first seed.
     """
+    margin = max(shifts) + 4
+    if 2 * margin >= image_size:
+        raise ConfigError(f"image_size {image_size} too small for shifts up to {max(shifts)}: "
+                          f"blobs keep max(shifts) + 4 = {margin} pixels from every edge, "
+                          f"so image_size must exceed {2 * margin}")
+    g_h, g_w = (check_count(f"pool_grid[{i}]", g) for i, g in enumerate(pool_grid))
+    if config.grid_h % g_h or config.grid_w % g_w:
+        raise ConfigError(f"pool_grid {[g_h, g_w]} does not divide the layer's "
+                          f"{config.grid_h}x{config.grid_w} patch grid")
     reports = []
     for seed in seeds:
         rng = np.random.default_rng([seed, 17])
         image = make_blob_image(image_size, image_channels, num_blobs, seed,
-                                margin=max(shifts) + 4)
+                                margin=margin)
         fan_in = patch_size * patch_size * image_channels
         embed_w = rng.normal(0.0, 1.0 / fan_in ** 0.5, (fan_in, config.channels))
         reports.append(shift_robustness(
@@ -282,30 +320,33 @@ class ScalingReport:
 
     sizes: List[int]
     results: dict
-    warnings: List[str] = field(default_factory=list)
 
 
-def _autorange(fn, min_sample_s):
-    """Calls per timed sample so one sample lasts >= min_sample_s, at most 4096."""
+MIN_SAMPLE_S = 2e-3  # a timed sample batches calls until it lasts this long
+
+
+def _autorange(fn):
+    """Calls per timed sample so one sample lasts >= MIN_SAMPLE_S, at most 4096."""
     number = 1
     while number < 4096:
         t0 = time.perf_counter()
         for _ in range(number):
             fn()
-        if time.perf_counter() - t0 >= min_sample_s:
+        if time.perf_counter() - t0 >= MIN_SAMPLE_S:
             return number
         number *= 2
     return number
 
 
-def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
-                    min_sample_s=2e-3) -> ScalingReport:
+def measure_scaling(mechanisms, sizes=(256, 1024, 4096, 16384), reps=3, warmup=2,
+                    iters=5) -> ScalingReport:
     """Median wall-clock per forward across sizes, plus log-log slope.
 
     Protocol per (mechanism, size) and repetition: `warmup` untimed calls,
     then `iters` timed samples whose median is kept; the reported latency is
-    the median across repetitions. Samples batch multiple calls when a
-    single call is shorter than min_sample_s so timer overhead stays
+    the median across repetitions. The defaults are the scaling protocol of
+    `rpattn bench` and criterion 4. Samples batch multiple calls when a
+    single call is shorter than MIN_SAMPLE_S so timer overhead stays
     negligible. Mechanisms run strictly one at a time, each repetition a
     round over all sizes, so a transient host slowdown hits one repetition
     of several sizes, not every repetition of one size.
@@ -313,20 +354,16 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
     sizes = [check_count(f"sizes[{i}]", n) for i, n in enumerate(sizes)]
     reps, iters = check_count("reps", reps), check_count("iters", iters)
     warmup = check_count("warmup", warmup, minimum=0)
-    min_sample_s = check_real("min_sample_s", min_sample_s, minimum=0)
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise ConfigError("sizes must be strictly increasing")
     if len(sizes) < 3 or sizes[-1] < 8 * sizes[0]:
         raise ConfigError("need >= 3 sizes spanning at least an 8x range")
 
-    resolution = time.get_clock_info("perf_counter").resolution
-    warnings = []
     results = {}
     for mech in mechanisms:
         fns = [mech.prepare(n) for n in sizes]
-        numbers = [_autorange(fn, min_sample_s) for fn in fns]
+        numbers = [_autorange(fn) for fn in fns]
         rep_medians = [[] for _ in sizes]
-        min_batch = [math.inf] * len(sizes)
         for _ in range(reps):
             for i, (fn, number) in enumerate(zip(fns, numbers)):
                 for _ in range(warmup):
@@ -336,13 +373,8 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
                     t0 = time.perf_counter()
                     for _ in range(number):
                         fn()
-                    dt = time.perf_counter() - t0
-                    min_batch[i] = min(min_batch[i], dt)
-                    samples.append(dt / number)
+                    samples.append((time.perf_counter() - t0) / number)
                 rep_medians[i].append(statistics.median(samples))
-        warnings += [f"{mech.name}@N={n}: sample duration {batch:.3e}s too close to "
-                     f"timer resolution {resolution:.1e}s"
-                     for n, batch in zip(sizes, min_batch) if batch < 100.0 * resolution]
         medians = [statistics.median(r) for r in rep_medians]
         if min(medians) <= 0:
             raise ConfigError(f"non-positive latency measured for {mech.name}")
@@ -350,7 +382,7 @@ def measure_scaling(mechanisms, sizes, reps=3, warmup=30, iters=100,
                                  np.log(np.array(medians)), 1)[0])
         results[mech.name] = MechanismScaling(median_s=medians, slope=slope)
 
-    return ScalingReport(sizes=sizes, results=results, warnings=warnings)
+    return ScalingReport(sizes=sizes, results=results)
 
 
 def make_constant_dummy() -> Mechanism:

@@ -1,10 +1,11 @@
 """Command-line harness driving the desk-scale experiments.
 
 Subcommands: gradcheck, flops, bench, shift, train, ablate, emcheck, maps.
-Each reads a JSON config (--config), checks all of it against its TABLES
-entry before any work runs, writes CSV/PGM artifacts into the --out
-directory, and prints a one-line summary. Exit codes: 0 pass, 1 a check
-failed, 2 config error (it names the key).
+Each reads a JSON config (--config; flops also takes flags, and bench and
+emcheck need none), checks all of it against its TABLES entry before any
+work runs, writes CSV/PGM artifacts into the --out directory, and prints
+a one-line summary. Exit codes: 0 pass, 1 a check failed, 2 config error
+(it names the key).
 
 The RPATTN_THREADS environment variable caps BLAS worker threads; the cap
 is applied when the rpattn package is imported (see rpattn/__init__.py).
@@ -18,8 +19,17 @@ from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, TrainDivergedError, check_count, check_real
-from .train import VARIANTS
+import numpy as np
+
+from .analysis import (bench_mechanisms, em_deviations, export_assignment_maps, flops_estimate,
+                       mean_shift_report, measure_scaling, shift_experiment, softmax_flops)
+from .attention import AttnConfig, check_input, init_params, rpattention_forward
+from .errors import (ConfigError, ContractError, ShapeError, TensorFileError, TrainDivergedError,
+                     check_count)
+from .grad import gradcheck
+from .synthetic import SyntheticTask
+from .tensor_io import read_tensor
+from .train import VARIANTS, TrainConfig, train_tiny
 
 EMCHECK_TOL = 1e-12  # fixed, like _BENCH_BANDS and gradcheck's tol, so a config cannot loosen it
 
@@ -87,12 +97,7 @@ _TRAIN = {key: (REQUIRED, _section) for key in ("task", "attn", "train")}
 TABLES = {
     "gradcheck": {"attn": (REQUIRED, _section), "seeds": ([0], _list_of(_seed))},
     "flops": dict.fromkeys("nmck", (REQUIRED, _passed_on)),
-    "bench": {"mechanisms": (list(_BENCH_BANDS), _list_of(_string)),
-              "sizes": ([256, 1024, 4096], _list_of(_count)), "reps": (3, _count),
-              "warmup": (30, _seed), "iters": (100, _count),
-              "min_sample_ms": (2.0, partial(check_real, minimum=0)),
-              "channels": (64, _count), "heads": (2, _count),
-              "num_representatives": (49, _count), "row_chunk": (1024, _count)},
+    "bench": {"mechanisms": (list(_BENCH_BANDS), _list_of(_string))},
     "shift": {"attn": (REQUIRED, _section), "image_size": (32, _count),
               "image_channels": (8, _count), "num_blobs": (3, _count),
               "patch_size": (4, _count), "pool_grid": ([4, 4], _list_of(_count, length=2)),
@@ -101,8 +106,7 @@ TABLES = {
     "train": _TRAIN,
     "ablate": {**_TRAIN, "variants": (["full", "gather_distribute", "kmeans"],
                                       _list_of(_one_of(*VARIANTS)))},
-    "emcheck": {"trials": (20, _count), "heads": (2, _count), "tokens": (10, _count),
-                "head_dim": (5, _count), "slots": (4, _count), "seed": (0, _seed)},
+    "emcheck": {},
     "maps": {"attn": (REQUIRED, _section), "seed": (0, _seed), "input": (None, _path)},
 }
 
@@ -156,9 +160,6 @@ def _write_csv(path, header, rows):
 
 
 def cmd_gradcheck(cfg, args):
-    from .attention import AttnConfig
-    from .grad import gradcheck
-
     config = _build(AttnConfig, cfg["attn"], "attn", dtype="float64")
     out = _out_dir(args)
 
@@ -178,8 +179,6 @@ def cmd_gradcheck(cfg, args):
 
 
 def cmd_flops(cfg, args):
-    from .analysis import flops_estimate, softmax_flops
-
     breakdown = flops_estimate(cfg["n"], cfg["m"], cfg["c"], cfg["k"])
     dense = softmax_flops(cfg["n"], cfg["c"])
     if args.out:
@@ -193,21 +192,13 @@ def cmd_flops(cfg, args):
 
 
 def cmd_bench(cfg, args):
-    from .analysis import bench_mechanisms, measure_scaling
-
-    mechanisms = bench_mechanisms(
-        cfg["mechanisms"], channels=cfg["channels"], heads=cfg["heads"],
-        num_representatives=cfg["num_representatives"], row_chunk=cfg["row_chunk"])
-    report = measure_scaling(mechanisms, cfg["sizes"], reps=cfg["reps"], warmup=cfg["warmup"],
-                             iters=cfg["iters"], min_sample_s=cfg["min_sample_ms"] / 1e3)
+    report = measure_scaling(bench_mechanisms(cfg["mechanisms"]))
     out = _out_dir(args)
     _write_csv(out / "bench_times.csv", ["mechanism", "n", "median_ms:volatile"],
                [[name, n, repr(med * 1e3)] for name, res in report.results.items()
                 for n, med in zip(report.sizes, res.median_s)])
     _write_csv(out / "bench_slopes.csv", ["mechanism", "slope:volatile"],
                [[name, repr(res.slope)] for name, res in report.results.items()])
-    for warning in report.warnings:
-        print(f"bench warning: {warning}", file=sys.stderr)
 
     failures = []
     summary = []
@@ -223,9 +214,9 @@ def cmd_bench(cfg, args):
 
 
 def cmd_shift(cfg, args):
-    from .analysis import mean_shift_report, shift_experiment
-    from .attention import AttnConfig
-
+    if cfg["image_size"] % cfg["patch_size"]:
+        raise ConfigError(f"image_size {cfg['image_size']} must be a multiple of "
+                          f"patch_size {cfg['patch_size']}")
     grid = cfg["image_size"] // cfg["patch_size"]
     config = _build(AttnConfig, cfg["attn"], "attn", grid_h=grid, grid_w=grid, dtype="float64")
     # The other keys of the table are shift_experiment's arguments.
@@ -252,9 +243,6 @@ def cmd_shift(cfg, args):
 
 def _task_and_layer(cfg):
     """The task and float64 layer of a train/ablate config; the layer takes the task's shape."""
-    from .attention import AttnConfig
-    from .synthetic import SyntheticTask
-
     task = _build(SyntheticTask, cfg["task"], "task")
     attn = _build(AttnConfig, cfg["attn"], "attn", dtype="float64",
                   grid_h=task.grid_h, grid_w=task.grid_w, channels=task.channels)
@@ -262,8 +250,6 @@ def _task_and_layer(cfg):
 
 
 def cmd_train(cfg, args):
-    from .train import TrainConfig, train_tiny
-
     task, attn = _task_and_layer(cfg)
     train_cfg = _build(TrainConfig, cfg["train"], "train")
     out = _out_dir(args)
@@ -282,8 +268,6 @@ def cmd_train(cfg, args):
 
 
 def cmd_ablate(cfg, args):
-    from .train import TrainConfig, train_tiny
-
     task, attn = _task_and_layer(cfg)
     out = _out_dir(args)
 
@@ -309,46 +293,25 @@ def cmd_ablate(cfg, args):
 
 
 def cmd_emcheck(cfg, args):
-    import numpy as np
-
-    from .analysis import em_one_step_oracle
-    from .attention import SLOT_MASS_EPS, gather_assign, gather_latents, mass_normalize
-
-    rng = np.random.default_rng(cfg["seed"])
-
-    rows = []
-    worst = 0.0
-    for trial in range(cfg["trials"]):
-        keys = rng.standard_normal((cfg["heads"], cfg["tokens"], cfg["head_dim"]))
-        w_g = rng.standard_normal((cfg["head_dim"], cfg["slots"]))
-        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
-        k4 = keys[None]
-        a = gather_assign(k4, w_g)
-        mass, k_l, _ = mass_normalize(a, *gather_latents(a, k4, k4))
-        diff = max(float(np.abs(a[0] - a_o).max()),
-                   float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
-                   float(np.abs(k_l[0] - k_l_o).max()))
-        worst = max(worst, diff)
-        rows.append([trial, repr(diff), str(diff < EMCHECK_TOL).lower()])
-    out = _out_dir(args)
-    _write_csv(out / "emcheck.csv", ["trial", "max_abs_diff", "pass"], rows)
+    deviations = em_deviations()
+    _write_csv(_out_dir(args) / "emcheck.csv", ["trial", "max_abs_diff", "pass"],
+               [[trial, repr(diff), str(diff < EMCHECK_TOL).lower()]
+                for trial, diff in enumerate(deviations)])
+    worst = max(deviations)
     ok = worst < EMCHECK_TOL
     print(f"emcheck: {'PASS' if ok else 'FAIL'} "
-          f"(trials={cfg['trials']}, worst={worst:.3e}, tol={EMCHECK_TOL:g})")
+          f"(trials={len(deviations)}, worst={worst:.3e}, tol={EMCHECK_TOL:g})")
     return 0 if ok else 1
 
 
 def cmd_maps(cfg, args):
-    import numpy as np
-
-    from .analysis import export_assignment_maps
-    from .attention import AttnConfig, init_params, rpattention_forward
-    from .tensor_io import read_tensor
-
     config = _build(AttnConfig, cfg["attn"], "attn", dtype="float64")
     params = init_params(config, cfg["seed"])
     if cfg["input"] is not None:
-        x = read_tensor(cfg["input"]).astype(np.float64)
+        try:  # checked as the forward's input, so a bad file is a config error
+            x = check_input(read_tensor(cfg["input"]), params, config)
+        except (OSError, TensorFileError, ShapeError, ContractError, ConfigError) as exc:
+            raise ConfigError(f"input {cfg['input']!r}: {exc}") from exc
     else:
         rng = np.random.default_rng(cfg["seed"])
         x = rng.standard_normal((1, config.num_tokens, config.channels))
@@ -366,7 +329,7 @@ def _build_parser():
 
     def add(name, fn):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name not in ("flops", "emcheck"),
+        p.add_argument("--config", required=name not in ("flops", "bench", "emcheck"),
                        help="JSON config file")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
         p.set_defaults(fn=fn)

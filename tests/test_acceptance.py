@@ -18,7 +18,6 @@ from rpattn import (
     AttnConfig,
     SyntheticTask,
     TrainConfig,
-    em_one_step_oracle,
     flops_estimate,
     gradcheck,
     init_params,
@@ -29,11 +28,11 @@ from rpattn import (
 )
 from rpattn.analysis import (
     bench_mechanisms,
+    em_deviations,
     mean_shift_report,
     measure_scaling,
     shift_experiment,
 )
-from rpattn.attention import SLOT_MASS_EPS, gather_assign, gather_latents, mass_normalize
 from rpattn.tensor_io import read_tensor, write_tensor
 
 import oracles
@@ -62,22 +61,7 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_em_equivalence():
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(20):
-        h = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 13))
-        d = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 6))
-        keys = rng.standard_normal((h, n, d))
-        w_g = rng.standard_normal((d, m))
-        a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
-        a = gather_assign(keys[None], w_g)
-        mass, k_l, _ = mass_normalize(a, *gather_latents(a, keys[None], keys[None]))
-        worst = max(worst,
-                    float(np.abs(a[0] - a_o).max()),
-                    float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
-                    float(np.abs(k_l[0] - k_l_o).max()))
+    worst = max(em_deviations(trials=20, seed=0))
     _report(2, "one-step EM equivalence", worst < 1e-12,
             f"worst_abs_diff={worst:.3e} over 20 trials")
 

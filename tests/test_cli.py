@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rpattn.cli import TABLES, _load_config, main
+from rpattn.cli import TABLES, _build_parser, _load_config, main
+from rpattn.tensor_io import write_tensor
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -89,6 +91,13 @@ def test_maps_subcommand(tmp_path):
     assert len(files) == 2 * 3  # heads x slots for one batch row
     assert files[0].endswith(".pgm")
 
+    # float32 tokens from a file run through the float64 layer
+    write_tensor(tmp_path / "x.rptn", np.ones((2, 4, 4), dtype=np.float32))
+    cfg = _write_config(tmp_path, "m.json",
+                        _with(MAPS_CFG, None, "input", str(tmp_path / "x.rptn")))
+    assert main(["maps", "--config", cfg, "--out", str(tmp_path / "from_file")]) == 0
+    assert len(os.listdir(tmp_path / "from_file")) == 2 * 2 * 3
+
 
 def test_train_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, "t.json", {
@@ -130,8 +139,7 @@ SHIFT_CFG = {
     "image_size": 16, "image_channels": 4, "num_blobs": 2, "patch_size": 4,
     "pool_grid": [2, 2], "shifts": [0, 1, 2], "seeds": [0, 1],
 }
-BENCH_CFG = {"mechanisms": ["constant_dummy"], "sizes": [64, 512, 4096],
-             "reps": 1, "warmup": 0, "iters": 2, "min_sample_ms": 0.2}
+BENCH_CFG = {"mechanisms": ["constant_dummy"]}
 
 
 def _with(cfg, section, key, value=None):
@@ -162,6 +170,12 @@ BAD_KEY_CASES = [
     ("gradcheck", _with(MAPS_CFG, None, "step", "1e-5"), "step"),
     ("gradcheck", _with(MAPS_CFG, None, "tol", "x"), "tol"),
     ("emcheck", {"tol": 1e-3}, "tol"),
+    # retired settings: the bench protocol is fixed (iters, min_sample_ms and
+    # the emcheck keys are BAD_VALUE_CASES)
+    *[("bench", _with(BENCH_CFG, None, key, value), key)
+      for key, value in (("sizes", [256, 1024, 4096]), ("reps", 3), ("warmup", 2),
+                         ("channels", 64), ("heads", 2), ("num_representatives", 49),
+                         ("row_chunk", 1024))],
     ("shift", _with(SHIFT_CFG, None, "mode", "wrapp"), "mode"),
     ("shift", _with(SHIFT_CFG, None, "assert_ordering", "false"), "assert_ordering"),
     ("shift", _with(SHIFT_CFG, None, "margin", 6), "margin"),
@@ -209,9 +223,11 @@ def test_bad_count_exit_2(tmp_path, capsys, section, key, value):
 BAD_VALUE_CASES = [
     pytest.param("flops", {"n": 196, "m": 49, "k": 3}, "missing config key(s): c",
                  id="flops-missing-key"),
-    *[pytest.param("emcheck", {key: 0}, f"{key} must be an integer >= 1", id=f"emcheck-{key}")
-      for key in ("trials", "heads", "tokens", "head_dim", "slots")],
-    pytest.param("emcheck", {"seed": -1}, "seed must be an integer >= 0", id="emcheck-seed"),
+    # retired settings: the emcheck and bench protocols are fixed, so any value is unknown
+    *[pytest.param("emcheck", {key: 0}, f"unknown config key(s): {key}", id=f"emcheck-{key}")
+      for key in ("trials", "heads", "tokens", "head_dim", "slots", "seed")],
+    *[pytest.param("bench", _with(BENCH_CFG, None, key, value), f"unknown config key(s): {key}",
+                   id=f"bench-{key}") for key, value in (("min_sample_ms", "x"), ("iters", 2.5))],
     pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", 4),
                  "pool_grid must be a list of 2 value(s)", id="shift-pool_grid-scalar"),
     pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", [2, 2.0]),
@@ -226,16 +242,36 @@ BAD_VALUE_CASES = [
                  "mean_scale must be a finite real", id="train-mean_scale"),
     pytest.param("shift", _with(SHIFT_CFG, None, "patch_size", 0),
                  "patch_size must be an integer >= 1", id="shift-patch_size"),
-    pytest.param("bench", _with(BENCH_CFG, None, "min_sample_ms", "x"),
-                 "min_sample_ms must be a finite real", id="bench-min_sample_ms"),
-    pytest.param("bench", _with(BENCH_CFG, None, "iters", 2.5),
-                 "iters must be an integer >= 1", id="bench-iters"),
+    # keys that constrain each other, checked before the first seed
+    pytest.param("shift", {**SHIFT_CFG, "image_size": 3, "patch_size": 4},
+                 "image_size 3 must be a multiple of patch_size 4", id="shift-image-below-patch"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "image_size", 30),
+                 "image_size 30 must be a multiple of patch_size 4", id="shift-image-indivisible"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "shifts"),
+                 "image_size 16 too small for shifts up to 8", id="shift-image-below-margin"),
+    pytest.param("shift", _with(SHIFT_CFG, None, "pool_grid", [3, 3]),
+                 "pool_grid [3, 3] does not divide the layer's 4x4 patch grid",
+                 id="shift-pool_grid-indivisible"),
+    pytest.param("bench", _with(BENCH_CFG, None, "mechanisms", []),
+                 "mechanisms must be a list of one or more", id="bench-mechanisms-empty"),
+    pytest.param("bench", _with(BENCH_CFG, None, "mechanisms", ["constant_dumy"]),
+                 "unknown mechanism 'constant_dumy'", id="bench-mechanisms-unknown"),
     pytest.param("maps", _with(MAPS_CFG, None, "seed", -1),
                  "seed must be an integer >= 0", id="maps-seed"),
     pytest.param("maps", _with(MAPS_CFG, None, "input", 5),
                  "input must be a string", id="maps-input-int"),
     pytest.param("maps", _with(MAPS_CFG, None, "input", "no-such-file.rptn"),
                  "input must name an existing file", id="maps-input-missing"),
+    # malformed input files (INPUT_FILES); MAPS_CFG's layer takes [B, 4, 4] tokens
+    pytest.param("maps", _with(MAPS_CFG, None, "input", "magic.rptn"),
+                 "input 'magic.rptn': bad magic", id="maps-input-bad-magic"),
+    pytest.param("maps", _with(MAPS_CFG, None, "input", "rank2.rptn"),
+                 "input 'rank2.rptn': input must be [B, N, C]", id="maps-input-rank"),
+    pytest.param("maps", _with(MAPS_CFG, None, "input", "channels.rptn"),
+                 "input 'channels.rptn': input channels 3 != config channels 4",
+                 id="maps-input-channels"),
+    pytest.param("maps", _with(MAPS_CFG, None, "input", "nan.rptn"),
+                 "input 'nan.rptn': input holds NaN", id="maps-input-nan"),
     pytest.param("gradcheck", _with(MAPS_CFG, None, "seeds", []),
                  "seeds must be a list of one or more", id="gradcheck-seeds-empty"),
     pytest.param("gradcheck", _with(MAPS_CFG, None, "seeds", [-1]),
@@ -257,8 +293,20 @@ BAD_VALUE_CASES = [
 ]
 
 
+# The files the maps cases name, written into the directory each case runs in.
+INPUT_FILES = {"magic.rptn": b"NOPE", "rank2.rptn": np.zeros((4, 4)),
+               "channels.rptn": np.zeros((1, 4, 3)), "nan.rptn": np.full((1, 4, 4), np.nan)}
+
+
 @pytest.mark.parametrize("command,payload,message", BAD_VALUE_CASES)
-def test_bad_value_exit_2(tmp_path, capsys, command, payload, message):
+def test_bad_value_exit_2(tmp_path, monkeypatch, capsys, command, payload, message):
+    monkeypatch.chdir(tmp_path)
+    name = payload.get("input")
+    if name in INPUT_FILES:
+        if isinstance(INPUT_FILES[name], bytes):
+            (tmp_path / name).write_bytes(INPUT_FILES[name])
+        else:
+            write_tensor(tmp_path / name, INPUT_FILES[name])
     cfg = _write_config(tmp_path, "c.json", payload)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -272,10 +320,17 @@ def test_bench_subcommand_fast(tmp_path, capsys):
     times = (tmp_path / "bench" / "bench_times.csv").read_text().splitlines()
     assert times[0] == "mechanism,n,median_ms:volatile"
     assert [row.split(",")[:2] for row in times[1:]] == [
-        ["constant_dummy", "64"], ["constant_dummy", "512"], ["constant_dummy", "4096"]]
+        ["constant_dummy", str(n)] for n in (256, 1024, 4096, 16384)]
     slopes = (tmp_path / "bench" / "bench_slopes.csv").read_text().splitlines()
     assert slopes[0] == "mechanism,slope:volatile"
     assert [row.split(",")[0] for row in slopes[1:]] == ["constant_dummy"]
+
+
+def test_bench_runs_without_config():
+    # With no --config, bench measures the four banded mechanisms.
+    args = _build_parser().parse_args(["bench", "--out", "out"])
+    assert _load_config(args.config, TABLES["bench"], vars(args)) == {
+        "mechanisms": ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"]}
 
 
 def test_shift_subcommand_fast(tmp_path, capsys):

@@ -13,8 +13,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rpattn import SyntheticTask, TrainConfig, cli, kernels  # noqa: E402
 from rpattn.attention import (  # noqa: E402
-    PARAM_FIELDS, AttnConfig, init_params, rpattention_forward)
+    KMEANS_ITERS, PARAM_FIELDS, AttnConfig, init_params, rpattention_forward)
+from rpattn.baselines import kmeans_gather  # noqa: E402
+from rpattn.errors import BadMagicError, TensorFileError, TruncatedPayloadError  # noqa: E402
 from rpattn.grad import _attention_backward, finite_diff_grad, rpattention_backward  # noqa: E402
+from rpattn.tensor_io import read_record, read_tensor, write_tensor  # noqa: E402
+
+import oracles  # noqa: E402
+
+DTYPES = st.sampled_from([np.float32, np.float64])
 
 
 @given(batch=st.integers(1, 2), heads=st.integers(1, 2), d=st.integers(1, 3),
@@ -95,6 +102,38 @@ def test_learned_backward_matches_finite_differences(batch, heads, head_dim, gri
     np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
 
 
+@given(batch=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 12),
+       m=st.integers(1, 6), d=st.integers(1, 4), dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
+def test_kmeans_routing_contract(batch, heads, n, m, d, dtype, seed):
+    # One-hot [B, h, N, M] rows in the keys' dtype, equal to the per-slot
+    # oracle; M may exceed N, and d may be 1.
+    keys = np.random.default_rng(seed).standard_normal((batch, heads, n, d)).astype(dtype)
+    a = kmeans_gather(keys, m, KMEANS_ITERS, seed)
+    assert a.shape == (batch, heads, n, m) and a.dtype == dtype
+    assert set(np.unique(a)) <= {0.0, 1.0} and (a.sum(axis=-1) == 1).all()
+    assert np.array_equal(a, oracles.kmeans_gather_loops(keys, m, KMEANS_ITERS, seed))
+
+
+@given(shape=st.lists(st.integers(0, 3), max_size=5), dtype=DTYPES,
+       seed=st.integers(0, 2**32 - 1))
+def test_tensor_file_round_trip_and_prefixes(tmp_path_factory, shape, dtype, seed):
+    # A written file reads back byte for byte; every strict prefix of it is
+    # a tensor-file error of its own kind, never a numpy error.
+    arr = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+    path = tmp_path_factory.mktemp("rptn") / "t.rptn"
+    write_tensor(path, arr)
+    back = read_tensor(path)
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+
+    data = path.read_bytes()
+    for size in range(len(data)):
+        # read_tensor is read_record on the opened file plus a trailing-byte check
+        with pytest.raises(TensorFileError) as err:
+            read_record(io.BytesIO(data[:size]))
+        assert err.type is (BadMagicError if size < 4 else TruncatedPayloadError), size
+
+
 # Values that are wrong for every setting of a kind; JSON null (None) is wrong everywhere.
 WRONG = {
     "count": ["x", True, 2.5, -1, [], None],
@@ -114,8 +153,7 @@ TRAIN = {"task": {"grid_h": 2, "grid_w": 2, "channels": 4, "num_clusters": 2, "n
 VALID = {
     "gradcheck": {"attn": LAYER},
     "flops": {"n": 196, "m": 49, "c": 192, "k": 3},
-    "bench": {"mechanisms": ["constant_dummy"], "sizes": [64, 512, 4096], "reps": 1,
-              "warmup": 0, "iters": 1, "min_sample_ms": 0.1},
+    "bench": {"mechanisms": ["constant_dummy"]},
     "shift": {"attn": {"channels": 8, "heads": 2, "num_representatives": 4}, "image_size": 16,
               "image_channels": 4, "num_blobs": 2, "pool_grid": [2, 2], "shifts": [0, 1],
               "seeds": [0]},
