@@ -9,7 +9,8 @@ five-term breakdown.
 import math
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, List
 
@@ -435,48 +436,48 @@ def make_quadratic_dummy(repeats=4) -> Mechanism:
     return Mechanism("quadratic_dummy", prepare)
 
 
-def _forward_mechanism(name, forward, channels, heads, num_representatives, **kwargs):
-    """One float32 forward, batch 1, on a near-square grid of n tokens.
+def _forward_mechanism(name, forward):
+    """One float32 forward of the bench layer, batch 1, on a near-square grid of n tokens.
 
-    Weights come from init_params(config, 0) and the input from
-    default_rng(1), the same for every mechanism built here. The layer shape
-    is checked here, before any mechanism is timed.
+    The layer is fixed, C = 64 channels in 2 heads and M = 49 slots. Weights
+    come from init_params(config, 0) and the input from default_rng(1), the
+    same for every mechanism built here.
     """
-    base = AttnConfig(channels=channels, heads=heads, num_representatives=num_representatives,
-                      grid_h=1, grid_w=1, dtype="float32")
 
     def prepare(n):
         grid_h = math.isqrt(n)
         while n % grid_h:
             grid_h -= 1
-        config = replace(base, grid_h=grid_h, grid_w=n // grid_h)
+        config = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid_h,
+                            grid_w=n // grid_h, dtype="float32")
         params = init_params(config, 0)
-        x = np.random.default_rng(1).standard_normal((1, n, channels)).astype(np.float32)
-        return lambda: forward(x, params, config, **kwargs)
+        x = np.random.default_rng(1).standard_normal((1, n, 64)).astype(np.float32)
+        return lambda: forward(x, params, config)
 
     return Mechanism(name, prepare)
 
 
-def bench_mechanisms(names, channels=64, heads=2, num_representatives=49, row_chunk=1024):
-    """The named scaling-benchmark subjects, in the given order.
+# Every scaling-benchmark subject: name -> (factory, log-log slope band or
+# None). The bands are the pass bounds of `rpattn bench`, and its default
+# subjects are the banded ones, in this order; criterion 4 pins its own copy.
+BENCH_SUBJECTS = {
+    "constant_dummy": (make_constant_dummy, (-0.2, 0.2)),
+    "linear_dummy": (make_linear_dummy, None),
+    "quadratic_dummy": (make_quadratic_dummy, (1.8, 2.3)),
+    "rpattention": (partial(_forward_mechanism, "rpattention", rpattention_forward), (0.8, 1.4)),
+    "softmax_dense": (partial(_forward_mechanism, "softmax_dense", softmax_attention_forward),
+                      (1.6, 2.4)),
+}
 
-    rpattention and softmax_dense share one set-up; the dense forward runs
-    in row_chunk query blocks so that N = 16384 fits in memory.
-    """
-    factory = {
-        "constant_dummy": make_constant_dummy,
-        "linear_dummy": make_linear_dummy,
-        "quadratic_dummy": make_quadratic_dummy,
-        "rpattention": lambda: _forward_mechanism(
-            "rpattention", rpattention_forward, channels, heads, num_representatives),
-        "softmax_dense": lambda: _forward_mechanism(
-            "softmax_dense", softmax_attention_forward, channels, heads, num_representatives,
-            row_chunk=row_chunk),
-    }
-    unknown = [name for name in names if name not in factory]
-    if unknown:
-        raise ConfigError(f"unknown mechanism {unknown[0]!r}; choose from {sorted(factory)}")
-    return [factory[name]() for name in names]
+
+def bench_mechanisms(names):
+    """The named scaling-benchmark subjects, in the given order, each named once."""
+    for i, name in enumerate(names):
+        if name not in BENCH_SUBJECTS:
+            raise ConfigError(f"unknown mechanism {name!r}; choose from {sorted(BENCH_SUBJECTS)}")
+        if name in names[:i]:
+            raise ConfigError(f"mechanism {name!r} is listed more than once")
+    return [BENCH_SUBJECTS[name][0]() for name in names]
 
 
 # ---------------------------------------------------------------------------

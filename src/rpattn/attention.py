@@ -269,10 +269,18 @@ def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np
 def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
     """The input contract shared by every attention forward; returns x cast to config's dtype.
 
-    x must be [B, N, C] with B >= 1, C = config.channels and N = the grid's
-    token count, and finite; every params field must already hold config's dtype.
+    x must be real-valued, [B, N, C] with B >= 1, C = config.channels and
+    N = the grid's token count, and finite; every params field must already
+    hold config's dtype. An array of complex, string or other non-real dtype,
+    or anything numpy cannot cast (a ragged list, an integer beyond float
+    range), raises ContractError.
     """
-    x = np.asarray(x, dtype=config.np_dtype)
+    if hasattr(x, "dtype") and x.dtype.kind not in "biuf":
+        raise ContractError(f"input dtype {x.dtype} is not real-valued")
+    try:
+        x = np.asarray(x, dtype=config.np_dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"input cannot be cast to {config.dtype}: {exc}") from exc
     if x.ndim != 3:
         raise ShapeError(f"input must be [B, N, C], got {x.shape}")
     b, n, c = x.shape

@@ -11,13 +11,25 @@ check; the dense backward lives in grad next to the layer's.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv
-from .errors import ConfigError, check_count
+from .errors import ConfigError, ContractError, ShapeError, check_count
+
+
+# The dense forward and backward run the queries in blocks of this many rows
+# and never hold the full [B, h, N, N] weights: in float32 at B = 1, h = 2,
+# those are 2.1 GB at N = 16384, while one 1024-row block is 134 MB.
+DENSE_BLOCK = 1024
+
+
+def attention_blocks(q, k, v):
+    """kernels.attention(q, k, v) in query blocks of DENSE_BLOCK rows: yields (rows, p, o)."""
+    for start in range(0, q.shape[2], DENSE_BLOCK):
+        rows = slice(start, start + DENSE_BLOCK)
+        yield (rows, *kernels.attention(q[:, :, rows], k, v))
 
 
 @dataclass
@@ -28,36 +40,26 @@ class DenseTrace:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    p: Optional[np.ndarray]  # [B, h, N, N] attention weights, None when row-chunked
     o_merged: np.ndarray  # [B, N, C]
     output: np.ndarray
     params: RPAttnParams  # the forward's params (a reference, not a copy)
 
 
-def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig, row_chunk=None):
+def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
-    Reads only the w_q, w_k, w_v and w_o projections of params. row_chunk
-    (>= 1) bounds peak memory by computing the attention matrix in query
-    blocks (the result is identical; total work stays quadratic in N); a
-    trace with more than one block keeps no attention weights (p is None),
-    so it cannot be differentiated.
+    Reads only the w_q, w_k, w_v and w_o projections of params. The queries
+    run in attention_blocks and the trace keeps no weights, so memory grows
+    with N * DENSE_BLOCK, not N^2.
     """
-    if row_chunk is not None:
-        check_count("row_chunk", row_chunk)
     x = check_input(x, params, config)
-    n = x.shape[1]
     q, k, v = project_qkv(x, params, config)
-
-    chunk = n if row_chunk is None else min(row_chunk, n)
-    o = np.empty_like(q)
-    for start in range(0, n, chunk):
-        p, o[:, :, start:start + chunk] = kernels.attention(q[:, :, start:start + chunk], k, v)
-
+    o = np.empty_like(q)  # q's [B, N, h, d] memory layout: merge_heads(o) is a view
+    for rows, _, o_rows in attention_blocks(q, k, v):
+        o[:, :, rows] = o_rows
     o_merged = merge_heads(o)
     out = kernels.linear(o_merged, params.w_o)
-    return out, DenseTrace(x=x, q=q, k=k, v=v, p=p if chunk == n else None,
-                           o_merged=o_merged, output=out, params=params)
+    return out, DenseTrace(x=x, q=q, k=k, v=v, o_merged=o_merged, output=out, params=params)
 
 
 def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid):
@@ -132,13 +134,20 @@ def kmeans_gather(keys, num_slots, iters, seed):
     (batch, head) group draws from its own random stream derived from the
     master seed, so its assignments do not depend on the rest of the batch.
     The seeding draws are cached per (seed, B, h, N, M), at most 64 entries.
+    Keys that are not a non-empty 4-D array raise ShapeError, keys holding
+    NaN or inf ContractError, and a negative seed ConfigError.
     """
     check_count("kmeans iters", iters)
     check_count("kmeans num_slots", num_slots)
+    check_count("kmeans seed", seed, minimum=0)
     keys = np.asarray(keys)
+    if keys.ndim != 4 or keys.size == 0:
+        raise ShapeError(f"kmeans keys must be a non-empty [B, h, N, d] array, got {keys.shape}")
     b, h, n, d = keys.shape
     g, m = b * h, num_slots
     points = np.ascontiguousarray(keys, dtype=np.float64).reshape(g, n, d)
+    if not np.isfinite(points).all():
+        raise ContractError("kmeans keys hold NaN or inf")
     groups = np.arange(g)
     first, draws = _seed_draws(seed, b, h, n, m)
 

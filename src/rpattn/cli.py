@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (bench_mechanisms, em_deviations, export_assignment_maps, flops_estimate,
-                       mean_shift_report, measure_scaling, shift_experiment, softmax_flops)
+from .analysis import (BENCH_SUBJECTS, bench_mechanisms, em_deviations, export_assignment_maps,
+                       flops_estimate, mean_shift_report, measure_scaling, shift_experiment,
+                       softmax_flops)
 from .attention import AttnConfig, check_input, init_params, rpattention_forward
 from .errors import (ConfigError, ContractError, ShapeError, TensorFileError, TrainDivergedError,
                      check_count)
@@ -31,14 +32,7 @@ from .synthetic import SyntheticTask
 from .tensor_io import read_tensor
 from .train import VARIANTS, TrainConfig, train_tiny
 
-EMCHECK_TOL = 1e-12  # fixed, like _BENCH_BANDS and gradcheck's tol, so a config cannot loosen it
-
-_BENCH_BANDS = {
-    "constant_dummy": (-0.2, 0.2),
-    "quadratic_dummy": (1.8, 2.3),
-    "rpattention": (0.8, 1.4),
-    "softmax_dense": (1.6, 2.4),
-}
+EMCHECK_TOL = 1e-12  # fixed, like the bench bands and gradcheck's tol, so a config cannot loosen it
 
 # A rule(key, value) returns the checked value or raises ConfigError.
 REQUIRED = object()  # the default of a key the config must give
@@ -97,7 +91,8 @@ _TRAIN = {key: (REQUIRED, _section) for key in ("task", "attn", "train")}
 TABLES = {
     "gradcheck": {"attn": (REQUIRED, _section), "seeds": ([0], _list_of(_seed))},
     "flops": dict.fromkeys("nmck", (REQUIRED, _passed_on)),
-    "bench": {"mechanisms": (list(_BENCH_BANDS), _list_of(_string))},
+    "bench": {"mechanisms": ([name for name, (_, band) in BENCH_SUBJECTS.items() if band],
+                             _list_of(_string))},
     "shift": {"attn": (REQUIRED, _section), "image_size": (32, _count),
               "image_channels": (8, _count), "num_blobs": (3, _count),
               "patch_size": (4, _count), "pool_grid": ([4, 4], _list_of(_count, length=2)),
@@ -204,10 +199,9 @@ def cmd_bench(cfg, args):
     summary = []
     for name, res in report.results.items():
         summary.append(f"{name}={res.slope:.2f}")
-        if name in _BENCH_BANDS:
-            lo, hi = _BENCH_BANDS[name]
-            if not (lo <= res.slope <= hi):
-                failures.append(f"{name} slope {res.slope:.2f} outside [{lo}, {hi}]")
+        band = BENCH_SUBJECTS[name][1]
+        if band and not band[0] <= res.slope <= band[1]:
+            failures.append(f"{name} slope {res.slope:.2f} outside [{band[0]}, {band[1]}]")
     status = "PASS" if not failures else "FAIL: " + "; ".join(failures)
     print(f"bench: slopes {', '.join(summary)} -> {status}")
     return 0 if not failures else 1

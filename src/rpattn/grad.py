@@ -29,7 +29,7 @@ from .attention import (
     rpattention_forward,
     split_heads,
 )
-from .baselines import DenseTrace
+from .baselines import DenseTrace, attention_blocks
 from .errors import ConfigError, ContractError
 
 
@@ -205,18 +205,21 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSe
 def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> GradSet:
     """Exact gradients of sum(grad_output * output) for the dense baseline.
 
-    The trace must come from an unchunked softmax_attention_forward; params
-    are the forward's own, read from the trace. Fields the dense forward
-    does not read get zero gradients.
+    Params are the forward's own, read from the trace. Each query block's
+    weights are recomputed; fields the dense forward does not read get zero
+    gradients.
     """
-    if trace.p is None:
-        raise ContractError("dense backward needs the attention weights of an unchunked forward")
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
 
     grads = {"w_o": _weight_grad(trace.o_merged, grad_output)}
-    d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), trace.q.shape[1])
-    d_q, d_k, d_v = _attention_backward(trace.q, trace.k, trace.v, trace.p, d_o)
+    q, k, v = trace.q, trace.k, trace.v
+    d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), q.shape[1])
+    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    for rows, p, _ in attention_blocks(q, k, v):
+        d_q[:, :, rows], dk, dv = _attention_backward(q[:, :, rows], k, v, p, d_o[:, :, rows])
+        d_k += dk
+        d_v += dv
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
         trace.x, d_q, d_k, d_v, params)
     return _grad_set(params, grads, d_x)

@@ -87,8 +87,7 @@ def test_criterion_3_flops_model():
 def test_criterion_4_linear_scaling():
     start = time.time()
     mechanisms = bench_mechanisms(
-        ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"],
-        channels=64, heads=2, num_representatives=49, row_chunk=1024)
+        ["constant_dummy", "quadratic_dummy", "rpattention", "softmax_dense"])
     report = measure_scaling(mechanisms, [256, 1024, 4096, 16384], reps=3, warmup=2, iters=5)
     elapsed = time.time() - start
 

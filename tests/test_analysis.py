@@ -17,6 +17,7 @@ from rpattn import (
     softmax_flops,
 )
 from rpattn.analysis import (
+    BENCH_SUBJECTS,
     bench_mechanisms,
     em_deviations,
     export_assignment_maps,
@@ -234,14 +235,21 @@ class TestScaling:
 
         assert defaults(measure_scaling) == {
             "sizes": (256, 1024, 4096, 16384), "reps": 3, "warmup": 2, "iters": 5}
-        assert defaults(bench_mechanisms) == {
-            "channels": 64, "heads": 2, "num_representatives": 49, "row_chunk": 1024}
+        assert list(inspect.signature(bench_mechanisms).parameters) == ["names"]
 
-    def test_bench_layer_shape_checked_before_timing(self):
-        # channels not divisible by heads fails when the subjects are built,
-        # not when the first layer subject is prepared after the dummies ran.
-        with pytest.raises(ConfigError, match="not divisible by heads"):
-            bench_mechanisms(["constant_dummy", "rpattention"], channels=6, heads=4)
+    def test_subject_table(self):
+        # One table holds every subject's factory and slope band; only the
+        # linear dummy has no band.
+        assert {name for name, (_, band) in BENCH_SUBJECTS.items() if band is None} == {
+            "linear_dummy"}
+        names = list(BENCH_SUBJECTS)
+        assert [mech.name for mech in bench_mechanisms(names)] == names
+
+    def test_repeated_name_rejected(self):
+        # Each subject is timed once per name, so a name listed twice is an error.
+        with pytest.raises(ConfigError,
+                           match="mechanism 'constant_dummy' is listed more than once"):
+            bench_mechanisms(["constant_dummy", "linear_dummy", "constant_dummy"])
 
 
 def _trace_with(a, grid):

@@ -20,8 +20,8 @@ from rpattn import (
     project_qkv,
     rpattention_forward,
 )
-from rpattn.attention import LN_EPS, SLOT_MASS_EPS, merge_heads, split_heads
-from rpattn.errors import ConfigError
+from rpattn.attention import LN_EPS, SLOT_MASS_EPS, check_input, merge_heads, split_heads
+from rpattn.errors import ConfigError, ContractError
 
 import oracles
 
@@ -387,6 +387,24 @@ class TestForward:
         params = init_params(SMALL, 0)
         with pytest.raises(ConfigError):
             rpattention_forward(np.zeros((1, 10, 8)), params, SMALL)
+
+    @pytest.mark.parametrize("x,cause", [
+        (np.full((1, 12, 8), "a"), None),
+        (np.full((1, 12, 8), "1.5"), None),
+        (np.ones((1, 12, 8), dtype=np.complex128), None),
+        (np.zeros((1, 12, 8), dtype="datetime64[s]"), None),
+        ([[[0.0] * 8] * 12, [[0.0] * 8] * 11], ValueError),
+        ([[[10**400] + [0] * 7] * 12], OverflowError),
+        ([[[1j] * 8] * 12], TypeError),
+        ([[["a"] * 8] * 12], ValueError),
+    ], ids=["str", "numeric-str", "complex", "datetime", "ragged", "huge-int", "complex-list",
+            "str-list"])
+    def test_input_that_is_not_real_rejected(self, x, cause):
+        # Named, never a numpy error or a cast that drops the imaginary part;
+        # a failed cast is the cause of the ContractError.
+        with pytest.raises(ContractError) as err:
+            check_input(x, init_params(SMALL, 0), SMALL)
+        assert type(err.value.__cause__) is (cause or type(None))
 
 
 class TestInitAndCount:

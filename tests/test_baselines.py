@@ -8,7 +8,9 @@ import pytest
 
 from rpattn import (
     AttnConfig,
+    baselines,
     init_params,
+    kernels,
     kmeans_gather,
     pooled_proxy_forward,
     rpattention_forward,
@@ -65,19 +67,38 @@ class TestDenseAttention:
         assert np.abs(out - expect).max() < 1e-12
 
     def test_attention_rows_sum_to_one(self):
+        # The trace keeps no weights; the ones the backward recomputes from it
+        # are row-stochastic.
         cfg = _dense_config(8, 7)
         x = np.random.default_rng(6).standard_normal((1, 7, 8))
         _, trace = softmax_attention_forward(x, init_params(cfg, 5), cfg)
-        assert np.abs(trace.p.sum(axis=-1) - 1.0).max() < 1e-12
+        p, _ = kernels.attention(trace.q, trace.k, trace.v)
+        assert p.shape == (1, 2, 7, 7)
+        assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
 
-    def test_chunked_equals_unchunked(self):
-        cfg = _dense_config(8, 9)
-        params = init_params(cfg, 7)
-        x = np.random.default_rng(8).standard_normal((2, 9, 8))
-        full, _ = softmax_attention_forward(x, params, cfg)
-        chunked, trace = softmax_attention_forward(x, params, cfg, row_chunk=4)
-        assert np.abs(full - chunked).max() < 1e-12
-        assert trace.p is None
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_two_blocks_match_one_block(self, monkeypatch, batch):
+        # A 33 x 32 grid is two query blocks. Its output and all 15 gradients
+        # match one block holding the full [B, h, N, N] weights.
+        cfg = AttnConfig(channels=4, heads=2, num_representatives=1, grid_h=33, grid_w=32)
+        assert baselines.DENSE_BLOCK < cfg.num_tokens <= 2 * baselines.DENSE_BLOCK
+        params = init_params(cfg, 12)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((batch, cfg.num_tokens, 4))
+        g = rng.standard_normal(x.shape)
+
+        def run():
+            out, trace = softmax_attention_forward(x, params, cfg)
+            grads = softmax_attention_backward(trace, g)
+            return {"output": out, "x": grads.grad_x, **grads.field_dict()}
+
+        blocked = run()
+        monkeypatch.setattr(baselines, "DENSE_BLOCK", cfg.num_tokens)
+        single = run()
+        assert len(single) == 16
+        for name, ref in single.items():
+            scale = np.abs(ref).max()
+            assert np.abs(blocked[name] - ref).max() <= 1e-12 * scale, name
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_backward_matches_finite_differences(self, batch):
@@ -107,21 +128,6 @@ class TestDenseAttention:
         for name, value in grads.field_dict().items():
             if name not in DENSE_FIELDS:
                 assert not value.any(), name
-
-    @pytest.mark.parametrize("row_chunk", [0, -1])
-    def test_nonpositive_row_chunk_rejected(self, row_chunk):
-        cfg = _dense_config(6, 5)
-        x = np.random.default_rng(11).standard_normal((1, 5, 6))
-        with pytest.raises(ConfigError):
-            softmax_attention_forward(x, init_params(cfg, 9), cfg, row_chunk=row_chunk)
-
-    def test_backward_rejects_chunked_trace(self):
-        cfg = _dense_config(6, 5)
-        params = init_params(cfg, 9)
-        x = np.random.default_rng(10).standard_normal((1, 5, 6))
-        out, trace = softmax_attention_forward(x, params, cfg, row_chunk=2)
-        with pytest.raises(ContractError):
-            softmax_attention_backward(trace, np.ones_like(out))
 
 
 class TestPooledProxy:
@@ -338,20 +344,37 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans_gather(np.zeros((1, 1, 4, 2)), num_slots=2, iters=0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^kmeans seed must be an integer >= 0"):
+            kmeans_gather(np.zeros((1, 1, 4, 2)), num_slots=2, iters=1, seed=-1)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 4, 2), (1, 1, 1, 4, 2), (1, 1, 0, 2)])
+    def test_keys_not_4d_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"^kmeans keys must be a non-empty \[B, h, N, d\]"):
+            kmeans_gather(np.zeros(shape), num_slots=2, iters=1, seed=0)
+
+    @pytest.mark.parametrize("fill", ["one", "all"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_keys_rejected(self, fill, bad):
+        keys = np.random.default_rng(24).standard_normal((2, 2, 5, 3)).astype(np.float32)
+        if fill == "all":
+            keys[:] = bad
+        else:
+            keys[1, 0, 3, 2] = bad
+        with pytest.raises(ContractError, match="kmeans keys hold NaN or inf"):
+            kmeans_gather(keys, num_slots=2, iters=1, seed=0)
+
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True])
 def test_non_integer_block_and_grid_sizes_rejected(bad):
+    # pool_grid counts the pooled proxy's blocks per grid axis.
     cfg = AttnConfig(channels=8, heads=2, num_representatives=4, grid_h=4, grid_w=4)
     params = init_params(cfg, 0)
     x = np.random.default_rng(12).standard_normal((1, 16, 8))
-    with pytest.raises(ConfigError):
-        softmax_attention_forward(x, params, cfg, row_chunk=bad)
     for pool_grid in [(bad, 2), (2, bad)]:
         with pytest.raises(ConfigError):
             pooled_proxy_forward(x, params, cfg, pool_grid)
     # numpy integers are integers
-    chunked, _ = softmax_attention_forward(x, params, cfg, row_chunk=np.int64(3))
-    assert np.array_equal(chunked, softmax_attention_forward(x, params, cfg, row_chunk=3)[0])
     pooled = pooled_proxy_forward(x, params, cfg, (np.int64(2), 2))[0]
     assert np.array_equal(pooled, pooled_proxy_forward(x, params, cfg, (2, 2))[0])
 

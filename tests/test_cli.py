@@ -256,6 +256,9 @@ BAD_VALUE_CASES = [
                  "mechanisms must be a list of one or more", id="bench-mechanisms-empty"),
     pytest.param("bench", _with(BENCH_CFG, None, "mechanisms", ["constant_dumy"]),
                  "unknown mechanism 'constant_dumy'", id="bench-mechanisms-unknown"),
+    pytest.param("bench", _with(BENCH_CFG, None, "mechanisms", ["constant_dummy"] * 2),
+                 "mechanism 'constant_dummy' is listed more than once",
+                 id="bench-mechanisms-repeated"),
     pytest.param("maps", _with(MAPS_CFG, None, "seed", -1),
                  "seed must be an integer >= 0", id="maps-seed"),
     pytest.param("maps", _with(MAPS_CFG, None, "input", 5),

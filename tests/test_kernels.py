@@ -4,12 +4,10 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import rpattn
 from rpattn import kernels
 from rpattn.errors import ConfigError, ShapeError
 
@@ -232,10 +230,7 @@ for name, arr in arrays.items():
 
 
 def _hash_run(threads):
-    src = str(Path(rpattn.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path,
-               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from rpattn import SyntheticTask, TrainConfig, cli, kernels  # noqa: E402
 from rpattn.attention import (  # noqa: E402
-    KMEANS_ITERS, PARAM_FIELDS, AttnConfig, init_params, rpattention_forward)
+    KMEANS_ITERS, PARAM_FIELDS, AttnConfig, RPAttnParams, init_params, rpattention_forward)
 from rpattn.baselines import kmeans_gather  # noqa: E402
 from rpattn.errors import BadMagicError, TensorFileError, TruncatedPayloadError  # noqa: E402
 from rpattn.grad import _attention_backward, finite_diff_grad, rpattention_backward  # noqa: E402
@@ -100,6 +100,46 @@ def test_learned_backward_matches_finite_differences(batch, heads, head_dim, gri
         np.testing.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-6, err_msg=name)
     fd_x = finite_diff_grad(lambda t: loss(params, t), x, 1e-6)
     np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
+
+
+@given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(1, 4),
+       grid_h=st.integers(1, 4), grid_w=st.integers(1, 4), num_reps=st.integers(1, 6),
+       interact=st.booleans(), dwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_float32_tracks_float64(batch, heads, head_dim, grid_h, grid_w, num_reps, interact, dwc,
+                                seed):
+    # The float32 forward and backward against float64 on the same values:
+    # the float32 params, input and grad_output, upcast. Each gap is bounded
+    # against the largest float64 entry over all its arrays, not per array:
+    # a gradient that is only rounding noise in float64 (w_q at N = 1) has no
+    # scale of its own. Learned routing only, since a float32 key can flip a
+    # hard k-means assignment.
+    cfg32 = AttnConfig(channels=heads * head_dim, heads=heads, num_representatives=num_reps,
+                       grid_h=grid_h, grid_w=grid_w, enable_interact=interact,
+                       enable_dwc=dwc, dtype="float32")
+    cfg64 = replace(cfg32, dtype="float64")
+    rng = np.random.default_rng(seed)
+    params32 = init_params(cfg32, int(rng.integers(2**31)))
+    params64 = RPAttnParams(**{name: value.astype(np.float64)
+                               for name, value in params32.field_dict().items()})
+    x = rng.standard_normal((batch, cfg32.num_tokens, cfg32.channels)).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+
+    y32, trace32 = rpattention_forward(x, params32, cfg32)
+    y64, trace64 = rpattention_forward(x.astype(np.float64), params64, cfg64)
+    # With d = 1, dwc off and the initial params, the one-channel layer norm
+    # returns beta = 0, so the output is exactly zero and has no scale.
+    assume(y64.any())
+    assert y32.dtype == np.float32
+    assert np.abs(y32 - y64).max() <= 1e-4 * np.abs(y64).max()
+
+    grads32 = rpattention_backward(trace32, g)
+    grads64 = rpattention_backward(trace64, g.astype(np.float64))
+    names = [*PARAM_FIELDS, "grad_x"]
+    scale = max(np.abs(getattr(grads64, name)).max() for name in names)
+    for name in names:
+        got = getattr(grads32, name)
+        assert got.dtype == np.float32, name
+        assert np.abs(got - getattr(grads64, name)).max() <= 1e-4 * scale, name
 
 
 @given(batch=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 12),
