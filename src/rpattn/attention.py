@@ -160,14 +160,16 @@ class ForwardTrace:
     """The record of one rpattention_forward call, everything its backward reads.
 
     Each intermediate is held once, with the call's own params and config
-    (references, not copies).
+    (references, not copies). Shapes are logical: `p_dist`, and `a` under
+    learned routing, are the swapped views of C-ordered [B, h, M, N] arrays,
+    so their reductions over the slots run over the outer memory axis.
     """
 
     x: np.ndarray          # [B, N, C] layer input
     q: np.ndarray          # [B, h, N, d]
     k: np.ndarray          # [B, h, N, d]
     v: np.ndarray          # [B, h, N, d]
-    a: np.ndarray          # [B, h, N, M] row-stochastic assignments
+    a: np.ndarray          # [B, h, N, M] row-stochastic assignments (slot-major when learned)
     mass: np.ndarray       # [B, h, M, 1] slot token mass plus SLOT_MASS_EPS
     k_l: np.ndarray        # [B, h, M, d] gathered latent keys
     v_l: np.ndarray        # [B, h, M, d] gathered latent values
@@ -175,7 +177,7 @@ class ForwardTrace:
     v_l_bar: np.ndarray    # [B, h, M, d] normalized latent values
     p_lat: Optional[np.ndarray]  # [B, h, M, M] latent attention, None when interact is off
     z_l: np.ndarray        # [B, h, M, d] refined latent values
-    p_dist: np.ndarray     # [B, h, N, M] distribution attention
+    p_dist: np.ndarray     # [B, h, N, M] distribution attention, stored slot-major
     fused: np.ndarray      # [B, N, C] cross-attention readout plus depthwise bypass
     output: np.ndarray     # [B, N, C]
     params: RPAttnParams   # the forward's params
@@ -203,8 +205,12 @@ def project_qkv(x: np.ndarray, params: RPAttnParams, config: AttnConfig):
 
 
 def gather_assign(k: np.ndarray, w_g: np.ndarray) -> np.ndarray:
-    """Soft assignment of tokens to slots: softmax over slots of key-anchor products."""
-    return kernels.softmax_lastdim(kernels.matmul(k, w_g))
+    """Soft assignment of tokens to slots: softmax over slots of key-anchor products.
+
+    [B, h, N, M], stored slot-major: the logits are formed as w_gᵀ kᵀ.
+    """
+    logits = kernels.matmul(w_g.T, np.swapaxes(k, -1, -2))
+    return kernels.softmax_lastdim(np.swapaxes(logits, -1, -2))
 
 
 def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray):
@@ -243,10 +249,10 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
 def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray):
     """Cross-attention of the N spatial queries over the M slots.
 
-    Returns (p_dist, o_global) with heads merged back to C channels.
+    Returns (p_dist, o): the slot-major weights and the per-head readout
+    [B, h, N, d].
     """
-    p_dist, o = kernels.attention(q, k_l_bar, z_l)
-    return p_dist, merge_heads(o)
+    return kernels.attention(q, k_l_bar, z_l)
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -302,7 +308,10 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     """Full layer forward. Returns (output, ForwardTrace).
 
     Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass.
+    needed by the analytic backward pass. The bypass runs after the routing
+    and before the distribution weights exist, and the readout is added
+    into it in place, so no step holds more than one [B, h, N, M] array
+    beyond the trace.
     """
     x = check_input(x, params, config)
     q, k, v = project_qkv(x, params, config)
@@ -315,8 +324,11 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
         a = gather_assign(k, params.w_g)
     mass, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
-    p_dist, o_global = distribute_global(q, k_l_bar, z_l)
-    fused = o_global + local_bypass(merge_heads(v), params, config)
+    fused = local_bypass(merge_heads(v), params, config)
+    p_dist, o = distribute_global(q, k_l_bar, z_l)
+    fused_heads = split_heads(fused, config.heads)  # a view: the add lands in fused
+    fused_heads += o
+    del o  # freed before the output projection allocates
     output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(

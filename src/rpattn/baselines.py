@@ -25,11 +25,11 @@ from .errors import ConfigError, ContractError, ShapeError, check_count
 DENSE_BLOCK = 1024
 
 
-def attention_blocks(q, k, v):
-    """kernels.attention(q, k, v) in query blocks of DENSE_BLOCK rows: yields (rows, p, o)."""
+def attention_blocks(q, k):
+    """kernels.attention_weights(q, k) in query blocks of DENSE_BLOCK rows: yields (rows, p)."""
     for start in range(0, q.shape[2], DENSE_BLOCK):
         rows = slice(start, start + DENSE_BLOCK)
-        yield (rows, *kernels.attention(q[:, :, rows], k, v))
+        yield rows, kernels.attention_weights(q[:, :, rows], k)
 
 
 @dataclass
@@ -55,8 +55,8 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig):
     x = check_input(x, params, config)
     q, k, v = project_qkv(x, params, config)
     o = np.empty_like(q)  # q's [B, N, h, d] memory layout: merge_heads(o) is a view
-    for rows, _, o_rows in attention_blocks(q, k, v):
-        o[:, :, rows] = o_rows
+    for rows, p in attention_blocks(q, k):
+        o[:, :, rows] = kernels.matmul(p, v)
     o_merged = merge_heads(o)
     out = kernels.linear(o_merged, params.w_o)
     return out, DenseTrace(x=x, q=q, k=k, v=v, o_merged=o_merged, output=out, params=params)
@@ -176,16 +176,17 @@ def kmeans_gather(keys, num_slots, iters, seed):
     sq = np.square(points).sum(axis=2)[:, :, None]
     base = groups[:, None] * m
     cells = np.arange(d)
-    dist = np.empty((g, n, m))
     for _ in range(iters):
-        # Squared Euclidean distances in one reused [G, N, M] buffer, bit for
-        # bit |p|^2 - 2pc + |c|^2; argmin ties resolve to the lowest slot.
-        np.matmul(points, centroids.transpose(0, 2, 1), out=dist)
+        # Squared Euclidean distances in one [G, N, M] array, bit for bit
+        # |p|^2 - 2pc + |c|^2, freed before the member sums index [G, N, d];
+        # argmin ties resolve to the lowest slot.
+        dist = np.matmul(points, centroids.transpose(0, 2, 1))
         dist *= -2.0
         dist += sq
         dist += np.square(centroids).sum(axis=2)[:, None, :]
         assign = dist.argmin(axis=2)
         own = dist.min(axis=2)
+        del dist
         counts = np.bincount((base + assign).ravel(), minlength=g * m).reshape(g, m)
         # Empty clusters re-seed to the point currently farthest from its
         # assigned centroid (ascending slot order, each point used once).
@@ -204,5 +205,4 @@ def kmeans_gather(keys, num_slots, iters, seed):
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled][:, None]
 
-    del dist  # the one-hot below is the only [G, N, M] array left
     return (assign[..., None] == np.arange(m)).astype(keys.dtype).reshape(b, h, n, m)

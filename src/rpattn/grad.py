@@ -41,14 +41,19 @@ class GradSet(RPAttnParams):
 
 
 def _softmax_backward(p, dp):
-    # p = softmax(s) rowwise: ds = p * (dp - sum(dp * p))
-    return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    # p = softmax(s) rowwise: ds = p * (dp - sum(dp * p)), in one new array
+    # laid out like p and dp.
+    ds = dp * p
+    np.subtract(dp, ds.sum(axis=-1, keepdims=True), out=ds)
+    ds *= p
+    return ds
 
 
 def _attention_backward(q, k, v, p, d_o):
-    # Reverse of kernels.attention: p = softmax(q k^T / sqrt(d)), o = p v.
+    # Reverse of kernels.attention: p = softmax(q k^T / sqrt(d)), o = p v. Like
+    # p, d_p (and so d_s) is built key-major: the swapped view of v d_o^T.
     scale = 1.0 / math.sqrt(q.shape[-1])
-    d_p = kernels.matmul(d_o, np.swapaxes(v, -1, -2))
+    d_p = np.swapaxes(kernels.matmul(v, np.swapaxes(d_o, -1, -2)), -1, -2)
     d_v = kernels.matmul(np.swapaxes(p, -1, -2), d_o)
     d_s = _softmax_backward(p, d_p)
     d_q = kernels.matmul(d_s, k) * scale
@@ -101,10 +106,12 @@ def _dwc_backward(x_grid, kernel, dy):
     xp[:, pad:pad + h, pad:pad + w] = x_grid
     dxp = np.zeros_like(xp)
     dkernel = np.zeros_like(kernel)
+    tap = np.empty_like(dy)  # one buffer for every tap's product
     for ki in range(k):
         for kj in range(k):
-            dxp[:, ki:ki + h, kj:kj + w, :] += dy * kernel[ki, kj, :]
-            dkernel[ki, kj, :] = (xp[:, ki:ki + h, kj:kj + w, :] * dy).sum(axis=(0, 1, 2))
+            dxp[:, ki:ki + h, kj:kj + w, :] += np.multiply(dy, kernel[ki, kj, :], out=tap)
+            dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, kj:kj + w, :], dy, out=tap).sum(
+                axis=(0, 1, 2))
     dbias = dy.sum(axis=(0, 1, 2))
     return dxp[:, pad:pad + h, pad:pad + w, :], dkernel, dbias
 
@@ -186,13 +193,16 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSe
     # Assignment softmax; hard k-means assignments get no gradient. Since
     # sum_t a[t,m] k[t] = mass[m] k_l[m], the quotient rule gives
     # d_a[n,m] = k[n].g_k[m] + v[n].g_v[m] - (k_l[m].g_k[m] + v_l[m].g_v[m]).
+    # Like a, d_a is built slot-major, [B, h, M, N].
     if config.routing == "learned":
-        d_a = kernels.matmul(trace.k, np.swapaxes(g_k, -1, -2))
-        d_a += kernels.matmul(trace.v, np.swapaxes(g_v, -1, -2))
-        d_a -= np.swapaxes((trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True), -1, -2)
-        d_logits = _softmax_backward(trace.a, d_a)
-        grads["w_g"] = _weight_grad(trace.k, d_logits)
-        d_k_att = d_k_att + kernels.matmul(d_logits, params.w_g.T)
+        d_a = kernels.matmul(g_k, np.swapaxes(trace.k, -1, -2))
+        d_a += kernels.matmul(g_v, np.swapaxes(trace.v, -1, -2))
+        d_a -= (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
+        d_logits = _softmax_backward(trace.a, np.swapaxes(d_a, -1, -2))
+        # Per-head products d_logitsᵀ k, summed over (B, h): folding the
+        # leading axes of the slot-major d_logits would copy it.
+        grads["w_g"] = kernels.matmul(np.swapaxes(d_logits, -1, -2), trace.k).sum(axis=(0, 1)).T
+        d_k_att += kernels.matmul(d_logits, params.w_g.T)
 
     # Input projections; the bypass gradient joins the value gradient first.
     if d_xv is not None:
@@ -206,8 +216,8 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> Gr
     """Exact gradients of sum(grad_output * output) for the dense baseline.
 
     Params are the forward's own, read from the trace. Each query block's
-    weights are recomputed; fields the dense forward does not read get zero
-    gradients.
+    weights are recomputed, without its readout; fields the dense forward
+    does not read get zero gradients.
     """
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
@@ -216,7 +226,7 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> Gr
     q, k, v = trace.q, trace.k, trace.v
     d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), q.shape[1])
     d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-    for rows, p, _ in attention_blocks(q, k, v):
+    for rows, p in attention_blocks(q, k):
         d_q[:, :, rows], dk, dv = _attention_backward(q[:, :, rows], k, v, p, d_o[:, :, rows])
         d_k += dk
         d_v += dv

@@ -1,15 +1,23 @@
 """Dense numeric primitives every attention variant is built from.
 
-`attention` is the package's one scaled dot-product attention, reversed by
-`grad._attention_backward`.
+`attention` is the package's one scaled dot-product attention: its weights
+(`attention_weights`) followed by the readout, reversed by
+`grad._attention_backward`. The weights keep their logical [..., n_q, n_k]
+shape but are stored key-major (the swapped view of a C-ordered
+[..., n_k, n_q] array), so every reduction over the keys runs over the outer
+memory axis; a short last axis (M slots) is the slow case for numpy.
 
-All kernels operate on plain numpy arrays (row-major, C order). Both dtypes
+All kernels operate on plain numpy arrays (row-major, C order, or swapped
+views of such, like the attention weights). Both dtypes
 share one path: contractions dispatch to BLAS through np.matmul. float64 is
 the precision for correctness work (gradient checks, oracle comparisons);
 float32 is the precision for benchmarks. The tests pin that float64 results
 are bit-identical under one and two BLAS threads.
 
 Kernels are pure functions of their inputs and never mutate arguments.
+Each makes as few full-size arrays as its arithmetic allows and finishes its
+work in place in them; the in-place steps run the same operations in the
+same order, so the results keep their bits.
 """
 
 import math
@@ -47,21 +55,38 @@ def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, max-subtracted for stability.
 
-    Every last-axis slice of the result is nonnegative and sums to 1.
+    Every last-axis slice of the result is nonnegative and sums to 1. The
+    result is the one new full-size array (x - max, then exp and the divide
+    in place), laid out in memory like x: a swapped view in gives a swapped
+    view out.
     """
     x = np.asarray(x)
     if x.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last axis")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # Integer and bool inputs promote as np.exp would promote them.
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.result_type(x, np.float16))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Weights p = softmax(q k^T / sqrt(d)) of queries [..., n_q, d] over keys [..., n_k, d].
+
+    p is [..., n_q, n_k], stored key-major: the logits are formed as k q^T,
+    scaled in place, and normalized through their swapped view.
+    """
+    s = matmul(k, np.swapaxes(q, -1, -2))
+    s *= 1.0 / math.sqrt(q.shape[-1])
+    return softmax_lastdim(np.swapaxes(s, -1, -2))
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Queries [..., n_q, d] over keys [..., n_k, d] and values [..., n_k, d_v].
 
-    Returns (p, o): weights p = softmax(q k^T / sqrt(d)) and readout o = p v.
+    Returns (p, o): the attention_weights p and the readout o = p v.
     """
-    p = softmax_lastdim(matmul(q, np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1])))
+    p = attention_weights(q, k)
     return p, matmul(p, v)
 
 
@@ -102,7 +127,9 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
     xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x
     out = np.zeros_like(x)
+    tap = np.empty_like(x)  # one buffer for every tap's product
     for ki in range(k):
         for kj in range(k):
-            out += xp[:, ki:ki + h, kj:kj + w, :] * kernel[ki, kj, :]
-    return out + bias
+            out += np.multiply(xp[:, ki:ki + h, kj:kj + w, :], kernel[ki, kj, :], out=tap)
+    out += bias
+    return out

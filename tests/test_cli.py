@@ -363,10 +363,11 @@ def test_module_entrypoint_with_thread_cap(tmp_path):
     env = dict(os.environ, RPATTN_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "rpattn.cli", "flops", "--n", "1", "--m", "1",
-         "--c", "1", "--k", "1"],
+         "--c", "1", "--k", "1", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert "total=12" in proc.stdout
+    assert (tmp_path / "flops.csv").is_file()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

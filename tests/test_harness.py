@@ -41,11 +41,11 @@ TASK = SyntheticTask(grid_h=4, grid_w=4, channels=8, num_clusters=3,
 ATTN = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=4, grid_w=4)
 
 KMEANS_ABLATE_LOSSES = [
-    1.1129040875118732, 1.12260860220658, 1.1021331117377557, 1.1055868747684805,
-    1.0644057001621414, 1.0993216658644067, 1.0988732228356268, 1.0426418365253456,
-    1.0582087555629742, 1.0136262754536893, 1.1153181020619618, 1.0398281204155304,
-    1.0461939673158651, 0.9863242420685187, 0.9979656655089747, 0.9972436927401835,
-    1.0000106303224294, 0.9891801985886299, 0.9033337422762194, 0.8980002539479188,
+    1.1129040875118732, 1.1226086022065798, 1.1021331117377557, 1.1055868747684805,
+    1.0644057001621414, 1.0993216658644065, 1.0988732228356266, 1.0426418365253456,
+    1.058208755562974, 1.0136262754536896, 1.1153181020619618, 1.0398281204155304,
+    1.0461939673158651, 0.9863242420685187, 0.9979656655089746, 0.9972436927401833,
+    1.0000106303224294, 0.98918019858863, 0.9033337422762194, 0.8980002539479188,
 ]
 
 
@@ -155,8 +155,7 @@ class TestTrainTiny:
         assert err.value.step >= 1
 
     def test_kmeans_loss_curve_pinned(self):
-        # configs/ablate.json settings, 20 steps; recorded with the k-means
-        # that looped over (batch, head) groups. Exact equality: any change of
+        # configs/ablate.json settings, 20 steps. Exact equality: any change of
         # routing order or arithmetic shows here.
         cfg = TrainConfig(steps=20, batch_size=16, lr=0.01, seed=3, variant="kmeans")
         assert train_tiny(TASK, ATTN, cfg).losses == KMEANS_ABLATE_LOSSES

@@ -88,6 +88,35 @@ class TestSoftmax:
         x = rng.standard_normal((3, 5))
         assert np.abs(kernels.softmax_lastdim(x) - oracles.softmax_lastdim_loops(x)).max() < 1e-12
 
+    def test_integer_input_promotes_like_exp(self):
+        out = kernels.softmax_lastdim(np.array([1, 2, 3]))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, kernels.softmax_lastdim(np.array([1.0, 2.0, 3.0])))
+
+
+class TestWeightsLayout:
+    """softmax_lastdim keeps the key-major layout of the attention weights
+    (tests/test_properties.py checks the weights themselves)."""
+
+    def test_softmax_leaves_its_input_unchanged(self):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((2, 7, 5))
+        for view in (x, np.swapaxes(x, -1, -2)):
+            before = view.copy()
+            kernels.softmax_lastdim(view)
+            assert np.array_equal(view, before)
+
+    def test_softmax_keeps_a_swapped_layout(self):
+        # A slot-major [2, 3, 49, 40] array seen as [2, 3, 40, 49]: the result
+        # keeps that layout and equals the softmax of the same values in C order.
+        rng = np.random.default_rng(25)
+        slot_major = np.swapaxes(rng.standard_normal((2, 3, 49, 40)) * 5.0, -1, -2)
+        got = kernels.softmax_lastdim(slot_major)
+        assert np.swapaxes(got, -1, -2).flags.c_contiguous
+        want = kernels.softmax_lastdim(np.ascontiguousarray(slot_major))
+        assert want.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-15
+
 
 class TestLayerNorm:
     def test_constant_slice_is_zero(self):

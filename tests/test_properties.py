@@ -52,6 +52,25 @@ def test_attention_backward_matches_finite_differences(batch, heads, d, n_q, n_k
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8, err_msg=name)
 
 
+@given(lead=st.lists(st.integers(1, 3), max_size=2), d=st.integers(1, 4),
+       n_q=st.integers(1, 40), n_k=st.integers(1, 40), scale=st.sampled_from([0.1, 1.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_weights_match_query_major_softmax(lead, d, n_q, n_k, scale, seed):
+    # kernels.attention stores its weights key-major; the values must equal
+    # the query-major softmax(q k^T / sqrt(d)) over every leading batch shape.
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((*lead, n_q, d)) * scale
+    k = rng.standard_normal((*lead, n_k, d))
+    v = rng.standard_normal((*lead, n_k, 2))
+    p, o = kernels.attention(q, k, v)
+    logits = np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(d)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert p.shape == want.shape and np.swapaxes(p, -1, -2).flags.c_contiguous
+    assert np.abs(p - want).max() < 1e-12
+    assert np.array_equal(o, np.matmul(p, v))
+
+
 @given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(1, 3),
        grid_h=st.integers(1, 3), grid_w=st.integers(1, 3), num_reps=st.integers(1, 12),
        interact=st.booleans(), seed=st.integers(0, 2**32 - 1))
