@@ -207,10 +207,11 @@ def project_qkv(x: np.ndarray, params: RPAttnParams, config: AttnConfig):
 def gather_assign(k: np.ndarray, w_g: np.ndarray) -> np.ndarray:
     """Soft assignment of tokens to slots: softmax over slots of key-anchor products.
 
-    [B, h, N, M], stored slot-major: the logits are formed as w_gᵀ kᵀ.
+    [B, h, N, M], stored slot-major: the logits are formed as w_gᵀ kᵀ and
+    normalized in place through their swapped view.
     """
-    logits = kernels.matmul(w_g.T, np.swapaxes(k, -1, -2))
-    return kernels.softmax_lastdim(np.swapaxes(logits, -1, -2))
+    logits = np.swapaxes(kernels.matmul(w_g.T, np.swapaxes(k, -1, -2)), -1, -2)
+    return kernels.softmax_lastdim(logits, out=logits)
 
 
 def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray):
@@ -246,13 +247,17 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
     return k_l_bar, v_l_bar, p_lat, v_l_bar + o_lat
 
 
-def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray):
+def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray,
+                      fused: np.ndarray) -> np.ndarray:
     """Cross-attention of the N spatial queries over the M slots.
 
-    Returns (p_dist, o): the slot-major weights and the per-head readout
-    [B, h, N, d].
+    Adds the per-head readout [B, h, N, d] into fused [B, N, C] in place,
+    through its split_heads view, and returns the slot-major weights p_dist.
     """
-    return kernels.attention(q, k_l_bar, z_l)
+    p_dist, o = kernels.attention(q, k_l_bar, z_l)
+    fused_heads = split_heads(fused, q.shape[1])  # a view: the add lands in fused
+    fused_heads += o
+    return p_dist
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -325,10 +330,7 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     mass, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)
-    p_dist, o = distribute_global(q, k_l_bar, z_l)
-    fused_heads = split_heads(fused, config.heads)  # a view: the add lands in fused
-    fused_heads += o
-    del o  # freed before the output projection allocates
+    p_dist = distribute_global(q, k_l_bar, z_l, fused)
     output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(

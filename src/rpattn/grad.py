@@ -98,22 +98,28 @@ def _layer_norm_backward(x, gamma, eps, dy):
 
 
 def _dwc_backward(x_grid, kernel, dy):
-    # Same-padded depthwise conv: out = sum_{ki,kj} xp[.., ki:ki+H, kj:kj+W, :] * kernel[ki,kj,:]
+    # Same-padded depthwise conv in the forward's row layout (kernels.dwc_layout):
+    # out[:, i] = sum_{ki,kj} xp[:, i+ki, kj*C : kj*C+W*C] * taps[ki, kj]. The
+    # reductions run over whole arrays, not the forward's bands, so every sum
+    # keeps its order.
     b, h, w, c = x_grid.shape
     k = kernel.shape[0]
     pad = (k - 1) // 2
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x_grid.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x_grid
+    run = w * c
+    xp, taps = kernels.dwc_layout(x_grid, kernel)
+    dy_rows = dy.reshape(b, h, run)
     dxp = np.zeros_like(xp)
     dkernel = np.zeros_like(kernel)
-    tap = np.empty_like(dy)  # one buffer for every tap's product
+    tap = np.empty_like(dy_rows)  # one buffer for every tap's product
     for ki in range(k):
         for kj in range(k):
-            dxp[:, ki:ki + h, kj:kj + w, :] += np.multiply(dy, kernel[ki, kj, :], out=tap)
-            dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, kj:kj + w, :], dy, out=tap).sum(
-                axis=(0, 1, 2))
+            cols = slice(kj * c, kj * c + run)
+            dxp[:, ki:ki + h, cols] += np.multiply(dy_rows, taps[ki, kj], out=tap)
+            dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, cols], dy_rows, out=tap).reshape(
+                b, h, w, c).sum(axis=(0, 1, 2))
     dbias = dy.sum(axis=(0, 1, 2))
-    return dxp[:, pad:pad + h, pad:pad + w, :], dkernel, dbias
+    dx = dxp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w, :]
+    return dx, dkernel, dbias
 
 
 def _fold(x):

@@ -14,10 +14,10 @@ the precision for correctness work (gradient checks, oracle comparisons);
 float32 is the precision for benchmarks. The tests pin that float64 results
 are bit-identical under one and two BLAS threads.
 
-Kernels are pure functions of their inputs and never mutate arguments.
-Each makes as few full-size arrays as its arithmetic allows and finishes its
-work in place in them; the in-place steps run the same operations in the
-same order, so the results keep their bits.
+Kernels mutate nothing except an `out` array the caller passes. Each makes
+as few full-size arrays as its arithmetic allows and finishes its work in
+place in them; the in-place steps run the same operations in the same
+order, so the results keep their bits.
 """
 
 import math
@@ -25,6 +25,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+
+DWC_BAND_ROWS = 8  # output rows depthwise_conv2d sums its taps over at a time
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,19 +54,21 @@ def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
-def softmax_lastdim(x: np.ndarray) -> np.ndarray:
+def softmax_lastdim(x: np.ndarray, out=None) -> np.ndarray:
     """Softmax over the last axis, max-subtracted for stability.
 
-    Every last-axis slice of the result is nonnegative and sums to 1. The
-    result is the one new full-size array (x - max, then exp and the divide
-    in place), laid out in memory like x: a swapped view in gives a swapped
-    view out.
+    Every last-axis slice of the result is nonnegative and sums to 1. Like a
+    numpy ufunc, it writes into `out` when given (`out=x` overwrites the
+    caller's own float array); otherwise the result is the one new full-size
+    array, laid out in memory like x: a swapped view in gives a swapped view
+    out. Either way x - max, the exp and the divide run in that one array.
     """
     x = np.asarray(x)
     if x.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last axis")
     # Integer and bool inputs promote as np.exp would promote them.
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.result_type(x, np.float16))
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out,
+                    dtype=np.result_type(x, np.float16))
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -74,11 +78,12 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Weights p = softmax(q k^T / sqrt(d)) of queries [..., n_q, d] over keys [..., n_k, d].
 
     p is [..., n_q, n_k], stored key-major: the logits are formed as k q^T,
-    scaled in place, and normalized through their swapped view.
+    scaled in place, and normalized in place through their swapped view.
     """
     s = matmul(k, np.swapaxes(q, -1, -2))
     s *= 1.0 / math.sqrt(q.shape[-1])
-    return softmax_lastdim(np.swapaxes(s, -1, -2))
+    s = np.swapaxes(s, -1, -2)
+    return softmax_lastdim(s, out=s)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
@@ -104,11 +109,30 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -
     return xhat * gamma + beta
 
 
+def dwc_layout(x: np.ndarray, kernel: np.ndarray):
+    """The depthwise convolution's row layout of x [B, H, W, C] and kernel [k, k, C].
+
+    Returns (xp, taps): xp [B, H + 2p, (W + 2p) C] is x zero-padded by
+    p = (k - 1) // 2 on each side with every padded row flattened to one
+    run, and taps [k, k, W C] holds each kernel row tiled W times. Tap
+    (ki, kj) of output row i is then the product of the contiguous run
+    xp[:, i + ki, kj C : kj C + W C] with taps[ki, kj].
+    """
+    b, h, w, c = x.shape
+    pad = (kernel.shape[0] - 1) // 2
+    xp = np.zeros((b, h + 2 * pad, (w + 2 * pad) * c), dtype=x.dtype)
+    xp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w] = x
+    return xp, np.tile(kernel, (1, 1, w))
+
+
 def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Per-channel k x k convolution with same zero padding.
 
     x: [B, H, W, C], kernel: [k, k, C], bias: [C]. Each channel is convolved
-    with its own filter; output shape equals input shape.
+    with its own filter; output shape equals input shape. The taps are
+    summed DWC_BAND_ROWS output rows at a time, so a band of the output and
+    the one band-sized tap buffer stay in cache through all k^2 taps; every
+    element still adds its taps to zero in (ki, kj) order, then the bias.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -123,13 +147,18 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
 
     b, h, w, c = x.shape
-    pad = (k - 1) // 2
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    out = np.zeros_like(x)
-    tap = np.empty_like(x)  # one buffer for every tap's product
-    for ki in range(k):
-        for kj in range(k):
-            out += np.multiply(xp[:, ki:ki + h, kj:kj + w, :], kernel[ki, kj, :], out=tap)
-    out += bias
-    return out
+    run = w * c
+    xp, taps = dwc_layout(x, kernel)
+    bias_row = np.tile(bias, w)
+    out = np.empty((b, h, run), dtype=x.dtype)
+    tap = np.empty((b, min(h, DWC_BAND_ROWS), run), dtype=x.dtype)
+    for top in range(0, h, DWC_BAND_ROWS):
+        rows = min(DWC_BAND_ROWS, h - top)
+        band, band_tap = out[:, top:top + rows], tap[:, :rows]
+        band.fill(0)
+        for ki in range(k):
+            for kj in range(k):
+                band += np.multiply(xp[:, top + ki:top + ki + rows, kj * c:kj * c + run],
+                                    taps[ki, kj], out=band_tap)
+        band += bias_row
+    return out.reshape(x.shape)

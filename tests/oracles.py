@@ -1,7 +1,9 @@
 """Independent naive-loop oracles for the test suite.
 
 Everything here is written with explicit Python loops and no code shared
-with the library, so agreement between the two is meaningful.
+with the library, so agreement between the two is meaningful. The one
+exception, `depthwise_conv2d_taps`, is a whole-array reference that pins the
+order of the convolution's sums.
 """
 
 import math
@@ -80,6 +82,27 @@ def depthwise_conv2d_loops(x, kernel, bias):
                             if 0 <= ii < h and 0 <= jj < w:
                                 s += x[bi, ii, jj, ci] * kernel[ki, kj, ci]
                     out[bi, i, j, ci] = s
+    return out
+
+
+def depthwise_conv2d_taps(x, kernel, bias):
+    """Same-padded depthwise convolution as one whole-array product per tap.
+
+    Not a loop oracle: it fixes the order of the sums (each element adds its
+    taps to zero in (ki, kj) order, then the bias, in x's dtype), so a
+    faster kernel that keeps that order must match it byte for byte.
+    """
+    x = np.asarray(x)
+    b, h, w, c = x.shape
+    k = kernel.shape[0]
+    pad = (k - 1) // 2
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    out = np.zeros((b, h, w, c), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            out += xp[:, ki:ki + h, kj:kj + w] * kernel[ki, kj]
+    out += bias
     return out
 
 

@@ -249,20 +249,28 @@ class TestLatentInteract:
                 assert np.abs(z_l[bi, hi] - z_o).max() < 1e-12
 
 
+def _distribute(q, k_l_bar, z_l):
+    # distribute_global adds its readout into a [B, N, C] buffer; start from zeros.
+    b, h, n, d = q.shape
+    fused = np.zeros((b, n, h * d))
+    p = distribute_global(q, k_l_bar, z_l, fused)
+    return p, split_heads(fused, h)
+
+
 class TestDistribute:
     def test_single_slot_broadcast(self):
         rng = np.random.default_rng(14)
         q = rng.standard_normal((1, 2, 5, 4))
         k_l_bar = rng.standard_normal((1, 2, 1, 4))
         z_l = rng.standard_normal((1, 2, 1, 4))
-        _, o = distribute_global(q, k_l_bar, z_l)
+        _, o = _distribute(q, k_l_bar, z_l)
         assert np.abs(o - z_l).max() < 1e-12
 
     def test_zero_queries_average_slots(self):
         rng = np.random.default_rng(15)
         k_l_bar = rng.standard_normal((1, 2, 3, 4))
         z_l = rng.standard_normal((1, 2, 3, 4))
-        p, o = distribute_global(np.zeros((1, 2, 5, 4)), k_l_bar, z_l)
+        p, o = _distribute(np.zeros((1, 2, 5, 4)), k_l_bar, z_l)
         assert np.abs(p - 1.0 / 3.0).max() < 1e-15
         assert np.abs(o - z_l.mean(axis=2, keepdims=True)).max() < 1e-12
 
@@ -271,7 +279,7 @@ class TestDistribute:
         q = rng.standard_normal((1, 2, 5, 4))
         k_l_bar = rng.standard_normal((1, 2, 3, 4))
         z_l = rng.standard_normal((1, 2, 3, 4))
-        p, o = distribute_global(q, k_l_bar, z_l)
+        p, o = _distribute(q, k_l_bar, z_l)
         scale = 1.0 / np.sqrt(4.0)
         for hi in range(2):
             p_o = oracles.softmax_lastdim_loops(
@@ -279,6 +287,19 @@ class TestDistribute:
             o_o = oracles.matmul_loops(p_o, z_l[0, hi])
             assert np.abs(p[0, hi] - p_o).max() < 1e-12
             assert np.abs(o[0, hi] - o_o).max() < 1e-12
+
+    def test_readout_adds_to_what_fused_holds(self):
+        # The readout lands on top of the bypass already in fused, head r in
+        # channels [r*d, (r+1)*d).
+        rng = np.random.default_rng(20)
+        q = rng.standard_normal((2, 3, 6, 4))
+        k_l_bar = rng.standard_normal((2, 3, 5, 4))
+        z_l = rng.standard_normal((2, 3, 5, 4))
+        bypass = rng.standard_normal((2, 6, 12))
+        fused = bypass.copy()
+        distribute_global(q, k_l_bar, z_l, fused)
+        _, o = _distribute(q, k_l_bar, z_l)
+        assert np.array_equal(fused, bypass + merge_heads(o))
 
 
 class TestLocalBypass:
@@ -417,8 +438,9 @@ def _slot_major(t):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_forward_memory_budget(dtype, batch, grid, routing):
     # At the benchmark's layer shape, the forward's peak traced memory stays
-    # within the trace's own arrays (x excluded) plus one [B, h, N, M] array:
-    # every other intermediate is freed or reused before the next one is made.
+    # within the trace's own arrays (x excluded) plus a slack of at most one
+    # [B, h, N, M] array: every other intermediate is freed or reused before
+    # the next one is made.
     cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,
                      routing=routing, dtype=dtype)
     params = init_params(cfg, 0)
@@ -434,7 +456,11 @@ def test_forward_memory_budget(dtype, batch, grid, routing):
         tracemalloc.stop()
     trace_bytes = sum(v.nbytes for name, v in vars(trace).items()
                       if isinstance(v, np.ndarray) and name != "x")
-    assert peak <= trace_bytes + trace.p_dist.nbytes, (peak, trace_bytes, trace.p_dist.nbytes)
+    # Learned routing normalizes its logits in place, so less than a quarter
+    # of a [B, h, N, M] array lives beyond the trace; k-means' float64
+    # scratch needs up to a whole one.
+    slack = trace.p_dist.nbytes / 4 if routing == "learned" else trace.p_dist.nbytes
+    assert peak <= trace_bytes + slack, (peak, trace_bytes, trace.p_dist.nbytes)
     assert _slot_major(trace.p_dist)
     if routing == "learned":  # k-means builds its one-hot token-major
         assert _slot_major(trace.a)

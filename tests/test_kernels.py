@@ -118,6 +118,24 @@ class TestWeightsLayout:
         assert np.abs(got - want).max() <= 1e-15
 
 
+class TestSoftmaxInPlace:
+    """softmax_lastdim(s, out=s) normalizes in the caller's buffer, with the
+    bits of the copying form."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_bit_equal_to_copying_form(self, dtype, swapped):
+        rng = np.random.default_rng(26)
+        s = (rng.standard_normal((2, 3, 49, 40)) * 5.0).astype(dtype)
+        if swapped:
+            s = np.swapaxes(s, -1, -2)
+        want = kernels.softmax_lastdim(s)
+        got = kernels.softmax_lastdim(s, out=s)
+        assert got is s
+        assert np.swapaxes(got, -1, -2).flags.c_contiguous == swapped
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestLayerNorm:
     def test_constant_slice_is_zero(self):
         x = np.full((2, 4), 3.7)
@@ -187,6 +205,24 @@ class TestDepthwiseConv:
             got = kernels.depthwise_conv2d(x, kernel, bias)
             assert np.abs(got - oracles.depthwise_conv2d_loops(x, kernel, bias)).max() < 1e-12, k
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 17])
+    @pytest.mark.parametrize("h", [1, 7, 8, 9, 17, 128])
+    def test_bytes_equal_to_whole_array_taps(self, h, k):
+        # Grids shorter than, equal to, and one row over a band, several bands
+        # with a short last one, and pads up to a whole band (k = 17); each
+        # input also as a non-contiguous view.
+        rng = np.random.default_rng(h * 100 + k)
+        for batch in (1, 3):
+            for dtype in (np.float32, np.float64):
+                wide = rng.standard_normal((batch, h, 5, 6)).astype(dtype)
+                kernel = rng.standard_normal((k, k, 3)).astype(dtype)
+                bias = rng.standard_normal(3).astype(dtype)
+                for x in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2]):
+                    got = kernels.depthwise_conv2d(x, kernel, bias)
+                    want = oracles.depthwise_conv2d_taps(x, kernel, bias)
+                    assert got.shape == x.shape and got.dtype == dtype
+                    assert got.tobytes() == want.tobytes(), (batch, dtype, x.flags.c_contiguous)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
             kernels.depthwise_conv2d(np.zeros((1, 4, 4, 2)), np.zeros((2, 2, 2)), np.zeros(2))
@@ -225,7 +261,7 @@ def test_kernels_bit_deterministic():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((3, 6, 5))
     b = rng.standard_normal((3, 5, 4))
-    x = rng.standard_normal((2, 4, 4, 3))
+    x = rng.standard_normal((2, 3 * kernels.DWC_BAND_ROWS + 1, 4, 3))  # several bands
     kernel = rng.standard_normal((3, 3, 3))
     runs = []
     for _ in range(2):
