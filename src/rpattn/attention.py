@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ContractError, ShapeError, check_count, check_flag
+from .errors import (ConfigError, ContractError, ShapeError, check_count, check_flag,
+                     check_real_array)
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -230,6 +231,11 @@ def mass_normalize(a: np.ndarray, k_sum: np.ndarray, v_sum: np.ndarray):
     return mass, k_sum / mass, v_sum / mass
 
 
+def latent_qkv(v_l_bar: np.ndarray, params: RPAttnParams):
+    """Latent queries, keys and values: v_l_bar @ w_lq, w_lk and w_lv."""
+    return tuple(kernels.matmul(v_l_bar, w) for w in (params.w_lq, params.w_lk, params.w_lv))
+
+
 def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, config: AttnConfig):
     """Normalize the latents and run residual self-attention among them.
 
@@ -242,8 +248,7 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
     v_l_bar = kernels.layer_norm(v_l, params.ln_v_gamma, params.ln_v_beta, LN_EPS)
     if not config.enable_interact:
         return k_l_bar, v_l_bar, None, v_l_bar
-    q_t, k_t, v_t = (kernels.matmul(v_l_bar, w) for w in (params.w_lq, params.w_lk, params.w_lv))
-    p_lat, o_lat = kernels.attention(q_t, k_t, v_t)
+    p_lat, o_lat = kernels.attention(*latent_qkv(v_l_bar, params))
     return k_l_bar, v_l_bar, p_lat, v_l_bar + o_lat
 
 
@@ -280,18 +285,11 @@ def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np
 def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
     """The input contract shared by every attention forward; returns x cast to config's dtype.
 
-    x must be real-valued, [B, N, C] with B >= 1, C = config.channels and
-    N = the grid's token count, and finite; every params field must already
-    hold config's dtype. An array of complex, string or other non-real dtype,
-    or anything numpy cannot cast (a ragged list, an integer beyond float
-    range), raises ContractError.
+    x must be real-valued and finite in config's dtype (errors.check_real_array),
+    [B, N, C] with B >= 1, C = config.channels and N = the grid's token
+    count; every params field must already hold config's dtype.
     """
-    if hasattr(x, "dtype") and x.dtype.kind not in "biuf":
-        raise ContractError(f"input dtype {x.dtype} is not real-valued")
-    try:
-        x = np.asarray(x, dtype=config.np_dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractError(f"input cannot be cast to {config.dtype}: {exc}") from exc
+    x = check_real_array("input", x, config.np_dtype)
     if x.ndim != 3:
         raise ShapeError(f"input must be [B, N, C], got {x.shape}")
     b, n, c = x.shape
@@ -301,8 +299,6 @@ def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
         raise ShapeError(f"input channels {c} != config channels {config.channels}")
     if n != config.num_tokens:
         raise ConfigError(f"token count {n} does not match grid {config.grid_h}x{config.grid_w}")
-    if not np.isfinite(x).all():
-        raise ContractError("input holds NaN or inf")
     for name, value in params.field_dict().items():
         if value.dtype != config.np_dtype:
             raise ContractError(f"param {name} is {value.dtype}, config dtype is {config.dtype}")

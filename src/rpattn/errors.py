@@ -51,6 +51,28 @@ class ContractError(RPAttnError):
     """Caller violated an API contract (e.g. NaN input or a misshapen grad_output)."""
 
 
+def check_real_array(name, value, dtype):
+    """value as a finite array of dtype; ContractError unless it is real-valued and castable.
+
+    An array of complex, string or other non-real dtype, or anything numpy
+    cannot cast (a ragged list, an integer beyond float range, a finite
+    float beyond dtype's range), is rejected; a failed cast is the cause of
+    the ContractError.
+    """
+    import numpy as np  # not at module level: the package sets its BLAS thread cap first
+
+    if hasattr(value, "dtype") and value.dtype.kind not in "biuf":
+        raise ContractError(f"{name} dtype {value.dtype} is not real-valued")
+    try:
+        with np.errstate(over="raise"):
+            value = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError, FloatingPointError) as exc:
+        raise ContractError(f"{name} cannot be cast to {np.dtype(dtype)}: {exc}") from exc
+    if not np.isfinite(value).all():
+        raise ContractError(f"{name} holds NaN or inf")
+    return value
+
+
 class TrainDivergedError(RPAttnError):
     """Training produced a non-finite loss."""
 

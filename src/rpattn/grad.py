@@ -1,14 +1,14 @@
 """Analytic backward passes for the representative-attention layer and the
 dense softmax baseline.
 
-Gradients are derived by hand as the exact reverse of the forward pipeline:
-output projection, depthwise bypass, distribution cross-attention, latent
-self-attention, the two latent layer norms, slot gathering with its mass
-normalization (in slot space, on the M latent rows), the assignment
-softmax, and the input projections. The distribution, the latent
-interaction and the dense baseline share `_attention_backward`, the reverse
-of `kernels.attention`. A central-finite-difference harness verifies every
-parameter.
+Gradients are derived by hand, one reverse per forward stage, run in
+reverse order: the output projection, `_local_bypass_backward`,
+`_attention_backward` of `distribute_global`, `_latent_interact_backward`
+(latent self-attention and the two latent layer norms), `_gather_backward`
+(mass-normalized slot gathering, then the assignment softmax under learned
+routing) and `_project_qkv_backward`. `_linear_backward` is the one reverse
+of `inp @ w`, and `_attention_backward` of `kernels.attention`. A
+central-finite-difference harness verifies every parameter.
 """
 
 import math
@@ -25,12 +25,13 @@ from .attention import (
     PARAM_FIELDS,
     RPAttnParams,
     init_params,
+    latent_qkv,
     merge_heads,
     rpattention_forward,
     split_heads,
 )
 from .baselines import DenseTrace, attention_blocks
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_real_array
 
 
 @dataclass
@@ -69,11 +70,10 @@ def _grad_set(params, grads, grad_x):
 
 
 def _check_grad_output(grad_output, output):
-    grad_output = np.asarray(grad_output, dtype=output.dtype)
+    # grad_output follows the input's contract, in the output's dtype and shape.
+    grad_output = check_real_array("grad_output", grad_output, output.dtype)
     if grad_output.shape != output.shape:
         raise ContractError(f"grad_output shape {grad_output.shape} != output shape {output.shape}")
-    if not np.isfinite(grad_output).all():
-        raise ContractError("grad_output holds NaN or inf")
     return grad_output
 
 
@@ -97,19 +97,46 @@ def _layer_norm_backward(x, gamma, eps, dy):
     return dx, dgamma, dbeta
 
 
-def _dwc_backward(x_grid, kernel, dy):
-    # Same-padded depthwise conv in the forward's row layout (kernels.dwc_layout):
-    # out[:, i] = sum_{ki,kj} xp[:, i+ki, kj*C : kj*C+W*C] * taps[ki, kj]. The
-    # reductions run over whole arrays, not the forward's bands, so every sum
-    # keeps its order.
-    b, h, w, c = x_grid.shape
-    k = kernel.shape[0]
+def _linear_backward(inp, d_outs, weights, d_inp=None):
+    # Reverse of out_i = inp @ w_i for each pair of d_outs and weights:
+    # (d_w_1, .., d_w_n, d_inp). dW[c, k] sums inp[.., c] * d_out[.., k] over
+    # all leading positions; the products d_out_i w_iᵀ are summed in order,
+    # onto d_inp in place when it is given (a residual's gradient).
+    inp_t = inp.reshape(-1, inp.shape[-1]).T
+    d_weights = [kernels.matmul(inp_t, d_out.reshape(-1, d_out.shape[-1])) for d_out in d_outs]
+    for d_out, w in zip(d_outs, weights):
+        d_in = kernels.matmul(d_out, w.T)
+        d_inp = d_in if d_inp is None else np.add(d_inp, d_in, out=d_inp)
+    return (*d_weights, d_inp)
+
+
+def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
+    # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
+    # The depthwise bypass reads the same values, so its gradient d_xv [B, N, C]
+    # joins the value gradient first.
+    if d_xv is not None:
+        d_v += split_heads(d_xv, d_v.shape[1])
+    return _linear_backward(x, [merge_heads(t) for t in (d_q, d_k, d_v)],
+                            (params.w_q, params.w_k, params.w_v))
+
+
+def _local_bypass_backward(trace, d_fused, grads):
+    # Reverse of local_bypass over xv = merge_heads(v): d_xv [B, N, C], or None
+    # when the bypass is off. The same-padded depthwise conv in the forward's
+    # row layout (kernels.dwc_layout) is out[:, i] = sum_{ki,kj}
+    # xp[:, i+ki, kj*C : kj*C+W*C] * taps[ki, kj]. The reductions run over
+    # whole arrays, not the forward's bands, so every sum keeps its order.
+    config, kernel = trace.config, trace.params.dwc_kernel
+    if not config.enable_dwc:
+        return None
+    b, n, c = d_fused.shape
+    h, w, k = config.grid_h, config.grid_w, config.dwc_kernel
     pad = (k - 1) // 2
     run = w * c
-    xp, taps = kernels.dwc_layout(x_grid, kernel)
-    dy_rows = dy.reshape(b, h, run)
+    xp, taps = kernels.dwc_layout(merge_heads(trace.v).reshape(b, h, w, c), kernel)
+    dy_rows = d_fused.reshape(b, h, run)
     dxp = np.zeros_like(xp)
-    dkernel = np.zeros_like(kernel)
+    dkernel = grads["dwc_kernel"] = np.zeros_like(kernel)
     tap = np.empty_like(dy_rows)  # one buffer for every tap's product
     for ki in range(k):
         for kj in range(k):
@@ -117,120 +144,91 @@ def _dwc_backward(x_grid, kernel, dy):
             dxp[:, ki:ki + h, cols] += np.multiply(dy_rows, taps[ki, kj], out=tap)
             dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, cols], dy_rows, out=tap).reshape(
                 b, h, w, c).sum(axis=(0, 1, 2))
-    dbias = dy.sum(axis=(0, 1, 2))
-    dx = dxp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w, :]
-    return dx, dkernel, dbias
+    grads["dwc_bias"] = d_fused.reshape(b, h, w, c).sum(axis=(0, 1, 2))
+    d_xv = dxp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w, :]
+    return d_xv.reshape(b, n, c)
 
 
-def _fold(x):
-    return x.reshape(-1, x.shape[-1])
+def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
+    # Reverse of latent_interact, z = v_bar + attention(latent_qkv(v_bar)) after
+    # the two layer norms: (d_k_l, d_v_l).
+    params = trace.params
+    d_v_l_bar = d_z_l
+    if trace.config.enable_interact:
+        d_qkv = _attention_backward(*latent_qkv(trace.v_l_bar, params), trace.p_lat, d_z_l)
+        grads["w_lq"], grads["w_lk"], grads["w_lv"], d_v_l_bar = _linear_backward(
+            trace.v_l_bar, d_qkv, (params.w_lq, params.w_lk, params.w_lv), d_z_l.copy())
+    d_k_l, grads["ln_k_gamma"], grads["ln_k_beta"] = _layer_norm_backward(
+        trace.k_l, params.ln_k_gamma, LN_EPS, d_k_l_bar)
+    d_v_l, grads["ln_v_gamma"], grads["ln_v_beta"] = _layer_norm_backward(
+        trace.v_l, params.ln_v_gamma, LN_EPS, d_v_l_bar)
+    return d_k_l, d_v_l
 
 
-def _weight_grad(inp, dout):
-    # dW[c, k] = sum over all leading positions of inp[.., c] * dout[.., k]
-    return kernels.matmul(_fold(inp).T, _fold(dout))
+def _gather_backward(trace, d_k_l, d_v_l, grads):
+    # Reverse of k_l = (aᵀ k) / mass and v_l = (aᵀ v) / mass: (d_k, d_v). Hard
+    # k-means assignments are constants; learned ones add their share to d_k.
+    g_k = d_k_l / trace.mass
+    g_v = d_v_l / trace.mass
+    d_k = kernels.matmul(trace.a, g_k)
+    d_v = kernels.matmul(trace.a, g_v)
+    if trace.config.routing == "learned":
+        d_k += _gather_assign_backward(trace, g_k, g_v, grads)
+    return d_k, d_v
 
 
-def _project_qkv_backward(x, d_q, d_k, d_v, params):
-    # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
-    d_q, d_k, d_v = (merge_heads(t) for t in (d_q, d_k, d_v))
-    d_x = kernels.matmul(d_q, params.w_q.T)
-    d_x += kernels.matmul(d_k, params.w_k.T)
-    d_x += kernels.matmul(d_v, params.w_v.T)
-    return _weight_grad(x, d_q), _weight_grad(x, d_k), _weight_grad(x, d_v), d_x
+def _gather_assign_backward(trace, g_k, g_v, grads):
+    # Reverse of gather_assign: the routing's share of d_k. Since
+    # sum_t a[t,m] k[t] = mass[m] k_l[m], the quotient rule gives
+    # d_a[n,m] = k[n].g_k[m] + v[n].g_v[m] - (k_l[m].g_k[m] + v_l[m].g_v[m]).
+    # Like a, d_a is built slot-major, [B, h, M, N]; it and d_logits are
+    # freed when this returns.
+    d_a = kernels.matmul(g_k, np.swapaxes(trace.k, -1, -2))
+    d_a += kernels.matmul(g_v, np.swapaxes(trace.v, -1, -2))
+    d_a -= (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
+    d_logits = _softmax_backward(trace.a, np.swapaxes(d_a, -1, -2))
+    # Per-head products d_logitsᵀ k, summed over (B, h): folding the
+    # leading axes of the slot-major d_logits would copy it.
+    grads["w_g"] = kernels.matmul(np.swapaxes(d_logits, -1, -2), trace.k).sum(axis=(0, 1)).T
+    return kernels.matmul(d_logits, trace.params.w_g.T)
 
 
 def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSet:
     """Exact gradients of sum(grad_output * output) w.r.t. every parameter and x.
 
-    Params and config are the forward's own, read from the trace. Fields the
-    forward did not read (dwc or interaction when disabled, w_g under k-means
-    routing) get zero gradients: the hard k-means assignments are constants,
-    so no gradient flows into the anchors or through the routing.
+    Params and config are the forward's own, read from the trace, and
+    grad_output follows x's contract. Fields the forward did not read (dwc or
+    interaction when disabled, w_g under k-means routing) get zero gradients:
+    the hard k-means assignments are constants, so no gradient flows into the
+    anchors or through the routing.
     """
-    params, config = trace.params, trace.config
+    params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
-    b, n, c = trace.x.shape
-
-    # Output projection: output = fused @ w_o, fused = o_global + bypass
-    grads = {"w_o": _weight_grad(trace.fused, grad_output)}
-    d_fused = kernels.matmul(grad_output, params.w_o.T)
-
-    # Depthwise bypass branch over the projected values xv = merge_heads(v);
-    # its gradient d_xv joins the value-projection gradient below.
-    d_xv = None
-    if config.enable_dwc:
-        xv_grid = merge_heads(trace.v).reshape(b, config.grid_h, config.grid_w, c)
-        dy_grid = d_fused.reshape(b, config.grid_h, config.grid_w, c)
-        d_xv_grid, grads["dwc_kernel"], grads["dwc_bias"] = _dwc_backward(
-            xv_grid, params.dwc_kernel, dy_grid)
-        d_xv = d_xv_grid.reshape(b, n, c)
-
-    # Distribution: attention of the queries q over the slots (k_l_bar, z_l).
+    grads = {}
+    grads["w_o"], d_fused = _linear_backward(trace.fused, [grad_output], [params.w_o])
+    d_xv = _local_bypass_backward(trace, d_fused, grads)
     d_q, d_k_l_bar, d_z_l = _attention_backward(
-        trace.q, trace.k_l_bar, trace.z_l, trace.p_dist, split_heads(d_fused, config.heads))
-
-    # Latent interaction: z = v_bar + attention(v_bar @ w_lq, v_bar @ w_lk, v_bar @ w_lv).
-    if config.enable_interact:
-        v_bar = trace.v_l_bar
-        q_t, k_t, v_t = (kernels.matmul(v_bar, w) for w in (params.w_lq, params.w_lk, params.w_lv))
-        d_v_l_bar = d_z_l.copy()  # residual
-        d_q_t, d_k_t, d_v_t = _attention_backward(q_t, k_t, v_t, trace.p_lat, d_z_l)
-        grads["w_lq"], grads["w_lk"], grads["w_lv"] = (
-            _weight_grad(v_bar, t) for t in (d_q_t, d_k_t, d_v_t))
-        d_v_l_bar += kernels.matmul(d_q_t, params.w_lq.T)
-        d_v_l_bar += kernels.matmul(d_k_t, params.w_lk.T)
-        d_v_l_bar += kernels.matmul(d_v_t, params.w_lv.T)
-    else:
-        d_v_l_bar = d_z_l
-
-    # Latent layer norms.
-    d_k_l, grads["ln_k_gamma"], grads["ln_k_beta"] = _layer_norm_backward(
-        trace.k_l, params.ln_k_gamma, LN_EPS, d_k_l_bar)
-    d_v_l, grads["ln_v_gamma"], grads["ln_v_beta"] = _layer_norm_backward(
-        trace.v_l, params.ln_v_gamma, LN_EPS, d_v_l_bar)
-
-    # Gathered latents: k_l = (a^T @ k) / mass, v_l = (a^T @ v) / mass.
-    g_k = d_k_l / trace.mass
-    g_v = d_v_l / trace.mass
-    d_k_att = kernels.matmul(trace.a, g_k)
-    d_v_att = kernels.matmul(trace.a, g_v)
-
-    # Assignment softmax; hard k-means assignments get no gradient. Since
-    # sum_t a[t,m] k[t] = mass[m] k_l[m], the quotient rule gives
-    # d_a[n,m] = k[n].g_k[m] + v[n].g_v[m] - (k_l[m].g_k[m] + v_l[m].g_v[m]).
-    # Like a, d_a is built slot-major, [B, h, M, N].
-    if config.routing == "learned":
-        d_a = kernels.matmul(g_k, np.swapaxes(trace.k, -1, -2))
-        d_a += kernels.matmul(g_v, np.swapaxes(trace.v, -1, -2))
-        d_a -= (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
-        d_logits = _softmax_backward(trace.a, np.swapaxes(d_a, -1, -2))
-        # Per-head products d_logitsᵀ k, summed over (B, h): folding the
-        # leading axes of the slot-major d_logits would copy it.
-        grads["w_g"] = kernels.matmul(np.swapaxes(d_logits, -1, -2), trace.k).sum(axis=(0, 1)).T
-        d_k_att += kernels.matmul(d_logits, params.w_g.T)
-
-    # Input projections; the bypass gradient joins the value gradient first.
-    if d_xv is not None:
-        d_v_att += split_heads(d_xv, config.heads)
+        trace.q, trace.k_l_bar, trace.z_l, trace.p_dist, split_heads(d_fused, trace.config.heads))
+    d_k_l, d_v_l = _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads)
+    d_k, d_v = _gather_backward(trace, d_k_l, d_v_l, grads)
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
-        trace.x, d_q, d_k_att, d_v_att, params)
+        trace.x, d_q, d_k, d_v, params, d_xv)
     return _grad_set(params, grads, d_x)
 
 
 def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> GradSet:
     """Exact gradients of sum(grad_output * output) for the dense baseline.
 
-    Params are the forward's own, read from the trace. Each query block's
-    weights are recomputed, without its readout; fields the dense forward
-    does not read get zero gradients.
+    Params are the forward's own, read from the trace; grad_output follows
+    x's contract. Each query block's weights are recomputed, without its
+    readout; fields the dense forward does not read get zero gradients.
     """
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
-
-    grads = {"w_o": _weight_grad(trace.o_merged, grad_output)}
+    grads = {}
+    grads["w_o"], d_merged = _linear_backward(trace.o_merged, [grad_output], [params.w_o])
     q, k, v = trace.q, trace.k, trace.v
-    d_o = split_heads(kernels.matmul(grad_output, params.w_o.T), q.shape[1])
+    d_o = split_heads(d_merged, q.shape[1])
     d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
     for rows, p in attention_blocks(q, k):
         d_q[:, :, rows], dk, dv = _attention_backward(q[:, :, rows], k, v, p, d_o[:, :, rows])

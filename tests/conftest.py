@@ -1,5 +1,6 @@
 """Shared test settings: one deterministic hypothesis profile for every property test,
-and the package source on the path of every subprocess a test starts."""
+and, for every subprocess a test starts, the package source on its path and
+RuntimeWarnings raised as errors."""
 
 import os
 from pathlib import Path
@@ -8,6 +9,10 @@ from pathlib import Path
 # the Python subprocesses they start find rpattn through PYTHONPATH.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+# pyproject's filterwarnings rule reaches only the pytest process; subprocesses
+# take the same rule from PYTHONWARNINGS, whose last entry wins.
+os.environ["PYTHONWARNINGS"] = ",".join(
+    w for w in (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning") if w)
 
 try:
     from hypothesis import settings

@@ -20,10 +20,13 @@ from rpattn import (
     param_count,
     param_shapes,
     project_qkv,
+    rpattention_backward,
     rpattention_forward,
 )
 from rpattn.attention import LN_EPS, SLOT_MASS_EPS, check_input, merge_heads, split_heads
+from rpattn.baselines import softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError
+from rpattn.grad import softmax_attention_backward
 
 import oracles
 
@@ -409,22 +412,36 @@ class TestForward:
         with pytest.raises(ConfigError):
             rpattention_forward(np.zeros((1, 10, 8)), params, SMALL)
 
-    @pytest.mark.parametrize("x,cause", [
-        (np.full((1, 12, 8), "a"), None),
-        (np.full((1, 12, 8), "1.5"), None),
-        (np.ones((1, 12, 8), dtype=np.complex128), None),
-        (np.zeros((1, 12, 8), dtype="datetime64[s]"), None),
-        ([[[0.0] * 8] * 12, [[0.0] * 8] * 11], ValueError),
-        ([[[10**400] + [0] * 7] * 12], OverflowError),
-        ([[[1j] * 8] * 12], TypeError),
-        ([[["a"] * 8] * 12], ValueError),
-    ], ids=["str", "numeric-str", "complex", "datetime", "ragged", "huge-int", "complex-list",
-            "str-list"])
-    def test_input_that_is_not_real_rejected(self, x, cause):
-        # Named, never a numpy error or a cast that drops the imaginary part;
-        # a failed cast is the cause of the ContractError.
+    @pytest.mark.parametrize("x,cause,dtype,target", [
+        # x's cases keep their bare ids; grad_output's name the backward.
+        pytest.param(x, cause, dtype, target, id=name + ("" if target == "input" else "-" + target))
+        for name, x, cause, dtype in [
+            ("str", np.full((1, 12, 8), "a"), None, "float64"),
+            ("numeric-str", np.full((1, 12, 8), "1.5"), None, "float64"),
+            ("complex", np.ones((1, 12, 8), dtype=np.complex128), None, "float64"),
+            ("datetime", np.zeros((1, 12, 8), dtype="datetime64[s]"), None, "float64"),
+            ("ragged", [[[0.0] * 8] * 12, [[0.0] * 8] * 11], ValueError, "float64"),
+            ("huge-int", [[[10**400] + [0] * 7] * 12], OverflowError, "float64"),
+            ("complex-list", [[[1j] * 8] * 12], TypeError, "float64"),
+            ("str-list", [[["a"] * 8] * 12], ValueError, "float64"),
+            ("beyond-float32", np.full((1, 12, 8), 1e40), FloatingPointError, "float32"),
+        ]
+        for target in ("input", "grad_output", "dense_grad_output")
+    ])
+    def test_input_that_is_not_real_rejected(self, x, cause, dtype, target):
+        # Named, never a numpy error, a warning or a cast that drops the
+        # imaginary part; a failed cast is the cause of the ContractError. A
+        # backward's grad_output follows the same contract as x.
+        cfg = replace(SMALL, dtype=dtype)
+        params = init_params(cfg, 0)
+        if target != "input":
+            forward, backward = {
+                "grad_output": (rpattention_forward, rpattention_backward),
+                "dense_grad_output": (softmax_attention_forward, softmax_attention_backward),
+            }[target]
+            _, trace = forward(np.zeros((1, 12, 8)), params, cfg)
         with pytest.raises(ContractError) as err:
-            check_input(x, init_params(SMALL, 0), SMALL)
+            check_input(x, params, cfg) if target == "input" else backward(trace, x)
         assert type(err.value.__cause__) is (cause or type(None))
 
 

@@ -1,5 +1,7 @@
 """Backward-pass tests: hand-derived cases, finite differences, properties."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,18 +11,32 @@ from rpattn import (
     PARAM_FIELDS,
     AttnConfig,
     RPAttnParams,
+    distribute_global,
     finite_diff_grad,
+    gather_assign,
     gather_latents,
     gradcheck,
     init_params,
+    kernels,
+    latent_interact,
+    local_bypass,
     mass_normalize,
+    project_qkv,
     rpattention_backward,
     rpattention_forward,
 )
-from rpattn.attention import SLOT_MASS_EPS
+from rpattn.attention import SLOT_MASS_EPS, merge_heads, split_heads
 from rpattn.baselines import softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError
-from rpattn.grad import softmax_attention_backward
+from rpattn.grad import (
+    _attention_backward,
+    _gather_backward,
+    _latent_interact_backward,
+    _linear_backward,
+    _local_bypass_backward,
+    _project_qkv_backward,
+    softmax_attention_backward,
+)
 
 SMALL = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=3, grid_w=4)
 
@@ -237,3 +253,121 @@ class TestContract:
         _, dense_trace = softmax_attention_forward(x, params, SMALL)
         with pytest.raises(ContractError):
             softmax_attention_backward(dense_trace, g)
+
+
+def _stage(name, trace):
+    # (inputs, stage, reverse) of one forward stage at the trace's point:
+    # stage(**inputs) runs the forward stage itself and returns its outputs;
+    # reverse(*output_grads) returns the gradients by input name.
+    p, cfg = trace.params, trace.config
+    if name == "out":
+        return ({"fused": trace.fused, "w_o": p.w_o},
+                lambda fused, w_o: (kernels.linear(fused, w_o),),
+                lambda g: dict(zip(("w_o", "fused"), _linear_backward(trace.fused, [g], [p.w_o]))))
+    if name == "bypass":
+        def reverse(g):
+            grads = {}
+            grads["xv"] = _local_bypass_backward(trace, g, grads)
+            return grads
+
+        return ({"xv": merge_heads(trace.v), "dwc_kernel": p.dwc_kernel, "dwc_bias": p.dwc_bias},
+                lambda xv, **w: (local_bypass(xv, replace(p, **w), cfg),), reverse)
+    if name == "distribute":
+        def stage(q, k_l_bar, z_l):
+            fused = np.zeros_like(trace.fused)
+            distribute_global(q, k_l_bar, z_l, fused)
+            return (fused,)
+
+        return ({"q": trace.q, "k_l_bar": trace.k_l_bar, "z_l": trace.z_l}, stage,
+                lambda g: dict(zip(("q", "k_l_bar", "z_l"), _attention_backward(
+                    trace.q, trace.k_l_bar, trace.z_l, trace.p_dist, split_heads(g, cfg.heads)))))
+    if name == "interact":
+        names = ("w_lq", "w_lk", "w_lv", "ln_k_gamma", "ln_k_beta", "ln_v_gamma", "ln_v_beta")
+
+        def stage(k_l, v_l, **w):
+            k_l_bar, _, _, z_l = latent_interact(k_l, v_l, replace(p, **w), cfg)
+            return k_l_bar, z_l
+
+        def reverse(g_k_l_bar, g_z_l):
+            grads = {}
+            grads["k_l"], grads["v_l"] = _latent_interact_backward(trace, g_k_l_bar, g_z_l, grads)
+            return grads
+
+        return ({"k_l": trace.k_l, "v_l": trace.v_l, **{n: getattr(p, n) for n in names}},
+                stage, reverse)
+    if name == "gather":
+        def stage(k, v, w_g):  # hard k-means assignments are constants
+            a = gather_assign(k, w_g) if cfg.routing == "learned" else trace.a
+            _, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
+            return k_l, v_l
+
+        def reverse(g_k_l, g_v_l):
+            grads = {}
+            grads["k"], grads["v"] = _gather_backward(trace, g_k_l, g_v_l, grads)
+            return grads
+
+        return {"k": trace.k, "v": trace.v, "w_g": p.w_g}, stage, reverse
+    assert name == "project"
+
+    def stage(x, **w):  # the bypass reads the values as merge_heads(v)
+        q, k, v = project_qkv(x, replace(p, **w), cfg)
+        return q, k, v, merge_heads(v)
+
+    return ({"x": trace.x, "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}, stage,
+            lambda g_q, g_k, g_v, g_xv: dict(zip(("w_q", "w_k", "w_v", "x"), _project_qkv_backward(
+                trace.x, g_q, g_k, g_v.copy(), p, g_xv))))
+
+
+@pytest.mark.parametrize("stage", ["out", "bypass", "distribute", "interact", "interact-off",
+                                   "gather", "gather-kmeans", "project"])
+def test_stage_reverse_matches_its_forward_stage(stage):
+    # <reverse(g), delta> equals the central difference of <g, stage(inputs + t delta)>
+    # along a random direction delta of every input, so a failing whole-layer
+    # gradcheck can be pinned on one stage. Gradients a reverse does not return
+    # (interaction off, w_g under k-means) must be zero.
+    cfg = replace(SMALL, enable_interact=stage != "interact-off",
+                  routing="kmeans" if stage == "gather-kmeans" else "learned")
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, cfg.num_tokens, cfg.channels))
+    _, trace = rpattention_forward(x, init_params(cfg, 18), cfg)
+    inputs, forward, reverse = _stage(stage.split("-")[0], trace)
+    g_outs = [rng.standard_normal(out.shape) for out in forward(**inputs)]
+    delta = {name: rng.standard_normal(value.shape) for name, value in inputs.items()}
+    grads = reverse(*g_outs)
+    assert set(grads) <= set(inputs)
+    analytic = sum(float((grads[name] * delta[name]).sum()) for name in grads)
+
+    def along(t):
+        outs = forward(**{name: value + t * delta[name] for name, value in inputs.items()})
+        return sum(float((g * out).sum()) for g, out in zip(g_outs, outs))
+
+    h = 1e-5
+    numeric = (along(h) - along(-h)) / (2 * h)
+    assert abs(analytic - numeric) <= 1e-7 * max(1.0, abs(numeric)), (analytic, numeric)
+
+
+@pytest.mark.parametrize("routing", ["learned", "kmeans"])
+@pytest.mark.parametrize("grid", [32, 64])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_memory_budget(dtype, batch, grid, routing):
+    # At test_forward_memory_budget's shapes, the backward holds at most seven
+    # [B, h, N, M] arrays' worth beyond the gradients it returns: the routing
+    # reverse's two such arrays are freed when it returns.
+    cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,
+                     routing=routing, dtype=dtype)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((batch, cfg.num_tokens, 64)).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    _, trace = rpattention_forward(x, init_params(cfg, 0), cfg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = rpattention_backward(trace, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(v.nbytes for v in vars(grads).values())
+    assert peak - grad_bytes <= 7 * trace.p_dist.nbytes, (peak, grad_bytes, trace.p_dist.nbytes)
