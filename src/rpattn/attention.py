@@ -161,9 +161,11 @@ class ForwardTrace:
     """The record of one rpattention_forward call, everything its backward reads.
 
     Each intermediate is held once, with the call's own params and config
-    (references, not copies). Shapes are logical: `p_dist`, and `a` under
-    learned routing, are the swapped views of C-ordered [B, h, M, N] arrays,
-    so their reductions over the slots run over the outer memory axis.
+    (references, not copies). `a` is its one [B, h, N, M] array; under
+    learned routing it is the swapped view of a C-ordered [B, h, M, N] array,
+    so its reductions over the slots run over the outer memory axis. The
+    distribution weights are not kept: they exist one token tile at a time,
+    and the backward recomputes them from q and k_l_bar.
     """
 
     x: np.ndarray          # [B, N, C] layer input
@@ -178,7 +180,6 @@ class ForwardTrace:
     v_l_bar: np.ndarray    # [B, h, M, d] normalized latent values
     p_lat: Optional[np.ndarray]  # [B, h, M, M] latent attention, None when interact is off
     z_l: np.ndarray        # [B, h, M, d] refined latent values
-    p_dist: np.ndarray     # [B, h, N, M] distribution attention, stored slot-major
     fused: np.ndarray      # [B, N, C] cross-attention readout plus depthwise bypass
     output: np.ndarray     # [B, N, C]
     params: RPAttnParams   # the forward's params
@@ -253,16 +254,18 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
 
 
 def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray,
-                      fused: np.ndarray) -> np.ndarray:
-    """Cross-attention of the N spatial queries over the M slots.
+                      fused: np.ndarray) -> None:
+    """Cross-attention of the N spatial queries over the M slots, in token tiles.
 
-    Adds the per-head readout [B, h, N, d] into fused [B, N, C] in place,
-    through its split_heads view, and returns the slot-major weights p_dist.
+    Each tile of kernels.TOKEN_TILE queries forms its slot-major weights
+    (kernels.attention_blocks), reads out z_l and adds the readout into
+    fused [B, N, C] in place, through its split_heads view. Each token's
+    weights are a softmax over its own M slots, so no weights outlive their
+    tile.
     """
-    p_dist, o = kernels.attention(q, k_l_bar, z_l)
-    fused_heads = split_heads(fused, q.shape[1])  # a view: the add lands in fused
-    fused_heads += o
-    return p_dist
+    fused_heads = split_heads(fused, q.shape[1])  # a view: the adds land in fused
+    for rows, p in kernels.attention_blocks(q, k_l_bar, kernels.TOKEN_TILE):
+        fused_heads[:, :, rows] += kernels.matmul(p, z_l)
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -309,10 +312,10 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     """Full layer forward. Returns (output, ForwardTrace).
 
     Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass. The bypass runs after the routing
-    and before the distribution weights exist, and the readout is added
-    into it in place, so no step holds more than one [B, h, N, M] array
-    beyond the trace.
+    needed by the analytic backward pass except the distribution weights.
+    The bypass runs after the routing, and the distribution adds its
+    readout into it tile by tile, so beyond the trace no step holds more
+    than one tile's weights and readout.
     """
     x = check_input(x, params, config)
     q, k, v = project_qkv(x, params, config)
@@ -326,12 +329,12 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     mass, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)
-    p_dist = distribute_global(q, k_l_bar, z_l, fused)
+    distribute_global(q, k_l_bar, z_l, fused)
     output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(
         x=x, q=q, k=k, v=v, a=a, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
-        p_dist=p_dist, fused=fused, output=output, params=params, config=config,
+        fused=fused, output=output, params=params, config=config,
     )
     return output, trace

@@ -19,19 +19,6 @@ from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, proje
 from .errors import ConfigError, ContractError, ShapeError, check_count
 
 
-# The dense forward and backward run the queries in blocks of this many rows
-# and never hold the full [B, h, N, N] weights: in float32 at B = 1, h = 2,
-# those are 2.1 GB at N = 16384, while one 1024-row block is 134 MB.
-DENSE_BLOCK = 1024
-
-
-def attention_blocks(q, k):
-    """kernels.attention_weights(q, k) in query blocks of DENSE_BLOCK rows: yields (rows, p)."""
-    for start in range(0, q.shape[2], DENSE_BLOCK):
-        rows = slice(start, start + DENSE_BLOCK)
-        yield rows, kernels.attention_weights(q[:, :, rows], k)
-
-
 @dataclass
 class DenseTrace:
     """The record of one softmax_attention_forward call, with the call's own params."""
@@ -49,13 +36,14 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
     Reads only the w_q, w_k, w_v and w_o projections of params. The queries
-    run in attention_blocks and the trace keeps no weights, so memory grows
-    with N * DENSE_BLOCK, not N^2.
+    run in kernels.attention_blocks and the trace keeps no weights, so the
+    full [B, h, N, N] weights (2.1 GB in float32 at B = 1, h = 2,
+    N = 16384) never exist; memory grows with N * kernels.TOKEN_TILE.
     """
     x = check_input(x, params, config)
     q, k, v = project_qkv(x, params, config)
     o = np.empty_like(q)  # q's [B, N, h, d] memory layout: merge_heads(o) is a view
-    for rows, p in attention_blocks(q, k):
+    for rows, p in kernels.attention_blocks(q, k, kernels.TOKEN_TILE):
         o[:, :, rows] = kernels.matmul(p, v)
     o_merged = merge_heads(o)
     out = kernels.linear(o_merged, params.w_o)

@@ -2,12 +2,16 @@
 dense softmax baseline.
 
 Gradients are derived by hand, one reverse per forward stage, run in
-reverse order: the output projection, `_local_bypass_backward`,
-`_attention_backward` of `distribute_global`, `_latent_interact_backward`
-(latent self-attention and the two latent layer norms), `_gather_backward`
-(mass-normalized slot gathering, then the assignment softmax under learned
-routing) and `_project_qkv_backward`. `_linear_backward` is the one reverse
-of `inp @ w`, and `_attention_backward` of `kernels.attention`. A
+reverse order: `_output_backward` (the output projection, then the two
+stages that wrote `fused`: `_local_bypass_backward` and
+`_blocked_attention_backward` of `distribute_global`),
+`_latent_interact_backward` (latent self-attention and the two latent layer
+norms), `_gather_backward` (mass-normalized slot gathering, then the
+assignment softmax under learned routing) and `_project_qkv_backward`.
+`_linear_backward` is the one reverse of `inp @ w`, `_attention_backward`
+of `kernels.attention`, and `_blocked_attention_backward` of
+`kernels.attention_blocks`: it recomputes each block's weights, so the
+layer's distribution and the dense baseline share one blocked reverse. A
 central-finite-difference harness verifies every parameter.
 """
 
@@ -30,7 +34,7 @@ from .attention import (
     rpattention_forward,
     split_heads,
 )
-from .baselines import DenseTrace, attention_blocks
+from .baselines import DenseTrace
 from .errors import ConfigError, ContractError, check_real_array
 
 
@@ -57,8 +61,24 @@ def _attention_backward(q, k, v, p, d_o):
     d_p = np.swapaxes(kernels.matmul(v, np.swapaxes(d_o, -1, -2)), -1, -2)
     d_v = kernels.matmul(np.swapaxes(p, -1, -2), d_o)
     d_s = _softmax_backward(p, d_p)
-    d_q = kernels.matmul(d_s, k) * scale
-    d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), q) * scale
+    d_q = kernels.matmul(d_s, k)
+    d_q *= scale
+    d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), q)
+    d_k *= scale
+    return d_q, d_k, d_v
+
+
+def _blocked_attention_backward(q, k, v, d_o):
+    # Reverse of attention run over kernels.attention_blocks: (d_q, d_k, d_v).
+    # Each block's weights are recomputed and its rows of d_q written; its
+    # shares of d_k and d_v are summed block by block. d_q has q's memory
+    # layout, so for per-head q (a split_heads view) merge_heads(d_q) is a view.
+    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    for rows, p in kernels.attention_blocks(q, k, kernels.TOKEN_TILE):
+        d_q[..., rows, :], dk, dv = _attention_backward(
+            q[..., rows, :], k, v, p, d_o[..., rows, :])
+        d_k += dk
+        d_v += dv
     return d_q, d_k, d_v
 
 
@@ -120,33 +140,66 @@ def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
                             (params.w_q, params.w_k, params.w_v))
 
 
+def _depthwise_conv2d_backward(x, kernel, dy):
+    # Reverse of kernels.depthwise_conv2d for x and dy [B, H, W, C]: (dx, dkernel,
+    # dbias). In the forward's row layout (kernels.dwc_layout), out[:, i] =
+    # sum_{ki,kj} xp[:, i+ki, kj*C : kj*C+W*C] * taps[ki, kj]. The gradient of
+    # xp is kept only on the rows dx reads (its padded columns stay) and summed
+    # DWC_BAND_ROWS rows at a time, so a band stays in cache through all k^2
+    # taps; each element still adds its taps to zero in (ki, kj) order, as one
+    # whole-array product per tap would. dkernel and dbias reduce whole
+    # arrays, which keeps their order of sums.
+    b, h, w, c = x.shape
+    k = kernel.shape[0]
+    pad = (k - 1) // 2
+    run = w * c
+    band_rows = kernels.DWC_BAND_ROWS
+    xp, taps = kernels.dwc_layout(x, kernel)
+    dy_rows = np.reshape(dy, (b, h, run))
+    dxp = np.zeros((b, h, xp.shape[2]), dtype=xp.dtype)  # row i is xp's row pad + i
+    band_tap = np.empty((b, min(h, band_rows), run), dtype=xp.dtype)
+    for top in range(0, h, band_rows):
+        bottom = min(top + band_rows, h)
+        for ki in range(k):
+            # dy rows j feed dx rows j + ki - pad; keep those inside the band.
+            lo, hi = max(top + pad - ki, 0), min(bottom + pad - ki, h)
+            if lo >= hi:
+                continue
+            band, tap = dxp[:, lo + ki - pad:hi + ki - pad], band_tap[:, :hi - lo]
+            for kj in range(k):
+                band[..., kj * c:kj * c + run] += np.multiply(dy_rows[:, lo:hi], taps[ki, kj],
+                                                              out=tap)
+    dkernel = np.empty_like(kernel)
+    tap = np.empty((b, h, run), dtype=xp.dtype)  # one buffer for every tap's product
+    for ki in range(k):
+        for kj in range(k):
+            dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, kj * c:kj * c + run], dy_rows,
+                                             out=tap).reshape(b, h, w, c).sum(axis=(0, 1, 2))
+    dx = dxp.reshape(b, h, w + 2 * pad, c)[:, :, pad:pad + w]
+    return dx, dkernel, dy.sum(axis=(0, 1, 2))
+
+
 def _local_bypass_backward(trace, d_fused, grads):
     # Reverse of local_bypass over xv = merge_heads(v): d_xv [B, N, C], or None
-    # when the bypass is off. The same-padded depthwise conv in the forward's
-    # row layout (kernels.dwc_layout) is out[:, i] = sum_{ki,kj}
-    # xp[:, i+ki, kj*C : kj*C+W*C] * taps[ki, kj]. The reductions run over
-    # whole arrays, not the forward's bands, so every sum keeps its order.
-    config, kernel = trace.config, trace.params.dwc_kernel
+    # when the bypass is off.
+    config = trace.config
     if not config.enable_dwc:
         return None
     b, n, c = d_fused.shape
-    h, w, k = config.grid_h, config.grid_w, config.dwc_kernel
-    pad = (k - 1) // 2
-    run = w * c
-    xp, taps = kernels.dwc_layout(merge_heads(trace.v).reshape(b, h, w, c), kernel)
-    dy_rows = d_fused.reshape(b, h, run)
-    dxp = np.zeros_like(xp)
-    dkernel = grads["dwc_kernel"] = np.zeros_like(kernel)
-    tap = np.empty_like(dy_rows)  # one buffer for every tap's product
-    for ki in range(k):
-        for kj in range(k):
-            cols = slice(kj * c, kj * c + run)
-            dxp[:, ki:ki + h, cols] += np.multiply(dy_rows, taps[ki, kj], out=tap)
-            dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, cols], dy_rows, out=tap).reshape(
-                b, h, w, c).sum(axis=(0, 1, 2))
-    grads["dwc_bias"] = d_fused.reshape(b, h, w, c).sum(axis=(0, 1, 2))
-    d_xv = dxp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w, :]
+    grid = (b, config.grid_h, config.grid_w, c)
+    d_xv, grads["dwc_kernel"], grads["dwc_bias"] = _depthwise_conv2d_backward(
+        merge_heads(trace.v).reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
     return d_xv.reshape(b, n, c)
+
+
+def _output_backward(trace, grad_output, grads):
+    # Reverse of output = fused @ w_o and of the two stages that wrote fused,
+    # the bypass and distribute_global: (d_q, d_k_l_bar, d_z_l, d_xv). d_fused
+    # has no other reader, so it is freed when this returns.
+    grads["w_o"], d_fused = _linear_backward(trace.fused, [grad_output], [trace.params.w_o])
+    d_xv = _local_bypass_backward(trace, d_fused, grads)
+    return (*_blocked_attention_backward(trace.q, trace.k_l_bar, trace.z_l,
+                                         split_heads(d_fused, trace.config.heads)), d_xv)
 
 
 def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
@@ -205,10 +258,7 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSe
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
     grads = {}
-    grads["w_o"], d_fused = _linear_backward(trace.fused, [grad_output], [params.w_o])
-    d_xv = _local_bypass_backward(trace, d_fused, grads)
-    d_q, d_k_l_bar, d_z_l = _attention_backward(
-        trace.q, trace.k_l_bar, trace.z_l, trace.p_dist, split_heads(d_fused, trace.config.heads))
+    d_q, d_k_l_bar, d_z_l, d_xv = _output_backward(trace, grad_output, grads)
     d_k_l, d_v_l = _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads)
     d_k, d_v = _gather_backward(trace, d_k_l, d_v_l, grads)
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
@@ -227,13 +277,8 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> Gr
     grad_output = _check_grad_output(grad_output, trace.output)
     grads = {}
     grads["w_o"], d_merged = _linear_backward(trace.o_merged, [grad_output], [params.w_o])
-    q, k, v = trace.q, trace.k, trace.v
-    d_o = split_heads(d_merged, q.shape[1])
-    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-    for rows, p in attention_blocks(q, k):
-        d_q[:, :, rows], dk, dv = _attention_backward(q[:, :, rows], k, v, p, d_o[:, :, rows])
-        d_k += dk
-        d_v += dv
+    d_q, d_k, d_v = _blocked_attention_backward(
+        trace.q, trace.k, trace.v, split_heads(d_merged, trace.q.shape[1]))
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
         trace.x, d_q, d_k, d_v, params)
     return _grad_set(params, grads, d_x)

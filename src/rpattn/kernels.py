@@ -6,6 +6,12 @@
 shape but are stored key-major (the swapped view of a C-ordered
 [..., n_k, n_q] array), so every reduction over the keys runs over the outer
 memory axis; a short last axis (M slots) is the slow case for numpy.
+`attention_blocks` is the one blocked attention: it forms the weights of a
+block of queries at a time (TOKEN_TILE rows in every caller), so no weights
+over all N queries exist. The
+layer's distribution and the dense baseline run their forwards over it,
+and `grad._blocked_attention_backward` is its one reverse, recomputing each
+block's weights.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes
@@ -27,6 +33,13 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 DWC_BAND_ROWS = 8  # output rows depthwise_conv2d sums its taps over at a time
+# Query rows per block of attention_blocks, in the layer's distribution and
+# the dense baseline, forward and backward. Layer (float32, N = 16384, M = 49,
+# one BLAS thread): 256-1024 rows time about the same, and 128 rows and one
+# whole tile are slower. Dense: a block's weights grow with N * TOKEN_TILE, never N^2
+# (67 MB at float32, B = 1, h = 2, N = 16384), and 512 rows ran no slower
+# than 1024 forward and backward at N = 1024, 4096 and 16384.
+TOKEN_TILE = 512
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,6 +97,17 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     s *= 1.0 / math.sqrt(q.shape[-1])
     s = np.swapaxes(s, -1, -2)
     return softmax_lastdim(s, out=s)
+
+
+def attention_blocks(q: np.ndarray, k: np.ndarray, rows: int):
+    """attention_weights(q, k) in blocks of `rows` queries: yields (block, p).
+
+    block is the slice of the query axis (axis -2 of q) and p the block's
+    [..., rows, n_k] weights; the last block may be shorter.
+    """
+    for start in range(0, q.shape[-2], rows):
+        block = slice(start, start + rows)
+        yield block, attention_weights(q[..., block, :], k)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):

@@ -2,8 +2,9 @@
 
 Everything here is written with explicit Python loops and no code shared
 with the library, so agreement between the two is meaningful. The one
-exception, `depthwise_conv2d_taps`, is a whole-array reference that pins the
-order of the convolution's sums.
+exceptions, `depthwise_conv2d_taps` and `depthwise_conv2d_backward_taps`,
+are whole-array references that pin the order of the convolution's sums
+forward and backward.
 """
 
 import math
@@ -104,6 +105,35 @@ def depthwise_conv2d_taps(x, kernel, bias):
             out += xp[:, ki:ki + h, kj:kj + w] * kernel[ki, kj]
     out += bias
     return out
+
+
+def depthwise_conv2d_backward_taps(x, kernel, dy):
+    """Reverse of depthwise_conv2d_taps for dy [B, H, W, C]: (dx, dkernel, dbias).
+
+    Not a loop oracle: one whole-array product per tap fixes the order of
+    the sums. Every element of the padded input gradient adds its taps to
+    zero in (ki, kj) order; each dkernel entry is one sum over (B, H, W) of
+    its tap's product, and dbias one sum of dy.
+    """
+    x = np.asarray(x)
+    b, h, w, c = x.shape
+    k = kernel.shape[0]
+    pad = (k - 1) // 2
+    run = w * c
+    xp = np.zeros((b, h + 2 * pad, (w + 2 * pad) * c), dtype=x.dtype)
+    xp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w] = x
+    taps = np.tile(kernel, (1, 1, w))
+    dy_rows = np.reshape(dy, (b, h, run))
+    dxp = np.zeros_like(xp)
+    dkernel = np.zeros_like(kernel)
+    for ki in range(k):
+        for kj in range(k):
+            cols = slice(kj * c, kj * c + run)
+            dxp[:, ki:ki + h, cols] += dy_rows * taps[ki, kj]
+            dkernel[ki, kj, :] = (xp[:, ki:ki + h, cols] * dy_rows).reshape(
+                b, h, w, c).sum(axis=(0, 1, 2))
+    dx = dxp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w]
+    return dx, dkernel, np.sum(dy, axis=(0, 1, 2))
 
 
 def dense_attention_loops(x, w_q, w_k, w_v, w_o, heads):

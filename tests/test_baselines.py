@@ -8,7 +8,6 @@ import pytest
 
 from rpattn import (
     AttnConfig,
-    baselines,
     init_params,
     kernels,
     kmeans_gather,
@@ -78,10 +77,10 @@ class TestDenseAttention:
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_two_blocks_match_one_block(self, monkeypatch, batch):
-        # A 33 x 32 grid is two query blocks. Its output and all 15 gradients
+        # A 17 x 32 grid is two query blocks. Its output and all 15 gradients
         # match one block holding the full [B, h, N, N] weights.
-        cfg = AttnConfig(channels=4, heads=2, num_representatives=1, grid_h=33, grid_w=32)
-        assert baselines.DENSE_BLOCK < cfg.num_tokens <= 2 * baselines.DENSE_BLOCK
+        cfg = AttnConfig(channels=4, heads=2, num_representatives=1, grid_h=17, grid_w=32)
+        assert kernels.TOKEN_TILE < cfg.num_tokens <= 2 * kernels.TOKEN_TILE
         params = init_params(cfg, 12)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((batch, cfg.num_tokens, 4))
@@ -93,7 +92,7 @@ class TestDenseAttention:
             return {"output": out, "x": grads.grad_x, **grads.field_dict()}
 
         blocked = run()
-        monkeypatch.setattr(baselines, "DENSE_BLOCK", cfg.num_tokens)
+        monkeypatch.setattr(kernels, "TOKEN_TILE", cfg.num_tokens)
         single = run()
         assert len(single) == 16
         for name, ref in single.items():

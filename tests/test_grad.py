@@ -29,7 +29,8 @@ from rpattn.attention import SLOT_MASS_EPS, merge_heads, split_heads
 from rpattn.baselines import softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError
 from rpattn.grad import (
-    _attention_backward,
+    _blocked_attention_backward,
+    _depthwise_conv2d_backward,
     _gather_backward,
     _latent_interact_backward,
     _linear_backward,
@@ -37,6 +38,8 @@ from rpattn.grad import (
     _project_qkv_backward,
     softmax_attention_backward,
 )
+
+import oracles
 
 SMALL = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=3, grid_w=4)
 
@@ -279,8 +282,8 @@ def _stage(name, trace):
             return (fused,)
 
         return ({"q": trace.q, "k_l_bar": trace.k_l_bar, "z_l": trace.z_l}, stage,
-                lambda g: dict(zip(("q", "k_l_bar", "z_l"), _attention_backward(
-                    trace.q, trace.k_l_bar, trace.z_l, trace.p_dist, split_heads(g, cfg.heads)))))
+                lambda g: dict(zip(("q", "k_l_bar", "z_l"), _blocked_attention_backward(
+                    trace.q, trace.k_l_bar, trace.z_l, split_heads(g, cfg.heads)))))
     if name == "interact":
         names = ("w_lq", "w_lk", "w_lv", "ln_k_gamma", "ln_k_beta", "ln_v_gamma", "ln_v_beta")
 
@@ -351,9 +354,11 @@ def test_stage_reverse_matches_its_forward_stage(stage):
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_backward_memory_budget(dtype, batch, grid, routing):
-    # At test_forward_memory_budget's shapes, the backward holds at most seven
-    # [B, h, N, M] arrays' worth beyond the gradients it returns: the routing
-    # reverse's two such arrays are freed when it returns.
+    # At test_forward_memory_budget's shapes, the backward holds at most 5.5
+    # [B, h, N, M] arrays' worth beyond the gradients it returns (5.25-5.37
+    # measured): the routing reverse's two such arrays are freed when it
+    # returns, the distribution's weights are recomputed one token tile at a
+    # time, and d_fused is freed after its two readers.
     cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,
                      routing=routing, dtype=dtype)
     rng = np.random.default_rng(41)
@@ -370,4 +375,48 @@ def test_backward_memory_budget(dtype, batch, grid, routing):
     finally:
         tracemalloc.stop()
     grad_bytes = sum(v.nbytes for v in vars(grads).values())
-    assert peak - grad_bytes <= 7 * trace.p_dist.nbytes, (peak, grad_bytes, trace.p_dist.nbytes)
+    bnm = batch * cfg.heads * cfg.num_tokens * cfg.num_representatives * np.dtype(dtype).itemsize
+    assert peak - grad_bytes <= 5.5 * bnm, (peak, grad_bytes, bnm)
+
+
+@pytest.mark.parametrize("routing", ["learned", "kmeans"])
+def test_no_weights_outlive_a_token_tile(monkeypatch, routing):
+    # Forward and backward form attention weights over at most TOKEN_TILE
+    # queries at a time, whatever N: the distribution's tiles, and the
+    # latent interaction's M queries.
+    monkeypatch.setattr(kernels, "TOKEN_TILE", 5)
+    cfg = replace(SMALL, grid_h=4, grid_w=4, routing=routing)
+    shapes = []
+
+    def recorded(q, k):
+        shapes.append(q.shape)
+        return attention_weights(q, k)
+
+    attention_weights = kernels.attention_weights
+    monkeypatch.setattr(kernels, "attention_weights", recorded)
+    params, x, g, y, trace = _forward_backward(cfg, 19)
+    rpattention_backward(trace, g)
+    tiles = [shape[-2] for shape in shapes if shape[-2] != cfg.num_representatives]
+    assert tiles == [5, 5, 5, 1] * 2  # forward, then the backward's recompute
+    assert max(shape[-2] for shape in shapes) <= 5
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 17])
+@pytest.mark.parametrize("grid", [(1, 5), (7, 5), (8, 5), (9, 5), (17, 5), (128, 5), (128, 128)])
+def test_depthwise_reverse_bytes_equal_to_whole_array_taps(grid, k):
+    # The banded reverse against one whole-array product per tap: grids
+    # shorter than, equal to and one row over a band, several bands with a
+    # short last one and pads up to a whole band (k = 17); each input and
+    # output gradient also as a non-contiguous view.
+    h, w = grid
+    rng = np.random.default_rng(h * 1000 + w * 10 + k)
+    for batch in (1, 3):
+        for dtype in (np.float32, np.float64):
+            wide = rng.standard_normal((2, batch, h, w, 6)).astype(dtype)
+            kernel = rng.standard_normal((k, k, 3)).astype(dtype)
+            for x, dy in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2]):
+                got = _depthwise_conv2d_backward(x, kernel, dy)
+                want = oracles.depthwise_conv2d_backward_taps(x, kernel, dy)
+                for name, a, b in zip(("dx", "dkernel", "dbias"), got, want):
+                    assert a.shape == b.shape and a.dtype == dtype, name
+                    assert a.tobytes() == b.tobytes(), (name, batch, dtype, x.flags.c_contiguous)

@@ -121,6 +121,48 @@ def test_learned_backward_matches_finite_differences(batch, heads, head_dim, gri
     np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
 
 
+@given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(3, 4),
+       tile=st.integers(2, 6), length=st.sampled_from(["1", "T-1", "T", "T+1", "3T+5"]),
+       routing=st.sampled_from(["learned", "kmeans"]), num_reps=st.integers(1, 6),
+       interact=st.booleans(), dwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_many_token_tiles_match_one_tile(batch, heads, head_dim, tile, length, routing, num_reps,
+                                         interact, dwc, seed):
+    # The distribution forward and its reverse run in token tiles of
+    # kernels.TOKEN_TILE queries. In float64, the output and all 15 gradients
+    # of many tiles agree with one tile within 1e-12 of each array's largest
+    # entry (the structurally zero ln_k_beta absolutely), and are the same
+    # bytes when the tokens fit in one tile. head_dim >= 3: a two-channel
+    # layer norm is flat, which leaves the key gradients rounding noise.
+    n = {"1": 1, "T-1": tile - 1, "T": tile, "T+1": tile + 1, "3T+5": 3 * tile + 5}[length]
+    cfg = AttnConfig(channels=heads * head_dim, heads=heads, num_representatives=num_reps,
+                     grid_h=1, grid_w=n, routing=routing, enable_interact=interact,
+                     enable_dwc=dwc)
+    rng = np.random.default_rng(seed)
+    # Unit-scale anchors: at init's near-uniform routing the slots' latents
+    # nearly coincide, and the gradients through the distribution and latent
+    # softmaxes are then differences of nearly equal terms, many times
+    # smaller than the rounding of those terms that a tile moves.
+    params = replace(init_params(cfg, int(rng.integers(2**31))),
+                     w_g=rng.standard_normal((head_dim, num_reps)))
+    x = rng.standard_normal((batch, n, cfg.channels))
+    g = rng.standard_normal(x.shape)
+
+    def run(rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "TOKEN_TILE", rows)
+            y, trace = rpattention_forward(x, params, cfg)
+            grads = rpattention_backward(trace, g)
+        return {"output": y, **grads.field_dict(), "grad_x": grads.grad_x}
+
+    tiled, whole = run(tile), run(n)
+    assert len(whole) == 16
+    for name, ref in whole.items():
+        if n <= tile:
+            assert tiled[name].tobytes() == ref.tobytes(), name
+        scale = 1.0 if name == "ln_k_beta" else np.abs(ref).max()
+        assert np.abs(tiled[name] - ref).max() <= 1e-12 * scale, name
+
+
 @given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(1, 4),
        grid_h=st.integers(1, 4), grid_w=st.integers(1, 4), num_reps=st.integers(1, 6),
        interact=st.booleans(), dwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
