@@ -25,6 +25,7 @@ from .attention import (
     ForwardTrace,
     PARAM_FIELDS,
     RPAttnParams,
+    gather,
     gather_assign,
     gather_latents,
     init_params,
@@ -61,7 +62,7 @@ from .train import AdamState, TrainConfig, TrainHistory, adam_step, train_tiny
 
 __all__ = [
     "AttnConfig", "ForwardTrace", "PARAM_FIELDS", "RPAttnParams",
-    "gather_assign", "gather_latents", "init_params", "latent_interact",
+    "gather", "gather_assign", "gather_latents", "init_params", "latent_interact",
     "local_bypass", "mass_normalize", "distribute_global", "param_count",
     "param_shapes", "project_qkv", "rpattention_forward",
     "FlopsBreakdown", "Mechanism", "ScalingReport", "ShiftReport",

@@ -147,7 +147,7 @@ def em_deviations(trials=20, seed=0):
         w_g = rng.standard_normal((d, m))
         a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         a = gather_assign(keys[None], w_g)
-        mass, k_l, _ = mass_normalize(a, *gather_latents(a, keys[None], keys[None]))
+        mass, k_l, _ = mass_normalize(*gather_latents(a, keys[None], keys[None]))
         deviations.append(max(float(np.abs(a[0] - a_o).max()),
                               float(np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max()),
                               float(np.abs(k_l[0] - k_l_o).max())))

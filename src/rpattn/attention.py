@@ -161,18 +161,23 @@ class ForwardTrace:
     """The record of one rpattention_forward call, everything its backward reads.
 
     Each intermediate is held once, with the call's own params and config
-    (references, not copies). `a` is its one [B, h, N, M] array; under
-    learned routing it is the swapped view of a C-ordered [B, h, M, N] array,
-    so its reductions over the slots run over the outer memory axis. The
-    distribution weights are not kept: they exist one token tile at a time,
-    and the backward recomputes them from q and k_l_bar.
+    (references, not copies). No [B, h, N, M] array is kept: the gather's
+    assignments and the distribution weights exist one token tile at a time,
+    and the backward recomputes them per tile from k and params.w_g (or the
+    k-means slot indices) and from q and k_l_bar. `a` recomputes all the
+    assignments on each read.
+
+    A trace is valid only until its params are mutated: `a` and the
+    backward read trace.params, which are references, so an in-place update
+    (train_tiny's Adam step after each backward) leaves a trace that no
+    longer describes its forward.
     """
 
     x: np.ndarray          # [B, N, C] layer input
     q: np.ndarray          # [B, h, N, d]
     k: np.ndarray          # [B, h, N, d]
     v: np.ndarray          # [B, h, N, d]
-    a: np.ndarray          # [B, h, N, M] row-stochastic assignments (slot-major when learned)
+    slots: Optional[np.ndarray]  # [B, h, N] k-means slot indices, None under learned routing
     mass: np.ndarray       # [B, h, M, 1] slot token mass plus SLOT_MASS_EPS
     k_l: np.ndarray        # [B, h, M, d] gathered latent keys
     v_l: np.ndarray        # [B, h, M, d] gathered latent values
@@ -184,6 +189,15 @@ class ForwardTrace:
     output: np.ndarray     # [B, N, C]
     params: RPAttnParams   # the forward's params
     config: AttnConfig     # the forward's config
+
+    @property
+    def a(self) -> np.ndarray:
+        """[B, h, N, M] row-stochastic assignments, recomputed on each read.
+
+        gather_assign(k, params.w_g) under learned routing (slot-major), the
+        one-hot rows of the slot indices under k-means (token-major).
+        """
+        return tile_assign(self.k, self.params.w_g, self.slots, slice(None))
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -216,20 +230,66 @@ def gather_assign(k: np.ndarray, w_g: np.ndarray) -> np.ndarray:
     return kernels.softmax_lastdim(logits, out=logits)
 
 
-def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Raw slot sums aᵀk and aᵀv: every slot's assignment-weighted total of keys and values."""
+def slot_one_hot(slots: np.ndarray, num_slots: int, dtype) -> np.ndarray:
+    """Slot indices [..., N] -> one-hot rows [..., N, M] in dtype, token-major."""
+    return (slots[..., None] == np.arange(num_slots)).astype(dtype)
+
+
+def tile_assign(k: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray], rows: slice):
+    """Assignments [B, h, T, M] of the tokens `rows` (a slice of the token axis).
+
+    Learned routing (slots None) is gather_assign of the tile's keys;
+    k-means routing expands the tile's slot indices to one-hot rows in k's
+    dtype, M = w_g.shape[-1] wide.
+    """
+    if slots is None:
+        return gather_assign(k[..., rows, :], w_g)
+    return slot_one_hot(slots[..., rows], w_g.shape[-1], k.dtype)
+
+
+def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray, sums=None):
+    """Raw slot sums (Σ_n a [B, h, M, 1], aᵀk, aᵀv): every slot's mass and
+    assignment-weighted totals of keys and values.
+
+    A gather in token tiles passes the totals of its earlier tiles as
+    `sums`: the tile's shares are added into them in place, and they are
+    returned. The first tile's shares are the totals, so a gather in one
+    tile is the untiled gather bit for bit.
+    """
     a_t = np.swapaxes(a, -1, -2)
-    return kernels.matmul(a_t, k), kernels.matmul(a_t, v)
+    shares = a.sum(axis=-2)[..., None], kernels.matmul(a_t, k), kernels.matmul(a_t, v)
+    if sums is None:
+        return shares
+    for total, share in zip(sums, shares):
+        total += share
+    return sums
 
 
-def mass_normalize(a: np.ndarray, k_sum: np.ndarray, v_sum: np.ndarray):
+def mass_normalize(a_sum: np.ndarray, k_sum: np.ndarray, v_sum: np.ndarray):
     """Slot sums over slot mass: (mass, k_l, v_l), mass = Σ_n a + SLOT_MASS_EPS [B, h, M, 1].
 
-    Equals gathering with the column-normalized â = a / massᵀ, never built
-    on [N, M]; the epsilon keeps a slot with no mass at zero.
+    Takes gather_latents' totals. Equals gathering with the column-normalized
+    â = a / massᵀ, never built on [N, M]; the epsilon keeps a slot with no
+    mass at zero.
     """
-    mass = a.sum(axis=-2)[..., None] + SLOT_MASS_EPS
+    mass = a_sum + SLOT_MASS_EPS
     return mass, k_sum / mass, v_sum / mass
+
+
+def gather(k: np.ndarray, v: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray]):
+    """The gather of keys and values onto the M slots, in token tiles: (mass, k_l, v_l).
+
+    Each tile of kernels.TOKEN_TILE tokens forms its assignments
+    (tile_assign) and adds its slot sums to those of the tiles before it
+    (gather_latents); mass_normalize then divides the totals by the slot
+    mass. Each token's assignments are its own softmax over the M slots (or
+    its one-hot k-means row), so no assignments outlive their tile.
+    """
+    sums = None
+    for rows in kernels.token_tiles(k.shape[-2], kernels.TOKEN_TILE):
+        sums = gather_latents(tile_assign(k, w_g, slots, rows), k[..., rows, :], v[..., rows, :],
+                              sums)
+    return mass_normalize(*sums)
 
 
 def latent_qkv(v_l_bar: np.ndarray, params: RPAttnParams):
@@ -312,28 +372,31 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     """Full layer forward. Returns (output, ForwardTrace).
 
     Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass except the distribution weights.
-    The bypass runs after the routing, and the distribution adds its
-    readout into it tile by tile, so beyond the trace no step holds more
-    than one tile's weights and readout.
+    needed by the analytic backward pass except the gather's assignments and
+    the distribution weights, which both run in token tiles. The bypass runs
+    after the routing, and the distribution adds its readout into it tile by
+    tile, so beyond the trace no step holds more than one tile's weights and
+    readout or the bypass's padded copy of its input. The trace holds
+    references to params, and is valid only until they are mutated (see
+    ForwardTrace).
     """
     x = check_input(x, params, config)
     q, k, v = project_qkv(x, params, config)
 
+    slots = None
     if config.routing == "kmeans":
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
-        a = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
-    else:
-        a = gather_assign(k, params.w_g)
-    mass, k_l, v_l = mass_normalize(a, *gather_latents(a, k, v))
+        slots = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed,
+                              one_hot=False)
+    mass, k_l, v_l = gather(k, v, params.w_g, slots)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)
     distribute_global(q, k_l_bar, z_l, fused)
     output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(
-        x=x, q=q, k=k, v=v, a=a, mass=mass, k_l=k_l, v_l=v_l,
+        x=x, q=q, k=k, v=v, slots=slots, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
         fused=fused, output=output, params=params, config=config,
     )

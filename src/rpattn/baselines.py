@@ -15,8 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv
-from .errors import ConfigError, ContractError, ShapeError, check_count
+from .attention import (AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv,
+                        slot_one_hot)
+from .errors import ConfigError, ContractError, ShapeError, check_count, check_flag
 
 
 @dataclass
@@ -114,10 +115,11 @@ def _uniform_draws(seed, gi, h, n, j, m):
     return {slot: rng.integers(n) for slot in range(j, m)}
 
 
-def kmeans_gather(keys, num_slots, iters, seed):
+def kmeans_gather(keys, num_slots, iters, seed, one_hot=True):
     """Hard routing of tokens to slots by per-(batch, head) k-means on key vectors.
 
-    Returns one-hot assignments [B, h, N, M] in the dtype of keys. Lloyd's
+    Returns one-hot assignments [B, h, N, M] in the dtype of keys, or with
+    one_hot=False the [B, h, N] slot indices they expand. Lloyd's
     algorithm with plus-plus seeding runs on all G = B*h groups at once. Each
     (batch, head) group draws from its own random stream derived from the
     master seed, so its assignments do not depend on the rest of the batch.
@@ -128,6 +130,7 @@ def kmeans_gather(keys, num_slots, iters, seed):
     check_count("kmeans iters", iters)
     check_count("kmeans num_slots", num_slots)
     check_count("kmeans seed", seed, minimum=0)
+    one_hot = check_flag("kmeans one_hot", one_hot)
     keys = np.asarray(keys)
     if keys.ndim != 4 or keys.size == 0:
         raise ShapeError(f"kmeans keys must be a non-empty [B, h, N, d] array, got {keys.shape}")
@@ -193,4 +196,5 @@ def kmeans_gather(keys, num_slots, iters, seed):
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled][:, None]
 
-    return (assign[..., None] == np.arange(m)).astype(keys.dtype).reshape(b, h, n, m)
+    slots = assign.reshape(b, h, n)
+    return slot_one_hot(slots, m, keys.dtype) if one_hot else slots

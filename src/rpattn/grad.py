@@ -7,7 +7,8 @@ stages that wrote `fused`: `_local_bypass_backward` and
 `_blocked_attention_backward` of `distribute_global`),
 `_latent_interact_backward` (latent self-attention and the two latent layer
 norms), `_gather_backward` (mass-normalized slot gathering, then the
-assignment softmax under learned routing) and `_project_qkv_backward`.
+assignment softmax under learned routing, in token tiles that each recompute
+their assignments) and `_project_qkv_backward`.
 `_linear_backward` is the one reverse of `inp @ w`, `_attention_backward`
 of `kernels.attention`, and `_blocked_attention_backward` of
 `kernels.attention_blocks`: it recomputes each block's weights, so the
@@ -33,6 +34,7 @@ from .attention import (
     merge_heads,
     rpattention_forward,
     split_heads,
+    tile_assign,
 )
 from .baselines import DenseTrace
 from .errors import ConfigError, ContractError, check_real_array
@@ -133,7 +135,8 @@ def _linear_backward(inp, d_outs, weights, d_inp=None):
 def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
     # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
     # The depthwise bypass reads the same values, so its gradient d_xv [B, N, C]
-    # joins the value gradient first.
+    # joins the value gradient first. The per-head gradients the backwards
+    # build have q's, k's and v's [B, N, h, d] memory, so their merges are views.
     if d_xv is not None:
         d_v += split_heads(d_xv, d_v.shape[1])
     return _linear_backward(x, [merge_heads(t) for t in (d_q, d_k, d_v)],
@@ -219,31 +222,48 @@ def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
 
 
 def _gather_backward(trace, d_k_l, d_v_l, grads):
-    # Reverse of k_l = (aᵀ k) / mass and v_l = (aᵀ v) / mass: (d_k, d_v). Hard
-    # k-means assignments are constants; learned ones add their share to d_k.
+    # Reverse of attention.gather, k_l = (aᵀ k) / mass and v_l = (aᵀ v) / mass,
+    # one token tile at a time: (d_k, d_v). Each tile recomputes its
+    # assignments and writes its rows of d_k and d_v, built in k's and v's
+    # [B, N, h, d] memory, straight from BLAS or from the add of the
+    # routing's share. Hard k-means assignments are constants; learned ones
+    # add their share to the tile's d_k rows, and their per-head w_g products
+    # are summed tile by tile.
+    k, v, w_g = trace.k, trace.v, trace.params.w_g
+    learned = trace.config.routing == "learned"
     g_k = d_k_l / trace.mass
     g_v = d_v_l / trace.mass
-    d_k = kernels.matmul(trace.a, g_k)
-    d_v = kernels.matmul(trace.a, g_v)
-    if trace.config.routing == "learned":
-        d_k += _gather_assign_backward(trace, g_k, g_v, grads)
+    if learned:
+        shift = (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
+    d_k, d_v, d_w_g = np.empty_like(k), np.empty_like(v), None
+    for rows in kernels.token_tiles(k.shape[-2], kernels.TOKEN_TILE):
+        a = tile_assign(k, w_g, trace.slots, rows)
+        kernels.matmul(a, g_v, out=d_v[..., rows, :])
+        if learned:
+            d_k_share, d_w_g_share = _gather_assign_backward(
+                a, k[..., rows, :], v[..., rows, :], g_k, g_v, shift, w_g)
+            np.add(kernels.matmul(a, g_k), d_k_share, out=d_k[..., rows, :])
+            d_w_g = d_w_g_share if d_w_g is None else np.add(d_w_g, d_w_g_share, out=d_w_g)
+        else:
+            kernels.matmul(a, g_k, out=d_k[..., rows, :])
+    if learned:
+        grads["w_g"] = d_w_g.sum(axis=(0, 1)).T
     return d_k, d_v
 
 
-def _gather_assign_backward(trace, g_k, g_v, grads):
-    # Reverse of gather_assign: the routing's share of d_k. Since
-    # sum_t a[t,m] k[t] = mass[m] k_l[m], the quotient rule gives
-    # d_a[n,m] = k[n].g_k[m] + v[n].g_v[m] - (k_l[m].g_k[m] + v_l[m].g_v[m]).
-    # Like a, d_a is built slot-major, [B, h, M, N]; it and d_logits are
-    # freed when this returns.
-    d_a = kernels.matmul(g_k, np.swapaxes(trace.k, -1, -2))
-    d_a += kernels.matmul(g_v, np.swapaxes(trace.v, -1, -2))
-    d_a -= (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
-    d_logits = _softmax_backward(trace.a, np.swapaxes(d_a, -1, -2))
-    # Per-head products d_logitsᵀ k, summed over (B, h): folding the
-    # leading axes of the slot-major d_logits would copy it.
-    grads["w_g"] = kernels.matmul(np.swapaxes(d_logits, -1, -2), trace.k).sum(axis=(0, 1)).T
-    return kernels.matmul(d_logits, trace.params.w_g.T)
+def _gather_assign_backward(a, k, v, g_k, g_v, shift, w_g):
+    # Reverse of gather_assign over one token tile of assignments a, keys k and
+    # values v: (the tile's share of d_k, its per-head w_g products d_logitsᵀ k
+    # [B, h, M, d]). Since sum_t a[t,m] k[t] = mass[m] k_l[m], the quotient
+    # rule gives d_a[n,m] = k[n].g_k[m] + v[n].g_v[m] - shift[m], with
+    # shift[m] = k_l[m].g_k[m] + v_l[m].g_v[m]. Like a, d_a is built
+    # slot-major, [B, h, M, T]. The w_g products are summed over (B, h) by the
+    # caller: folding the leading axes of the slot-major d_logits would copy it.
+    d_a = kernels.matmul(g_k, np.swapaxes(k, -1, -2))
+    d_a += kernels.matmul(g_v, np.swapaxes(v, -1, -2))
+    d_a -= shift
+    d_logits = _softmax_backward(a, np.swapaxes(d_a, -1, -2))
+    return kernels.matmul(d_logits, w_g.T), kernels.matmul(np.swapaxes(d_logits, -1, -2), k)
 
 
 def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSet:

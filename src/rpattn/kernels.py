@@ -6,12 +6,14 @@
 shape but are stored key-major (the swapped view of a C-ordered
 [..., n_k, n_q] array), so every reduction over the keys runs over the outer
 memory axis; a short last axis (M slots) is the slow case for numpy.
-`attention_blocks` is the one blocked attention: it forms the weights of a
-block of queries at a time (TOKEN_TILE rows in every caller), so no weights
-over all N queries exist. The
-layer's distribution and the dense baseline run their forwards over it,
-and `grad._blocked_attention_backward` is its one reverse, recomputing each
-block's weights.
+`token_tiles` cuts the token axis into tiles of TOKEN_TILE rows in every
+caller, so no weights over all N tokens exist. `attention_blocks` is the one
+blocked attention: it forms the weights of a tile of queries at a time. The
+layer's distribution and the dense baseline run their forwards over it, and
+`grad._blocked_attention_backward` is its one reverse, recomputing each
+block's weights. The layer's gather (`attention.gather`) and its reverse
+(`grad._gather_backward`) run over the same tiles, forming each tile's
+assignments.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes
@@ -33,27 +35,31 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 DWC_BAND_ROWS = 8  # output rows depthwise_conv2d sums its taps over at a time
-# Query rows per block of attention_blocks, in the layer's distribution and
-# the dense baseline, forward and backward. Layer (float32, N = 16384, M = 49,
-# one BLAS thread): 256-1024 rows time about the same, and 128 rows and one
-# whole tile are slower. Dense: a block's weights grow with N * TOKEN_TILE, never N^2
-# (67 MB at float32, B = 1, h = 2, N = 16384), and 512 rows ran no slower
-# than 1024 forward and backward at N = 1024, 4096 and 16384.
+# Token rows per tile, read at call time by every caller of token_tiles and
+# attention_blocks: the layer's gather and distribution and the dense
+# baseline, forward and backward. Layer (float32, N = 16384, M = 49, one BLAS
+# thread, distribution only): 256-1024 rows time about the same, and 128 rows
+# and one whole tile are slower. Dense: a block's weights grow with
+# N * TOKEN_TILE, never N^2 (67 MB at float32, B = 1, h = 2, N = 16384), and
+# 512 rows ran no slower than 1024 forward and backward at N = 1024, 4096
+# and 16384.
 TOKEN_TILE = 512
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Batched matrix product of [..., p, q] and [..., q, r] -> [..., p, r].
 
-    Leading dimensions broadcast. Every dtype goes through np.matmul (BLAS);
-    its own shape check raises, re-raised as a ShapeError naming both shapes.
+    Leading dimensions broadcast. Every dtype goes through np.matmul (BLAS),
+    which writes into `out` when given (a strided view, like rows of a
+    [B, N, h, d] array seen per head, keeps the bits); its own shape check
+    raises, re-raised as a ShapeError naming both shapes.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     try:
-        return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
     except ValueError as exc:
         raise ShapeError(f"matmul shapes do not match: {a.shape} x {b.shape}") from exc
 
@@ -99,14 +105,18 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return softmax_lastdim(s, out=s)
 
 
+def token_tiles(n: int, rows: int):
+    """Slices of `rows` consecutive indices covering range(n) in order; the last may be shorter."""
+    return (slice(start, start + rows) for start in range(0, n, rows))
+
+
 def attention_blocks(q: np.ndarray, k: np.ndarray, rows: int):
     """attention_weights(q, k) in blocks of `rows` queries: yields (block, p).
 
     block is the slice of the query axis (axis -2 of q) and p the block's
     [..., rows, n_k] weights; the last block may be shorter.
     """
-    for start in range(0, q.shape[-2], rows):
-        block = slice(start, start + rows)
+    for block in token_tiles(q.shape[-2], rows):
         yield block, attention_weights(q[..., block, :], k)
 
 

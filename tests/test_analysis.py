@@ -101,7 +101,7 @@ class TestEMOracle:
         a, a_hat, k_l = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         assert np.abs(a - 0.5).max() < 1e-15
         a_p = gather_assign(keys[None], w_g)
-        _, k_l_p, _ = mass_normalize(a_p, *gather_latents(a_p, keys[None], keys[None]))
+        _, k_l_p, _ = mass_normalize(*gather_latents(a_p, keys[None], keys[None]))
         assert np.abs(a_p[0] - a).max() < 1e-12
         assert np.abs(k_l_p[0] - k_l).max() < 1e-12
 
@@ -112,7 +112,7 @@ class TestEMOracle:
         w_g = rng.standard_normal((5, 4))
         a_o, a_hat_o, k_l_o = em_one_step_oracle(keys, w_g, SLOT_MASS_EPS)
         a = gather_assign(keys[None], w_g)
-        mass, k_l, _ = mass_normalize(a, *gather_latents(a, keys[None], keys[None]))
+        mass, k_l, _ = mass_normalize(*gather_latents(a, keys[None], keys[None]))
         assert np.abs(a[0] - a_o).max() < 1e-12
         assert np.abs(a[0] / np.swapaxes(mass[0], -1, -2) - a_hat_o).max() < 1e-12
         assert np.abs(k_l[0] - k_l_o).max() < 1e-12

@@ -8,6 +8,7 @@ installed, would otherwise surface only when `--trace 1` runs.
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rpattn
@@ -49,3 +50,48 @@ def test_recorder_spans_kmeans_train_tiny_and_restores():
         "baselines.kmeans_gather": 3, "train.adam_step": 2}
     for (module, attr), original in originals.items():
         assert getattr(getattr(rpattn, module), attr) is original, f"rpattn.{module}.{attr}"
+
+
+@pytest.mark.parametrize("routing", ["learned", "kmeans"])
+def test_memory_probe_reads_the_trace(monkeypatch, routing):
+    # The traced run's MemoryProbe sums the trace's arrays and reads trace.a,
+    # its shape and slot mass; the trace keeps no [B, h, N, M] array, so
+    # trace.a is recomputed on read. Two token tiles of 4, with the Recorder
+    # wrapped inside the probe.
+    monkeypatch.setattr(rpattn.kernels, "TOKEN_TILE", 4)
+    cfg = AttnConfig(channels=4, heads=2, num_representatives=3, grid_h=2, grid_w=3,
+                     routing=routing)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, cfg.num_tokens, cfg.channels))
+    params = rpattn.init_params(cfg, 1)
+    probe, recorder = TRACER["MemoryProbe"](), TRACER["Recorder"]()
+    traces = []
+
+    def op():
+        _, trace = rpattn.attention.rpattention_forward(x, params, cfg)
+        rpattn.grad.rpattention_backward(trace, rng.standard_normal(x.shape))
+        traces.append(trace)
+
+    with recorder.install(rpattn), probe.install(rpattn):
+        recorder.op = 0
+        TRACER["measure_peak"](op)
+    (trace,) = traces
+    nm = (cfg.num_tokens, cfg.num_representatives)
+    arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+    assert all(v.shape[-2:] != nm for v in arrays)
+    assert probe.trace_bytes == TRACER["trace_nbytes"](trace) == sum(v.nbytes for v in arrays)
+    assert probe.slots == 2 * cfg.heads * cfg.num_representatives
+    assert 0 < probe.live_slots <= probe.slots
+    assert probe.forward_peak > 0 and probe.backward_peak > 0
+    if routing == "learned":
+        expect = rpattn.gather_assign(trace.k, trace.params.w_g)
+    else:
+        expect = (trace.slots[..., None] == np.arange(nm[1])).astype(x.dtype)
+    assert trace.a.shape == expect.shape and trace.a.tobytes() == expect.tobytes()
+    calls = Counter(span[0] for span in recorder.spans)
+    assert calls["attention.rpattention_forward"] == calls["grad.rpattention_backward"] == 1
+    assert calls["baselines.kmeans_gather"] == (routing == "kmeans")
+    checks = TRACER["cost_model_check"](
+        TRACER["summarize"](recorder.spans, rpattn.analysis.flops_estimate)[0])["checks"]
+    if routing == "learned":
+        assert checks["gather_equals_model"] and checks["distribute_equals_model"]
