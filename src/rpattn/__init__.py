@@ -25,7 +25,6 @@ from .attention import (
     ForwardTrace,
     PARAM_FIELDS,
     RPAttnParams,
-    gather,
     gather_assign,
     gather_latents,
     init_params,
@@ -62,7 +61,7 @@ from .train import AdamState, TrainConfig, TrainHistory, adam_step, train_tiny
 
 __all__ = [
     "AttnConfig", "ForwardTrace", "PARAM_FIELDS", "RPAttnParams",
-    "gather", "gather_assign", "gather_latents", "init_params", "latent_interact",
+    "gather_assign", "gather_latents", "init_params", "latent_interact",
     "local_bypass", "mass_normalize", "distribute_global", "param_count",
     "param_shapes", "project_qkv", "rpattention_forward",
     "FlopsBreakdown", "Mechanism", "ScalingReport", "ShiftReport",

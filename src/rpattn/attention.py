@@ -197,7 +197,8 @@ class ForwardTrace:
         gather_assign(k, params.w_g) under learned routing (slot-major), the
         one-hot rows of the slot indices under k-means (token-major).
         """
-        return tile_assign(self.k, self.params.w_g, self.slots, slice(None))
+        return tile_assign(self.k, self.params.w_g, self.slots, self.config.num_representatives,
+                           slice(None))
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -235,16 +236,17 @@ def slot_one_hot(slots: np.ndarray, num_slots: int, dtype) -> np.ndarray:
     return (slots[..., None] == np.arange(num_slots)).astype(dtype)
 
 
-def tile_assign(k: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray], rows: slice):
+def tile_assign(k: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray], num_slots: int,
+                rows: slice):
     """Assignments [B, h, T, M] of the tokens `rows` (a slice of the token axis).
 
     Learned routing (slots None) is gather_assign of the tile's keys;
     k-means routing expands the tile's slot indices to one-hot rows in k's
-    dtype, M = w_g.shape[-1] wide.
+    dtype, num_slots wide, and does not read w_g.
     """
     if slots is None:
         return gather_assign(k[..., rows, :], w_g)
-    return slot_one_hot(slots[..., rows], w_g.shape[-1], k.dtype)
+    return slot_one_hot(slots[..., rows], num_slots, k.dtype)
 
 
 def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray, sums=None):
@@ -276,8 +278,10 @@ def mass_normalize(a_sum: np.ndarray, k_sum: np.ndarray, v_sum: np.ndarray):
     return mass, k_sum / mass, v_sum / mass
 
 
-def gather(k: np.ndarray, v: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray]):
-    """The gather of keys and values onto the M slots, in token tiles: (mass, k_l, v_l).
+def gather(k: np.ndarray, v: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray],
+           num_slots: int):
+    """The gather of keys and values onto the M = num_slots slots, in token
+    tiles: (mass, k_l, v_l).
 
     Each tile of kernels.TOKEN_TILE tokens forms its assignments
     (tile_assign) and adds its slot sums to those of the tiles before it
@@ -287,8 +291,8 @@ def gather(k: np.ndarray, v: np.ndarray, w_g: np.ndarray, slots: Optional[np.nda
     """
     sums = None
     for rows in kernels.token_tiles(k.shape[-2], kernels.TOKEN_TILE):
-        sums = gather_latents(tile_assign(k, w_g, slots, rows), k[..., rows, :], v[..., rows, :],
-                              sums)
+        sums = gather_latents(tile_assign(k, w_g, slots, num_slots, rows), k[..., rows, :],
+                              v[..., rows, :], sums)
     return mass_normalize(*sums)
 
 
@@ -387,9 +391,8 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     if config.routing == "kmeans":
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
-        slots = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed,
-                              one_hot=False)
-    mass, k_l, v_l = gather(k, v, params.w_g, slots)
+        slots = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
+    mass, k_l, v_l = gather(k, v, params.w_g, slots, config.num_representatives)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)
     distribute_global(q, k_l_bar, z_l, fused)

@@ -15,9 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .attention import (AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv,
-                        slot_one_hot)
-from .errors import ConfigError, ContractError, ShapeError, check_count, check_flag
+from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv
+from .errors import ConfigError, ContractError, ShapeError, check_count
 
 
 @dataclass
@@ -115,14 +114,14 @@ def _uniform_draws(seed, gi, h, n, j, m):
     return {slot: rng.integers(n) for slot in range(j, m)}
 
 
-def kmeans_gather(keys, num_slots, iters, seed, one_hot=True):
+def kmeans_gather(keys, num_slots, iters, seed):
     """Hard routing of tokens to slots by per-(batch, head) k-means on key vectors.
 
-    Returns one-hot assignments [B, h, N, M] in the dtype of keys, or with
-    one_hot=False the [B, h, N] slot indices they expand. Lloyd's
-    algorithm with plus-plus seeding runs on all G = B*h groups at once. Each
-    (batch, head) group draws from its own random stream derived from the
-    master seed, so its assignments do not depend on the rest of the batch.
+    Returns the [B, h, N] slot indices; attention.slot_one_hot expands them
+    to one-hot assignments [B, h, N, M]. Lloyd's algorithm with plus-plus
+    seeding runs on all G = B*h groups at once. Each (batch, head) group
+    draws from its own random stream derived from the master seed, so its
+    assignments do not depend on the rest of the batch.
     The seeding draws are cached per (seed, B, h, N, M), at most 64 entries.
     Keys that are not a non-empty 4-D array raise ShapeError, keys holding
     NaN or inf ContractError, and a negative seed ConfigError.
@@ -130,7 +129,6 @@ def kmeans_gather(keys, num_slots, iters, seed, one_hot=True):
     check_count("kmeans iters", iters)
     check_count("kmeans num_slots", num_slots)
     check_count("kmeans seed", seed, minimum=0)
-    one_hot = check_flag("kmeans one_hot", one_hot)
     keys = np.asarray(keys)
     if keys.ndim != 4 or keys.size == 0:
         raise ShapeError(f"kmeans keys must be a non-empty [B, h, N, d] array, got {keys.shape}")
@@ -196,5 +194,4 @@ def kmeans_gather(keys, num_slots, iters, seed, one_hot=True):
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled][:, None]
 
-    slots = assign.reshape(b, h, n)
-    return slot_one_hot(slots, m, keys.dtype) if one_hot else slots
+    return assign.reshape(b, h, n)

@@ -237,7 +237,7 @@ def _gather_backward(trace, d_k_l, d_v_l, grads):
         shift = (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
     d_k, d_v, d_w_g = np.empty_like(k), np.empty_like(v), None
     for rows in kernels.token_tiles(k.shape[-2], kernels.TOKEN_TILE):
-        a = tile_assign(k, w_g, trace.slots, rows)
+        a = tile_assign(k, w_g, trace.slots, trace.config.num_representatives, rows)
         kernels.matmul(a, g_v, out=d_v[..., rows, :])
         if learned:
             d_k_share, d_w_g_share = _gather_assign_backward(

@@ -14,6 +14,7 @@ from rpattn import (
     pooled_proxy_forward,
     rpattention_forward,
 )
+from rpattn.attention import slot_one_hot
 from rpattn.baselines import _seed_draws, _uniform_draws, softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError, ShapeError
 from rpattn.grad import finite_diff_grad, softmax_attention_backward
@@ -184,11 +185,16 @@ class TestPooledProxy:
         assert np.abs(latent_k - latent_k_swapped).max() > 1e-3
 
 
+def _kmeans_one_hot(keys, num_slots, iters, seed):
+    # kmeans_gather's slot indices as the one-hot rows the layer gathers with.
+    return slot_one_hot(kmeans_gather(keys, num_slots, iters, seed), num_slots, keys.dtype)
+
+
 class TestKMeans:
     def test_identical_points_deterministic(self):
         keys = np.ones((1, 1, 6, 3))
-        a = kmeans_gather(keys, num_slots=3, iters=2, seed=0)
-        b = kmeans_gather(keys, num_slots=3, iters=2, seed=0)
+        a = _kmeans_one_hot(keys, num_slots=3, iters=2, seed=0)
+        b = _kmeans_one_hot(keys, num_slots=3, iters=2, seed=0)
         assert np.array_equal(a, b)
         assert a.shape == (1, 1, 6, 3)
         assert np.array_equal(a.sum(axis=-1), np.ones((1, 1, 6)))
@@ -202,7 +208,7 @@ class TestKMeans:
         blob_a = rng.normal(0.0, sigma, (8, 3))
         blob_b = rng.normal(0.0, sigma, (8, 3)) + 10.0 * sigma * 20
         keys = np.concatenate([blob_a, blob_b])[None, None]
-        a = kmeans_gather(keys, num_slots=2, iters=3, seed=1)
+        a = _kmeans_one_hot(keys, num_slots=2, iters=3, seed=1)
         assign = a[0, 0].argmax(axis=1)
         assert len(set(assign[:8])) == 1
         assert len(set(assign[8:])) == 1
@@ -213,7 +219,7 @@ class TestKMeans:
         keys = rng.standard_normal((2, 2, 20, 4))
         inertias = []
         for iters in (1, 2, 3, 5):
-            a = kmeans_gather(keys, num_slots=4, iters=iters, seed=3)
+            a = _kmeans_one_hot(keys, num_slots=4, iters=iters, seed=3)
             inertias.append(oracles.kmeans_inertia(keys, a))
         for prev, cur in zip(inertias, inertias[1:]):
             assert cur <= prev + 1e-9
@@ -221,10 +227,10 @@ class TestKMeans:
     def test_one_hot_and_seed_streams(self):
         rng = np.random.default_rng(4)
         keys = rng.standard_normal((4, 2, 10, 3))
-        a = kmeans_gather(keys, num_slots=3, iters=2, seed=5)
+        a = _kmeans_one_hot(keys, num_slots=3, iters=2, seed=5)
         assert set(np.unique(a)) <= {0.0, 1.0}
         assert np.array_equal(a.sum(axis=-1), np.ones((4, 2, 10)))
-        b = kmeans_gather(keys[:1, :1], num_slots=3, iters=2, seed=5)
+        b = _kmeans_one_hot(keys[:1, :1], num_slots=3, iters=2, seed=5)
         assert np.array_equal(a[:1, :1], b)
         # Each (batch, head) group draws from the stream of its position, so
         # its slice does not depend on the other groups routed with it.
@@ -232,13 +238,13 @@ class TestKMeans:
             for hi in range(2):
                 other = rng.standard_normal(keys.shape)
                 other[bi, hi] = keys[bi, hi]
-                got = kmeans_gather(other, num_slots=3, iters=2, seed=5)
+                got = _kmeans_one_hot(other, num_slots=3, iters=2, seed=5)
                 assert np.array_equal(got[bi:bi + 1, hi:hi + 1], a[bi:bi + 1, hi:hi + 1])
 
     def test_one_hot_in_key_dtype(self):
         keys = np.random.default_rng(8).standard_normal((2, 2, 10, 3)).astype(np.float32)
-        a32 = kmeans_gather(keys, num_slots=3, iters=2, seed=9)
-        a64 = kmeans_gather(keys.astype(np.float64), num_slots=3, iters=2, seed=9)
+        a32 = _kmeans_one_hot(keys, num_slots=3, iters=2, seed=9)
+        a64 = _kmeans_one_hot(keys.astype(np.float64), num_slots=3, iters=2, seed=9)
         assert a32.dtype == np.float32
         assert a64.dtype == np.float64
         # Routing runs in float64 either way, so the slots are the same.
@@ -253,7 +259,7 @@ class TestKMeans:
         x = np.random.default_rng(7).standard_normal((2, 12, 8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a = kmeans_gather(keys, num_slots=20, iters=3, seed=0)
+            a = _kmeans_one_hot(keys, num_slots=20, iters=3, seed=0)
             y, trace = rpattention_forward(x, init_params(cfg, 0), cfg)
         for assign in (a, trace.a):
             assert set(np.unique(assign)) <= {0.0, 1.0}
@@ -282,7 +288,7 @@ class TestKMeans:
             iters = int(rng.integers(1, 5))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = kmeans_gather(keys, m, iters, trial)
+                got = _kmeans_one_hot(keys, m, iters, trial)
             assert np.array_equal(got, oracles.kmeans_gather_loops(keys, m, iters, trial)), trial
 
     def test_group_dead_from_third_slot_matches_oracle(self):
@@ -296,7 +302,7 @@ class TestKMeans:
             bi, hi = int(rng.integers(3)), int(rng.integers(2))
             pair = rng.standard_normal((2, 3))
             keys[bi, hi] = pair[np.arange(9) % 2]
-            got = kmeans_gather(keys, m, 2, trial)
+            got = _kmeans_one_hot(keys, m, 2, trial)
             assert np.array_equal(got, oracles.kmeans_gather_loops(keys, m, 2, trial)), trial
 
     def test_interleaved_seeding_keys_match_oracle(self):
@@ -310,7 +316,7 @@ class TestKMeans:
         for _ in range(2):
             for (seed, _, m), k in zip(cases, keys):
                 expect = oracles.kmeans_gather_loops(k, m, 2, seed)
-                assert np.array_equal(kmeans_gather(k, m, 2, seed), expect), (seed, k.shape, m)
+                assert np.array_equal(_kmeans_one_hot(k, m, 2, seed), expect), (seed, k.shape, m)
 
     @pytest.mark.parametrize("seed", [0, 17])
     def test_dead_group_draws_replay_oracle_stream(self, seed):

@@ -13,7 +13,6 @@ from rpattn import (
     RPAttnParams,
     distribute_global,
     finite_diff_grad,
-    gather,
     gather_latents,
     gradcheck,
     init_params,
@@ -302,7 +301,7 @@ def _stage(name, trace):
                 stage, reverse)
     if name == "gather":
         def stage(k, v, w_g):  # hard k-means assignments (trace.slots) are constants
-            _, k_l, v_l = gather(k, v, w_g, trace.slots)
+            _, k_l, v_l = attention.gather(k, v, w_g, trace.slots, cfg.num_representatives)
             return k_l, v_l
 
         def reverse(g_k_l, g_v_l):

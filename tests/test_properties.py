@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from rpattn import SyntheticTask, TrainConfig, cli, kernels  # noqa: E402
 from rpattn.attention import (  # noqa: E402
-    KMEANS_ITERS, PARAM_FIELDS, AttnConfig, RPAttnParams, init_params, rpattention_forward)
+    KMEANS_ITERS, PARAM_FIELDS, AttnConfig, RPAttnParams, init_params, rpattention_forward,
+    slot_one_hot)
 from rpattn.baselines import kmeans_gather  # noqa: E402
 from rpattn.errors import BadMagicError, TensorFileError, TruncatedPayloadError  # noqa: E402
 from rpattn.grad import _attention_backward, finite_diff_grad, rpattention_backward  # noqa: E402
@@ -206,10 +207,12 @@ def test_float32_tracks_float64(batch, heads, head_dim, grid_h, grid_w, num_reps
 @given(batch=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 12),
        m=st.integers(1, 6), d=st.integers(1, 4), dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
 def test_kmeans_routing_contract(batch, heads, n, m, d, dtype, seed):
-    # One-hot [B, h, N, M] rows in the keys' dtype, equal to the per-slot
-    # oracle; M may exceed N, and d may be 1.
+    # [B, h, N] slot indices below M whose one-hot [B, h, N, M] rows, in the
+    # keys' dtype, equal the per-slot oracle; M may exceed N, and d may be 1.
     keys = np.random.default_rng(seed).standard_normal((batch, heads, n, d)).astype(dtype)
-    a = kmeans_gather(keys, m, KMEANS_ITERS, seed)
+    slots = kmeans_gather(keys, m, KMEANS_ITERS, seed)
+    assert slots.shape == (batch, heads, n) and ((slots >= 0) & (slots < m)).all()
+    a = slot_one_hot(slots, m, keys.dtype)
     assert a.shape == (batch, heads, n, m) and a.dtype == dtype
     assert set(np.unique(a)) <= {0.0, 1.0} and (a.sum(axis=-1) == 1).all()
     assert np.array_equal(a, oracles.kmeans_gather_loops(keys, m, KMEANS_ITERS, seed))
