@@ -161,20 +161,20 @@ class ForwardTrace:
     """The record of one rpattention_forward call, everything its backward reads.
 
     Each intermediate is held once, with the call's own params and config
-    (references, not copies). No [B, h, N, M] array is kept: the gather's
-    assignments and the distribution weights exist one token tile at a time,
-    and the backward recomputes them per tile from k and params.w_g (or the
-    k-means slot indices) and from q and k_l_bar. `a` recomputes all the
-    assignments on each read.
+    (references, not copies). No [B, h, N, M] array and no queries are kept:
+    the gather's assignments, the queries and the distribution weights exist
+    one token tile at a time, and the backward recomputes them per tile from
+    k and params.w_g (or the k-means slot indices), from x and params.w_q,
+    and from those queries and k_l_bar. `a` recomputes all the assignments
+    on each read.
 
     A trace is valid only until its params are mutated: `a` and the
-    backward read trace.params, which are references, so an in-place update
-    (train_tiny's Adam step after each backward) leaves a trace that no
-    longer describes its forward.
+    backward read trace.params (w_g, and w_q for every query tile), which
+    are references, so an in-place update (train_tiny's Adam step after
+    each backward) leaves a trace that no longer describes its forward.
     """
 
     x: np.ndarray          # [B, N, C] layer input
-    q: np.ndarray          # [B, h, N, d]
     k: np.ndarray          # [B, h, N, d]
     v: np.ndarray          # [B, h, N, d]
     slots: Optional[np.ndarray]  # [B, h, N] k-means slot indices, None under learned routing
@@ -213,12 +213,10 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
-def project_qkv(x: np.ndarray, params: RPAttnParams, config: AttnConfig):
-    """Query/key/value projections, reshaped to per-head tensors."""
-    q = split_heads(kernels.linear(x, params.w_q), config.heads)
-    k = split_heads(kernels.linear(x, params.w_k), config.heads)
-    v = split_heads(kernels.linear(x, params.w_v), config.heads)
-    return q, k, v
+def project_qkv(x: np.ndarray, weights, heads: int) -> tuple:
+    """Projections x @ w of x [B, T, C] for each w of `weights`, as per-head
+    [B, h, T, d] views (split_heads) of their [B, T, C] results."""
+    return tuple(split_heads(kernels.linear(x, w), heads) for w in weights)
 
 
 def gather_assign(k: np.ndarray, w_g: np.ndarray) -> np.ndarray:
@@ -319,17 +317,16 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
 
 def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray,
                       fused: np.ndarray) -> None:
-    """Cross-attention of the N spatial queries over the M slots, in token tiles.
+    """Cross-attention of spatial queries q [B, h, T, d] over the M slots.
 
-    Each tile of kernels.TOKEN_TILE queries forms its slot-major weights
-    (kernels.attention_blocks), reads out z_l and adds the readout into
-    fused [B, N, C] in place, through its split_heads view. Each token's
-    weights are a softmax over its own M slots, so no weights outlive their
-    tile.
+    Forms the queries' slot-major weights (kernels.attention_weights), reads
+    out z_l and adds the readout into their rows fused [B, T, C] in place,
+    through its split_heads view. Each token's weights are a softmax over
+    its own M slots, so the forward runs it one token tile at a time and no
+    weights outlive their tile.
     """
     fused_heads = split_heads(fused, q.shape[1])  # a view: the adds land in fused
-    for rows, p in kernels.attention_blocks(q, k_l_bar, kernels.TOKEN_TILE):
-        fused_heads[:, :, rows] += kernels.matmul(p, z_l)
+    fused_heads += kernels.matmul(kernels.attention_weights(q, k_l_bar), z_l)
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -376,16 +373,16 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     """Full layer forward. Returns (output, ForwardTrace).
 
     Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass except the gather's assignments and
-    the distribution weights, which both run in token tiles. The bypass runs
-    after the routing, and the distribution adds its readout into it tile by
-    tile, so beyond the trace no step holds more than one tile's weights and
-    readout or the bypass's padded copy of its input. The trace holds
-    references to params, and is valid only until they are mutated (see
-    ForwardTrace).
+    needed by the analytic backward pass except the gather's assignments,
+    the queries and the distribution weights, which all run in token tiles.
+    The bypass runs after the routing, and each tile projects its queries
+    and adds its distribution readout into the bypass, so beyond the trace
+    no step holds more than one tile's queries, weights and readout or one
+    band of the bypass. The trace holds references to params, and is valid
+    only until they are mutated (see ForwardTrace).
     """
     x = check_input(x, params, config)
-    q, k, v = project_qkv(x, params, config)
+    k, v = project_qkv(x, (params.w_k, params.w_v), config.heads)
 
     slots = None
     if config.routing == "kmeans":
@@ -395,11 +392,14 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     mass, k_l, v_l = gather(k, v, params.w_g, slots, config.num_representatives)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)
-    distribute_global(q, k_l_bar, z_l, fused)
+    for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
+        (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
+        distribute_global(q, k_l_bar, z_l, fused[:, rows])
+    del q  # so no query tile is live beside the output, the forward's peak
     output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(
-        x=x, q=q, k=k, v=v, slots=slots, mass=mass, k_l=k_l, v_l=v_l,
+        x=x, k=k, v=v, slots=slots, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
         fused=fused, output=output, params=params, config=config,
     )

@@ -21,10 +21,14 @@ from .errors import ConfigError, ContractError, ShapeError, check_count
 
 @dataclass
 class DenseTrace:
-    """The record of one softmax_attention_forward call, with the call's own params."""
+    """The record of one softmax_attention_forward call, with the call's own params.
+
+    It keeps no queries and no weights: the backward recomputes both per
+    token tile from x and params.w_q, so the trace is valid only until its
+    params are mutated.
+    """
 
     x: np.ndarray
-    q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     o_merged: np.ndarray  # [B, N, C]
@@ -35,19 +39,21 @@ class DenseTrace:
 def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
-    Reads only the w_q, w_k, w_v and w_o projections of params. The queries
-    run in kernels.attention_blocks and the trace keeps no weights, so the
-    full [B, h, N, N] weights (2.1 GB in float32 at B = 1, h = 2,
-    N = 16384) never exist; memory grows with N * kernels.TOKEN_TILE.
+    Reads only the w_q, w_k, w_v and w_o projections of params. Each token
+    tile of kernels.TOKEN_TILE queries is projected, attends and is read
+    out on its own, and the trace keeps no queries or weights, so the full
+    [B, h, N, N] weights (2.1 GB in float32 at B = 1, h = 2, N = 16384)
+    never exist; memory grows with N * kernels.TOKEN_TILE.
     """
     x = check_input(x, params, config)
-    q, k, v = project_qkv(x, params, config)
-    o = np.empty_like(q)  # q's [B, N, h, d] memory layout: merge_heads(o) is a view
-    for rows, p in kernels.attention_blocks(q, k, kernels.TOKEN_TILE):
-        o[:, :, rows] = kernels.matmul(p, v)
+    k, v = project_qkv(x, (params.w_k, params.w_v), config.heads)
+    o = np.empty_like(k)  # k's [B, N, h, d] memory layout: merge_heads(o) is a view
+    for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
+        (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
+        o[:, :, rows] = kernels.attention(q, k, v)[1]
     o_merged = merge_heads(o)
     out = kernels.linear(o_merged, params.w_o)
-    return out, DenseTrace(x=x, q=q, k=k, v=v, o_merged=o_merged, output=out, params=params)
+    return out, DenseTrace(x=x, k=k, v=v, o_merged=o_merged, output=out, params=params)
 
 
 def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid):
@@ -69,7 +75,7 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
 
     heads = config.heads
     d = config.head_dim
-    q, k, v = project_qkv(x, params, config)
+    q, k, v = project_qkv(x, (params.w_q, params.w_k, params.w_v), heads)
 
     cell_h = config.grid_h // g_h
     cell_w = config.grid_w // g_w

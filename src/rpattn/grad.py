@@ -10,10 +10,13 @@ norms), `_gather_backward` (mass-normalized slot gathering, then the
 assignment softmax under learned routing, in token tiles that each recompute
 their assignments) and `_project_qkv_backward`.
 `_linear_backward` is the one reverse of `inp @ w`, `_attention_backward`
-of `kernels.attention`, and `_blocked_attention_backward` of
-`kernels.attention_blocks`: it recomputes each block's weights, so the
-layer's distribution and the dense baseline share one blocked reverse. A
-central-finite-difference harness verifies every parameter.
+of `kernels.attention`, and `_blocked_attention_backward` of the
+query-tiled attention that the layer's distribution and the dense baseline
+run: it recomputes each token tile's queries from the trace's x and
+params.w_q, and the tile's weights, so the two share one reverse. The
+backwards thus read the forward's params as well as its trace, and a trace
+is valid only until those params are mutated. A central-finite-difference
+harness verifies every parameter.
 """
 
 import math
@@ -32,6 +35,7 @@ from .attention import (
     init_params,
     latent_qkv,
     merge_heads,
+    project_qkv,
     rpattention_forward,
     split_heads,
     tile_assign,
@@ -56,29 +60,34 @@ def _softmax_backward(p, dp):
     return ds
 
 
-def _attention_backward(q, k, v, p, d_o):
+def _attention_backward(q, k, v, p, d_o, d_q=None):
     # Reverse of kernels.attention: p = softmax(q k^T / sqrt(d)), o = p v. Like
     # p, d_p (and so d_s) is built key-major: the swapped view of v d_o^T.
+    # d_q is written into the given array (rows of a larger one) when passed.
     scale = 1.0 / math.sqrt(q.shape[-1])
     d_p = np.swapaxes(kernels.matmul(v, np.swapaxes(d_o, -1, -2)), -1, -2)
     d_v = kernels.matmul(np.swapaxes(p, -1, -2), d_o)
     d_s = _softmax_backward(p, d_p)
-    d_q = kernels.matmul(d_s, k)
+    d_q = kernels.matmul(d_s, k, out=d_q)
     d_q *= scale
     d_k = kernels.matmul(np.swapaxes(d_s, -1, -2), q)
     d_k *= scale
     return d_q, d_k, d_v
 
 
-def _blocked_attention_backward(q, k, v, d_o):
-    # Reverse of attention run over kernels.attention_blocks: (d_q, d_k, d_v).
-    # Each block's weights are recomputed and its rows of d_q written; its
-    # shares of d_k and d_v are summed block by block. d_q has q's memory
-    # layout, so for per-head q (a split_heads view) merge_heads(d_q) is a view.
-    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-    for rows, p in kernels.attention_blocks(q, k, kernels.TOKEN_TILE):
-        d_q[..., rows, :], dk, dv = _attention_backward(
-            q[..., rows, :], k, v, p, d_o[..., rows, :])
+def _blocked_attention_backward(x, w_q, k, v, d_o):
+    # Reverse of attention in token tiles whose queries are project_qkv of x
+    # [B, N, C] through w_q, over per-head keys k and values v: (d_q, d_k,
+    # d_v). Each tile's queries and weights are recomputed and its rows of
+    # d_q written; its shares of d_k and d_v are summed tile by tile. d_q
+    # has [B, N, h, d] memory, so merge_heads(d_q) is a view.
+    heads = k.shape[1]
+    d_q = split_heads(np.empty(x.shape[:2] + (w_q.shape[1],), dtype=x.dtype), heads)
+    d_k, d_v = np.zeros_like(k), np.zeros_like(v)
+    for rows in kernels.token_tiles(x.shape[1], kernels.TOKEN_TILE):
+        (q,) = project_qkv(x[:, rows], (w_q,), heads)
+        _, dk, dv = _attention_backward(q, k, v, kernels.attention_weights(q, k),
+                                        d_o[..., rows, :], d_q[..., rows, :])
         d_k += dk
         d_v += dv
     return d_q, d_k, d_v
@@ -123,24 +132,32 @@ def _linear_backward(inp, d_outs, weights, d_inp=None):
     # Reverse of out_i = inp @ w_i for each pair of d_outs and weights:
     # (d_w_1, .., d_w_n, d_inp). dW[c, k] sums inp[.., c] * d_out[.., k] over
     # all leading positions; the products d_out_i w_iᵀ are summed in order,
-    # onto d_inp in place when it is given (a residual's gradient).
+    # onto d_inp in place when it is given (a residual's gradient). Every
+    # product after the first that d_inp takes lands in one reused buffer.
     inp_t = inp.reshape(-1, inp.shape[-1]).T
     d_weights = [kernels.matmul(inp_t, d_out.reshape(-1, d_out.shape[-1])) for d_out in d_outs]
+    d_in = None
     for d_out, w in zip(d_outs, weights):
-        d_in = kernels.matmul(d_out, w.T)
-        d_inp = d_in if d_inp is None else np.add(d_inp, d_in, out=d_inp)
+        if d_inp is None:
+            d_inp = kernels.matmul(d_out, w.T)
+        else:
+            d_in = kernels.matmul(d_out, w.T, out=d_in)
+            d_inp += d_in
     return (*d_weights, d_inp)
 
 
 def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
     # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
-    # The depthwise bypass reads the same values, so its gradient d_xv [B, N, C]
-    # joins the value gradient first. The per-head gradients the backwards
-    # build have q's, k's and v's [B, N, h, d] memory, so their merges are views.
+    # The per-head gradients the backwards build have [B, N, h, d] memory, so
+    # their merges are views. The depthwise bypass reads the same values, so
+    # its gradient d_xv ([B, N, C], or [B, H, W, C] on the token grid) is
+    # added into the merged value gradient first, a C-ordered [B, N, C] array
+    # either way, so reshaping it to d_xv's shape is a view.
+    d_outs = [merge_heads(t) for t in (d_q, d_k, d_v)]
     if d_xv is not None:
-        d_v += split_heads(d_xv, d_v.shape[1])
-    return _linear_backward(x, [merge_heads(t) for t in (d_q, d_k, d_v)],
-                            (params.w_q, params.w_k, params.w_v))
+        d_v_grid = d_outs[2].reshape(d_xv.shape)
+        d_v_grid += d_xv
+    return _linear_backward(x, d_outs, (params.w_q, params.w_k, params.w_v))
 
 
 def _depthwise_conv2d_backward(x, kernel, dy):
@@ -183,8 +200,9 @@ def _depthwise_conv2d_backward(x, kernel, dy):
 
 
 def _local_bypass_backward(trace, d_fused, grads):
-    # Reverse of local_bypass over xv = merge_heads(v): d_xv [B, N, C], or None
-    # when the bypass is off.
+    # Reverse of local_bypass over xv = merge_heads(v): d_xv [B, H, W, C] on
+    # the token grid (a strided view into the reverse's padded gradient, so
+    # it is never copied), or None when the bypass is off.
     config = trace.config
     if not config.enable_dwc:
         return None
@@ -192,7 +210,7 @@ def _local_bypass_backward(trace, d_fused, grads):
     grid = (b, config.grid_h, config.grid_w, c)
     d_xv, grads["dwc_kernel"], grads["dwc_bias"] = _depthwise_conv2d_backward(
         merge_heads(trace.v).reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
-    return d_xv.reshape(b, n, c)
+    return d_xv
 
 
 def _output_backward(trace, grad_output, grads):
@@ -201,7 +219,7 @@ def _output_backward(trace, grad_output, grads):
     # has no other reader, so it is freed when this returns.
     grads["w_o"], d_fused = _linear_backward(trace.fused, [grad_output], [trace.params.w_o])
     d_xv = _local_bypass_backward(trace, d_fused, grads)
-    return (*_blocked_attention_backward(trace.q, trace.k_l_bar, trace.z_l,
+    return (*_blocked_attention_backward(trace.x, trace.params.w_q, trace.k_l_bar, trace.z_l,
                                          split_heads(d_fused, trace.config.heads)), d_xv)
 
 
@@ -290,15 +308,16 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> Gr
     """Exact gradients of sum(grad_output * output) for the dense baseline.
 
     Params are the forward's own, read from the trace; grad_output follows
-    x's contract. Each query block's weights are recomputed, without its
-    readout; fields the dense forward does not read get zero gradients.
+    x's contract. Each token tile's queries and weights are recomputed,
+    without its readout; fields the dense forward does not read get zero
+    gradients.
     """
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
     grads = {}
     grads["w_o"], d_merged = _linear_backward(trace.o_merged, [grad_output], [params.w_o])
     d_q, d_k, d_v = _blocked_attention_backward(
-        trace.q, trace.k, trace.v, split_heads(d_merged, trace.q.shape[1]))
+        trace.x, params.w_q, trace.k, trace.v, split_heads(d_merged, trace.k.shape[1]))
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
         trace.x, d_q, d_k, d_v, params)
     return _grad_set(params, grads, d_x)

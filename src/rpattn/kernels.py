@@ -7,13 +7,12 @@ shape but are stored key-major (the swapped view of a C-ordered
 [..., n_k, n_q] array), so every reduction over the keys runs over the outer
 memory axis; a short last axis (M slots) is the slow case for numpy.
 `token_tiles` cuts the token axis into tiles of TOKEN_TILE rows in every
-caller, so no weights over all N tokens exist. `attention_blocks` is the one
-blocked attention: it forms the weights of a tile of queries at a time. The
-layer's distribution and the dense baseline run their forwards over it, and
-`grad._blocked_attention_backward` is its one reverse, recomputing each
-block's weights. The layer's gather (`attention.gather`) and its reverse
-(`grad._gather_backward`) run over the same tiles, forming each tile's
-assignments.
+caller, so no weights over all N tokens exist. The layer's distribution and
+the dense baseline project each tile's queries, form its weights and read
+them out, and `grad._blocked_attention_backward` is their one reverse: it
+recomputes each tile's queries and weights. The layer's gather
+(`attention.gather`) and its reverse (`grad._gather_backward`) run over the
+same tiles, forming each tile's assignments.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes
@@ -35,14 +34,13 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 DWC_BAND_ROWS = 8  # output rows depthwise_conv2d sums its taps over at a time
-# Token rows per tile, read at call time by every caller of token_tiles and
-# attention_blocks: the layer's gather and distribution and the dense
-# baseline, forward and backward. Layer (float32, N = 16384, M = 49, one BLAS
-# thread, distribution only): 256-1024 rows time about the same, and 128 rows
-# and one whole tile are slower. Dense: a block's weights grow with
-# N * TOKEN_TILE, never N^2 (67 MB at float32, B = 1, h = 2, N = 16384), and
-# 512 rows ran no slower than 1024 forward and backward at N = 1024, 4096
-# and 16384.
+# Token rows per tile, read at call time by every caller of token_tiles: the
+# layer's gather and distribution and the dense baseline, forward and
+# backward. Layer (float32, N = 16384, M = 49, one BLAS thread, distribution
+# only): 256-1024 rows time about the same, and 128 rows and one whole tile
+# are slower. Dense: a block's weights grow with N * TOKEN_TILE, never N^2
+# (67 MB at float32, B = 1, h = 2, N = 16384), and 512 rows ran no slower
+# than 1024 forward and backward at N = 1024, 4096 and 16384.
 TOKEN_TILE = 512
 
 
@@ -110,16 +108,6 @@ def token_tiles(n: int, rows: int):
     return (slice(start, start + rows) for start in range(0, n, rows))
 
 
-def attention_blocks(q: np.ndarray, k: np.ndarray, rows: int):
-    """attention_weights(q, k) in blocks of `rows` queries: yields (block, p).
-
-    block is the slice of the query axis (axis -2 of q) and p the block's
-    [..., rows, n_k] weights; the last block may be shorter.
-    """
-    for block in token_tiles(q.shape[-2], rows):
-        yield block, attention_weights(q[..., block, :], k)
-
-
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Queries [..., n_q, d] over keys [..., n_k, d] and values [..., n_k, d_v].
 
@@ -150,7 +138,8 @@ def dwc_layout(x: np.ndarray, kernel: np.ndarray):
     p = (k - 1) // 2 on each side with every padded row flattened to one
     run, and taps [k, k, W C] holds each kernel row tiled W times. Tap
     (ki, kj) of output row i is then the product of the contiguous run
-    xp[:, i + ki, kj C : kj C + W C] with taps[ki, kj].
+    xp[:, i + ki, kj C : kj C + W C] with taps[ki, kj]. The backward pads
+    the whole input this way; depthwise_conv2d pads one band at a time.
     """
     b, h, w, c = x.shape
     pad = (kernel.shape[0] - 1) // 2
@@ -164,8 +153,10 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
 
     x: [B, H, W, C], kernel: [k, k, C], bias: [C]. Each channel is convolved
     with its own filter; output shape equals input shape. The taps are
-    summed DWC_BAND_ROWS output rows at a time, so a band of the output and
-    the one band-sized tap buffer stay in cache through all k^2 taps; every
+    summed DWC_BAND_ROWS output rows at a time in dwc_layout's row layout,
+    padding only the band's own input rows, so a band of the output, its
+    padded input rows and the one band-sized tap buffer stay in cache
+    through all k^2 taps and no padded copy of the whole input exists. Every
     element still adds its taps to zero in (ki, kj) order, then the bias.
     """
     x = np.asarray(x)
@@ -181,18 +172,29 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
 
     b, h, w, c = x.shape
+    pad = (k - 1) // 2
     run = w * c
-    xp, taps = dwc_layout(x, kernel)
+    taps = np.tile(kernel, (1, 1, w))
     bias_row = np.tile(bias, w)
     out = np.empty((b, h, run), dtype=x.dtype)
-    tap = np.empty((b, min(h, DWC_BAND_ROWS), run), dtype=x.dtype)
+    band_rows = min(h, DWC_BAND_ROWS)
+    tap = np.empty((b, band_rows, run), dtype=x.dtype)
+    # Row r of xb is input row top - pad + r of the band at `top`, padded.
+    # Its pad columns stay zero. A row above the image held rows further up
+    # in every earlier band, so it is zero from the start; a row below the
+    # image held input rows in earlier bands and is zeroed.
+    xb = np.zeros((b, band_rows + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp = xb.reshape(b, band_rows + 2 * pad, (w + 2 * pad) * c)
     for top in range(0, h, DWC_BAND_ROWS):
         rows = min(DWC_BAND_ROWS, h - top)
+        lo, hi = max(top - pad, 0), min(top + rows + pad, h)
+        xb[:, lo - top + pad:hi - top + pad, pad:pad + w] = x[:, lo:hi]
+        xb[:, hi - top + pad:rows + 2 * pad] = 0
         band, band_tap = out[:, top:top + rows], tap[:, :rows]
         band.fill(0)
         for ki in range(k):
             for kj in range(k):
-                band += np.multiply(xp[:, top + ki:top + ki + rows, kj * c:kj * c + run],
-                                    taps[ki, kj], out=band_tap)
+                band += np.multiply(xp[:, ki:ki + rows, kj * c:kj * c + run], taps[ki, kj],
+                                    out=band_tap)
         band += bias_row
     return out.reshape(x.shape)

@@ -77,20 +77,21 @@ class TestProjectQKV:
         cfg = AttnConfig(channels=4, heads=1, num_representatives=2, grid_h=2, grid_w=2)
         params = _identity_params(cfg)
         x = np.random.default_rng(0).standard_normal((2, 4, 4))
-        q, k, v = project_qkv(x, params, cfg)
+        q, k, v = project_qkv(x, (params.w_q, params.w_k, params.w_v), cfg.heads)
         for t in (q, k, v):
             assert np.abs(t[:, 0] - x).max() < 1e-15
 
     def test_zero_input(self):
         params = init_params(SMALL, 0)
-        q, k, v = project_qkv(np.zeros((1, 12, 8)), params, SMALL)
+        q, k, v = project_qkv(np.zeros((1, 12, 8)), (params.w_q, params.w_k, params.w_v),
+                              SMALL.heads)
         assert not q.any() and not k.any() and not v.any()
 
     def test_head_slicing_oracle(self):
         rng = np.random.default_rng(1)
         params = init_params(SMALL, 1)
         x = rng.standard_normal((2, 12, 8))
-        q, _, _ = project_qkv(x, params, SMALL)
+        (q,) = project_qkv(x, (params.w_q,), SMALL.heads)
         flat = oracles.matmul_loops(x, params.w_q)
         d = SMALL.head_dim
         for r in range(SMALL.heads):
@@ -352,7 +353,8 @@ class TestForward:
         assert trace.mass.shape == (2, 2, 3, 1)
         assert (trace.mass > SLOT_MASS_EPS).all()
         assert np.abs(trace.p_lat.sum(axis=-1) - 1.0).max() < 1e-6
-        p_dist = kernels.attention_weights(trace.q, trace.k_l_bar)
+        (q,) = project_qkv(trace.x, (params.w_q,), SMALL.heads)
+        p_dist = kernels.attention_weights(q, trace.k_l_bar)
         assert np.abs(p_dist.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_permutation_equivariance_without_dwc(self):
@@ -385,9 +387,12 @@ class TestForward:
             x, params, heads=2, num_reps=3, grid_h=3, grid_w=4,
             epsilon=SLOT_MASS_EPS, ln_eps=LN_EPS)
         # The trace keeps the slot mass instead of â, only the sum of readout
-        # and bypass, and no distribution weights (recomputed from q, k_l_bar).
+        # and bypass, and no queries or distribution weights (recomputed from
+        # x, w_q and k_l_bar).
         fused = expect.pop("o_global") + expect.pop("bypass_out")
-        p_dist = kernels.attention_weights(trace.q, trace.k_l_bar)
+        (q,) = project_qkv(trace.x, (params.w_q,), SMALL.heads)
+        assert np.abs(q - expect.pop("q")).max() < 1e-12
+        p_dist = kernels.attention_weights(q, trace.k_l_bar)
         assert np.abs(p_dist - expect.pop("p_dist")).max() < 1e-12
         a_hat = trace.a / np.swapaxes(trace.mass, -1, -2)
         assert np.abs(a_hat - expect.pop("a_hat")).max() < 1e-12
@@ -461,10 +466,11 @@ def _slot_major(t):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_forward_memory_budget(dtype, batch, grid, routing):
     # At the benchmark's layer shape, the forward's peak traced memory stays
-    # within the trace's own arrays (x excluded), none of them [B, h, N, M],
-    # plus a stated slack: every other intermediate is freed or reused before
-    # the next one is made, and the gather's assignments and the
-    # distribution weights live one token tile at a time.
+    # within the trace's own arrays (x excluded), none of them [B, h, N, M]
+    # and none of them queries, plus a stated slack: every other
+    # intermediate is freed or reused before the next one is made, and the
+    # gather's assignments, the queries, the distribution weights and the
+    # bypass's padded input live one token tile or one band at a time.
     cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,
                      routing=routing, dtype=dtype)
     params = init_params(cfg, 0)
@@ -480,22 +486,29 @@ def test_forward_memory_budget(dtype, batch, grid, routing):
         tracemalloc.stop()
     nm = (cfg.num_tokens, cfg.num_representatives)
     assert [name for name, v in vars(trace).items() if np.shape(v)[-2:] == nm] == []
+    per_head = (batch, cfg.heads, cfg.num_tokens, cfg.head_dim)
+    assert [name for name, v in vars(trace).items() if np.shape(v) == per_head] == ["k", "v"]
     trace_bytes = sum(v.nbytes for name, v in vars(trace).items()
                       if isinstance(v, np.ndarray) and name != "x")
     itemsize = np.dtype(dtype).itemsize
-    bnc = x.nbytes
-    tile = batch * cfg.heads * min(kernels.TOKEN_TILE, cfg.num_tokens) * nm[1] * itemsize
+    rows = min(kernels.TOKEN_TILE, cfg.num_tokens)
+    tile = batch * cfg.heads * rows * nm[1] * itemsize
+    query_tile = batch * rows * cfg.channels * itemsize
+    pad = cfg.dwc_kernel - 1
+    band = batch * (kernels.DWC_BAND_ROWS + pad) * (grid + pad) * cfg.channels * itemsize
     # Learned routing normalizes its logits in place; beyond the trace it
-    # holds one tile's weights and the bypass's padded copy of its input,
-    # made before the output array exists: one [B, N, C] array plus one
-    # tile's [B, h, T, M] weights (0.28-0.97 [B, N, C] arrays measured, the
-    # most at N = 1024). k-means routing holds its float64 scratch in place
-    # of a tile's weights: one [B*h, N, M] distance array, float64 in either
-    # dtype, plus the [B, N, C] array (float32: 3.87-4.02 [B, N, C] arrays
-    # measured).
-    dist = batch * cfg.heads * nm[0] * nm[1] * np.dtype(np.float64).itemsize
-    slack = bnc + (tile if routing == "learned" else dist)
-    assert peak <= trace_bytes + slack, (peak, trace_bytes, bnc)
+    # holds at most one tile's [B, h, T, M] weights, one [B, T, C] query
+    # tile and one padded band of the bypass's input (0.003-0.50 of that
+    # sum measured, the most at N = 1024, two tiles, where the tile's
+    # weights and queries live before the output array exists). k-means
+    # routing holds its float64 scratch in place of a tile's weights: one
+    # [B*h, N, M] distance array, float64 in either dtype, plus one
+    # [B, N, C] array (float32: 3.87-4.02 [B, N, C] arrays measured).
+    if routing == "learned":
+        slack = tile + query_tile + band
+    else:
+        slack = x.nbytes + batch * cfg.heads * nm[0] * nm[1] * np.dtype(np.float64).itemsize
+    assert peak <= trace_bytes + slack, (peak, trace_bytes, slack)
     if routing == "learned":  # k-means expands its slot indices token-major
         assert _slot_major(trace.a)
 

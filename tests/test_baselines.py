@@ -12,6 +12,7 @@ from rpattn import (
     kernels,
     kmeans_gather,
     pooled_proxy_forward,
+    project_qkv,
     rpattention_forward,
 )
 from rpattn.attention import slot_one_hot
@@ -67,12 +68,13 @@ class TestDenseAttention:
         assert np.abs(out - expect).max() < 1e-12
 
     def test_attention_rows_sum_to_one(self):
-        # The trace keeps no weights; the ones the backward recomputes from it
-        # are row-stochastic.
+        # The trace keeps no queries or weights; the ones the backward
+        # recomputes from it (queries from x and w_q) are row-stochastic.
         cfg = _dense_config(8, 7)
         x = np.random.default_rng(6).standard_normal((1, 7, 8))
         _, trace = softmax_attention_forward(x, init_params(cfg, 5), cfg)
-        p, _ = kernels.attention(trace.q, trace.k, trace.v)
+        (q,) = project_qkv(trace.x, (trace.params.w_q,), cfg.heads)
+        p, _ = kernels.attention(q, trace.k, trace.v)
         assert p.shape == (1, 2, 7, 7)
         assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -137,9 +139,7 @@ class TestPooledProxy:
         params = init_params(self.CFG, 0)
         x = np.random.default_rng(1).standard_normal((1, 16, 8))
         _, latent_k, latent_v = pooled_proxy_forward(x, params, self.CFG, (1, 1))
-        from rpattn.attention import project_qkv
-
-        _, k, v = project_qkv(x, params, self.CFG)
+        k, v = project_qkv(x, (params.w_k, params.w_v), self.CFG.heads)
         assert latent_k.shape == (1, 2, 1, 4)
         assert np.abs(latent_k[:, :, 0, :] - k.mean(axis=2)).max() < 1e-12
         assert np.abs(latent_v[:, :, 0, :] - v.mean(axis=2)).max() < 1e-12
@@ -156,9 +156,7 @@ class TestPooledProxy:
         params = init_params(self.CFG, 4)
         x = np.random.default_rng(5).standard_normal((1, 16, 8))
         _, latent_k, _ = pooled_proxy_forward(x, params, self.CFG, (2, 2))
-        from rpattn.attention import project_qkv
-
-        _, k, _ = project_qkv(x, params, self.CFG)
+        (k,) = project_qkv(x, (params.w_k,), self.CFG.heads)
         grid = k.reshape(1, 2, 4, 4, 4)
         for ci, (rows, cols) in enumerate([((0, 1), (0, 1)), ((0, 1), (2, 3)),
                                            ((2, 3), (0, 1)), ((2, 3), (2, 3))]):

@@ -271,20 +271,21 @@ def _stage(name, trace):
     if name == "bypass":
         def reverse(g):
             grads = {}
-            grads["xv"] = _local_bypass_backward(trace, g, grads)
+            grads["xv"] = _local_bypass_backward(trace, g, grads).reshape(g.shape)
             return grads
 
         return ({"xv": merge_heads(trace.v), "dwc_kernel": p.dwc_kernel, "dwc_bias": p.dwc_bias},
                 lambda xv, **w: (local_bypass(xv, replace(p, **w), cfg),), reverse)
-    if name == "distribute":
+    if name == "distribute":  # the reverse recomputes q from x and w_q
         def stage(q, k_l_bar, z_l):
             fused = np.zeros_like(trace.fused)
             distribute_global(q, k_l_bar, z_l, fused)
             return (fused,)
 
-        return ({"q": trace.q, "k_l_bar": trace.k_l_bar, "z_l": trace.z_l}, stage,
+        (q,) = project_qkv(trace.x, (p.w_q,), cfg.heads)
+        return ({"q": q, "k_l_bar": trace.k_l_bar, "z_l": trace.z_l}, stage,
                 lambda g: dict(zip(("q", "k_l_bar", "z_l"), _blocked_attention_backward(
-                    trace.q, trace.k_l_bar, trace.z_l, split_heads(g, cfg.heads)))))
+                    trace.x, p.w_q, trace.k_l_bar, trace.z_l, split_heads(g, cfg.heads)))))
     if name == "interact":
         names = ("w_lq", "w_lk", "w_lv", "ln_k_gamma", "ln_k_beta", "ln_v_gamma", "ln_v_beta")
 
@@ -312,8 +313,8 @@ def _stage(name, trace):
         return {"k": trace.k, "v": trace.v, "w_g": p.w_g}, stage, reverse
     assert name == "project"
 
-    def stage(x, **w):  # the bypass reads the values as merge_heads(v)
-        q, k, v = project_qkv(x, replace(p, **w), cfg)
+    def stage(x, w_q, w_k, w_v):  # the bypass reads the values as merge_heads(v)
+        q, k, v = project_qkv(x, (w_q, w_k, w_v), cfg.heads)
         return q, k, v, merge_heads(v)
 
     return ({"x": trace.x, "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}, stage,

@@ -205,23 +205,28 @@ class TestDepthwiseConv:
             got = kernels.depthwise_conv2d(x, kernel, bias)
             assert np.abs(got - oracles.depthwise_conv2d_loops(x, kernel, bias)).max() < 1e-12, k
 
-    @pytest.mark.parametrize("k", [1, 3, 5, 7, 17])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 17, 19])
     @pytest.mark.parametrize("h", [1, 7, 8, 9, 17, 128])
     def test_bytes_equal_to_whole_array_taps(self, h, k):
-        # Grids shorter than, equal to, and one row over a band, several bands
-        # with a short last one, and pads up to a whole band (k = 17); each
-        # input also as a non-contiguous view.
+        # The forward pads one band of input rows at a time; the oracle pads
+        # the whole input once. Grids h x 5 and h x h: shorter than, equal to
+        # and one row over a band, several bands with a short last one, and
+        # pads of a whole band (k = 17) and more (k = 19), so a band's padded
+        # rows reach past its neighbours'; each input also as a
+        # non-contiguous view.
         rng = np.random.default_rng(h * 100 + k)
-        for batch in (1, 3):
-            for dtype in (np.float32, np.float64):
-                wide = rng.standard_normal((batch, h, 5, 6)).astype(dtype)
-                kernel = rng.standard_normal((k, k, 3)).astype(dtype)
-                bias = rng.standard_normal(3).astype(dtype)
-                for x in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2]):
-                    got = kernels.depthwise_conv2d(x, kernel, bias)
-                    want = oracles.depthwise_conv2d_taps(x, kernel, bias)
-                    assert got.shape == x.shape and got.dtype == dtype
-                    assert got.tobytes() == want.tobytes(), (batch, dtype, x.flags.c_contiguous)
+        for w in (5, h):
+            for batch in (1, 3):
+                for dtype in (np.float32, np.float64):
+                    wide = rng.standard_normal((batch, h, w, 6)).astype(dtype)
+                    kernel = rng.standard_normal((k, k, 3)).astype(dtype)
+                    bias = rng.standard_normal(3).astype(dtype)
+                    for x in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2]):
+                        got = kernels.depthwise_conv2d(x, kernel, bias)
+                        want = oracles.depthwise_conv2d_taps(x, kernel, bias)
+                        assert got.shape == x.shape and got.dtype == dtype
+                        assert got.tobytes() == want.tobytes(), (w, batch, dtype,
+                                                                 x.flags.c_contiguous)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):

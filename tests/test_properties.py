@@ -15,9 +15,10 @@ from rpattn import SyntheticTask, TrainConfig, cli, kernels  # noqa: E402
 from rpattn.attention import (  # noqa: E402
     KMEANS_ITERS, PARAM_FIELDS, AttnConfig, RPAttnParams, init_params, rpattention_forward,
     slot_one_hot)
-from rpattn.baselines import kmeans_gather  # noqa: E402
+from rpattn.baselines import kmeans_gather, softmax_attention_forward  # noqa: E402
 from rpattn.errors import BadMagicError, TensorFileError, TruncatedPayloadError  # noqa: E402
-from rpattn.grad import _attention_backward, finite_diff_grad, rpattention_backward  # noqa: E402
+from rpattn.grad import (  # noqa: E402
+    _attention_backward, finite_diff_grad, rpattention_backward, softmax_attention_backward)
 from rpattn.tensor_io import read_record, read_tensor, write_tensor  # noqa: E402
 
 import oracles  # noqa: E402
@@ -120,6 +121,40 @@ def test_learned_backward_matches_finite_differences(batch, heads, head_dim, gri
         np.testing.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-6, err_msg=name)
     fd_x = finite_diff_grad(lambda t: loss(params, t), x, 1e-6)
     np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
+
+
+@given(batch=st.integers(1, 2), heads=st.integers(1, 2), head_dim=st.integers(1, 3),
+       n=st.integers(5, 12), tile=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_dense_blocked_reverse_matches_finite_differences(batch, heads, head_dim, n, tile, seed):
+    # The dense forward and the blocked reverse it shares with the layer's
+    # distribution, over two to twelve token tiles: the reverse recomputes
+    # each tile's queries from x and w_q. Every field the dense forward
+    # reads and the input, at unit-scale grad_output, with the bounds of
+    # test_learned_backward_matches_finite_differences; every other field's
+    # gradient is zero.
+    cfg = AttnConfig(channels=heads * head_dim, heads=heads, num_representatives=1,
+                     grid_h=1, grid_w=n)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, int(rng.integers(2**31)))
+    x = rng.standard_normal((batch, n, cfg.channels))
+    g = rng.standard_normal(x.shape)
+
+    def loss(p, xin):
+        return float((softmax_attention_forward(xin, p, cfg)[0] * g).sum())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TOKEN_TILE", tile)
+        _, trace = softmax_attention_forward(x, params, cfg)
+        grads = softmax_attention_backward(trace, g)
+        dense = ("w_q", "w_k", "w_v", "w_o")
+        for name in dense:
+            fd = finite_diff_grad(lambda t, _n=name: loss(replace(params, **{_n: t}), x),
+                                  getattr(params, name), 1e-6)
+            np.testing.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-6,
+                                       err_msg=name)
+        fd_x = finite_diff_grad(lambda t: loss(params, t), x, 1e-6)
+    np.testing.assert_allclose(grads.grad_x, fd_x, rtol=1e-5, atol=1e-6, err_msg="x")
+    assert not any(getattr(grads, name).any() for name in PARAM_FIELDS if name not in dense)
 
 
 @given(batch=st.integers(1, 3), heads=st.integers(1, 2), head_dim=st.integers(3, 4),
