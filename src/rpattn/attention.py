@@ -351,7 +351,8 @@ def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
 
     x must be real-valued and finite in config's dtype (errors.check_real_array),
     [B, N, C] with B >= 1, C = config.channels and N = the grid's token
-    count; every params field must already hold config's dtype.
+    count; every params field must already hold config's dtype and its
+    param_shapes(config) shape.
     """
     x = check_real_array("input", x, config.np_dtype)
     if x.ndim != 3:
@@ -363,9 +364,12 @@ def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
         raise ShapeError(f"input channels {c} != config channels {config.channels}")
     if n != config.num_tokens:
         raise ConfigError(f"token count {n} does not match grid {config.grid_h}x{config.grid_w}")
+    shapes = param_shapes(config)
     for name, value in params.field_dict().items():
         if value.dtype != config.np_dtype:
             raise ContractError(f"param {name} is {value.dtype}, config dtype is {config.dtype}")
+        if value.shape != shapes[name]:
+            raise ShapeError(f"param {name} has shape {value.shape}, config needs {shapes[name]}")
     return x
 
 

@@ -150,9 +150,9 @@ def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
     # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
     # The per-head gradients the backwards build have [B, N, h, d] memory, so
     # their merges are views. The depthwise bypass reads the same values, so
-    # its gradient d_xv ([B, N, C], or [B, H, W, C] on the token grid) is
-    # added into the merged value gradient first, a C-ordered [B, N, C] array
-    # either way, so reshaping it to d_xv's shape is a view.
+    # its gradient d_xv ([B, N, C], or a turned [B, H, W, C] view on the
+    # token grid) is added into the merged value gradient first, a C-ordered
+    # [B, N, C] array either way, so reshaping it to d_xv's shape is a view.
     d_outs = [merge_heads(t) for t in (d_q, d_k, d_v)]
     if d_xv is not None:
         d_v_grid = d_outs[2].reshape(d_xv.shape)
@@ -162,47 +162,29 @@ def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
 
 def _depthwise_conv2d_backward(x, kernel, dy):
     # Reverse of kernels.depthwise_conv2d for x and dy [B, H, W, C]: (dx, dkernel,
-    # dbias). In the forward's row layout (kernels.dwc_layout), out[:, i] =
-    # sum_{ki,kj} xp[:, i+ki, kj*C : kj*C+W*C] * taps[ki, kj]. The gradient of
-    # xp is kept only on the rows dx reads (its padded columns stay) and summed
-    # DWC_BAND_ROWS rows at a time, so a band stays in cache through all k^2
-    # taps; each element still adds its taps to zero in (ki, kj) order, as one
-    # whole-array product per tap would. dkernel and dbias reduce whole
-    # arrays, which keeps their order of sums.
+    # dbias). dx[i, j] sums dy[i+p-ki, j+p-kj] * kernel[ki, kj] over the taps in
+    # (ki, kj) order, which is the forward kernel run on dy turned by 180°,
+    # turned back: dx is a reversed view of its output. The taps that land in
+    # its zero padding add ±0, which leaves a sum begun at +0 unchanged, as
+    # does the zero bias. Each dkernel entry sums its tap's product with dy
+    # over (B, H, W), every product in one reused buffer, and dbias sums dy.
     b, h, w, c = x.shape
-    k = kernel.shape[0]
-    pad = (k - 1) // 2
-    run = w * c
-    band_rows = kernels.DWC_BAND_ROWS
-    xp, taps = kernels.dwc_layout(x, kernel)
-    dy_rows = np.reshape(dy, (b, h, run))
-    dxp = np.zeros((b, h, xp.shape[2]), dtype=xp.dtype)  # row i is xp's row pad + i
-    band_tap = np.empty((b, min(h, band_rows), run), dtype=xp.dtype)
-    for top in range(0, h, band_rows):
-        bottom = min(top + band_rows, h)
-        for ki in range(k):
-            # dy rows j feed dx rows j + ki - pad; keep those inside the band.
-            lo, hi = max(top + pad - ki, 0), min(bottom + pad - ki, h)
-            if lo >= hi:
-                continue
-            band, tap = dxp[:, lo + ki - pad:hi + ki - pad], band_tap[:, :hi - lo]
-            for kj in range(k):
-                band[..., kj * c:kj * c + run] += np.multiply(dy_rows[:, lo:hi], taps[ki, kj],
-                                                              out=tap)
-    dkernel = np.empty_like(kernel)
-    tap = np.empty((b, h, run), dtype=xp.dtype)  # one buffer for every tap's product
-    for ki in range(k):
-        for kj in range(k):
-            dkernel[ki, kj, :] = np.multiply(xp[:, ki:ki + h, kj * c:kj * c + run], dy_rows,
-                                             out=tap).reshape(b, h, w, c).sum(axis=(0, 1, 2))
-    dx = dxp.reshape(b, h, w + 2 * pad, c)[:, :, pad:pad + w]
+    pad = (kernel.shape[0] - 1) // 2
+    dx = kernels.depthwise_conv2d(dy[:, ::-1, ::-1], kernel, np.zeros(c, dy.dtype))[:, ::-1, ::-1]
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    dkernel, tap = np.empty_like(kernel), np.empty((b, h, w, c), dtype=x.dtype)
+    for ki in range(kernel.shape[0]):
+        for kj in range(kernel.shape[1]):
+            np.multiply(xp[:, ki:ki + h, kj:kj + w], dy, out=tap)
+            dkernel[ki, kj] = tap.sum(axis=(0, 1, 2))
     return dx, dkernel, dy.sum(axis=(0, 1, 2))
 
 
 def _local_bypass_backward(trace, d_fused, grads):
     # Reverse of local_bypass over xv = merge_heads(v): d_xv [B, H, W, C] on
-    # the token grid (a strided view into the reverse's padded gradient, so
-    # it is never copied), or None when the bypass is off.
+    # the token grid (a turned view of the depthwise kernel's output, so it
+    # is never copied), or None when the bypass is off.
     config = trace.config
     if not config.enable_dwc:
         return None

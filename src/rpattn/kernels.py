@@ -12,7 +12,8 @@ the dense baseline project each tile's queries, form its weights and read
 them out, and `grad._blocked_attention_backward` is their one reverse: it
 recomputes each tile's queries and weights. The layer's gather
 (`attention.gather`) and its reverse (`grad._gather_backward`) run over the
-same tiles, forming each tile's assignments.
+same tiles, forming each tile's assignments. `depthwise_conv2d` is the
+bypass's one tap loop; its reverse runs it again on the turned gradient.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes
@@ -131,33 +132,17 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -
     return xhat * gamma + beta
 
 
-def dwc_layout(x: np.ndarray, kernel: np.ndarray):
-    """The depthwise convolution's row layout of x [B, H, W, C] and kernel [k, k, C].
-
-    Returns (xp, taps): xp [B, H + 2p, (W + 2p) C] is x zero-padded by
-    p = (k - 1) // 2 on each side with every padded row flattened to one
-    run, and taps [k, k, W C] holds each kernel row tiled W times. Tap
-    (ki, kj) of output row i is then the product of the contiguous run
-    xp[:, i + ki, kj C : kj C + W C] with taps[ki, kj]. The backward pads
-    the whole input this way; depthwise_conv2d pads one band at a time.
-    """
-    b, h, w, c = x.shape
-    pad = (kernel.shape[0] - 1) // 2
-    xp = np.zeros((b, h + 2 * pad, (w + 2 * pad) * c), dtype=x.dtype)
-    xp.reshape(b, h + 2 * pad, w + 2 * pad, c)[:, pad:pad + h, pad:pad + w] = x
-    return xp, np.tile(kernel, (1, 1, w))
-
-
 def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Per-channel k x k convolution with same zero padding.
 
     x: [B, H, W, C], kernel: [k, k, C], bias: [C]. Each channel is convolved
     with its own filter; output shape equals input shape. The taps are
-    summed DWC_BAND_ROWS output rows at a time in dwc_layout's row layout,
-    padding only the band's own input rows, so a band of the output, its
-    padded input rows and the one band-sized tap buffer stay in cache
-    through all k^2 taps and no padded copy of the whole input exists. Every
-    element still adds its taps to zero in (ki, kj) order, then the bias.
+    summed DWC_BAND_ROWS output rows at a time, padding only the band's own
+    input rows, each padded row one run of (W + 2p) C values against kernel
+    rows tiled W times, so a band of the output, its padded input rows and
+    the one band-sized tap buffer stay in cache through all k^2 taps and no
+    padded copy of the whole input exists. Every element still adds its
+    taps to zero in (ki, kj) order, then the bias.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -170,6 +155,9 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
         raise ConfigError(f"depthwise kernel size must be odd, got {k}")
     if kernel.shape[2] != x.shape[3]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    bias = np.asarray(bias)
+    if bias.shape != (x.shape[3],):
+        raise ShapeError(f"bias must be [C] = {(x.shape[3],)}, got {bias.shape}")
 
     b, h, w, c = x.shape
     pad = (k - 1) // 2

@@ -25,8 +25,8 @@ from rpattn import (
     rpattention_forward,
 )
 from rpattn.attention import LN_EPS, SLOT_MASS_EPS, check_input, merge_heads, split_heads
-from rpattn.baselines import softmax_attention_forward
-from rpattn.errors import ConfigError, ContractError
+from rpattn.baselines import pooled_proxy_forward, softmax_attention_forward
+from rpattn.errors import ConfigError, ContractError, ShapeError
 from rpattn.grad import softmax_attention_backward
 
 import oracles
@@ -422,6 +422,20 @@ class TestForward:
         params = init_params(SMALL, 0)
         with pytest.raises(ConfigError):
             rpattention_forward(np.zeros((1, 10, 8)), params, SMALL)
+
+    @pytest.mark.parametrize("name", list(param_shapes(SMALL)))
+    def test_misshapen_param_rejected(self, name):
+        # One axis too long, a scalar and an all-ones shape that broadcasts:
+        # each is a ShapeError naming the field, never a numpy error or a
+        # forward that runs silently.
+        params = init_params(SMALL, 0)
+        shape = param_shapes(SMALL)[name]
+        for wrong in (shape[:-1] + (shape[-1] + 1,), (), (1,) * len(shape)):
+            bad = replace(params, **{name: np.ones(wrong)})
+            for forward in (rpattention_forward, softmax_attention_forward,
+                            lambda *args: pooled_proxy_forward(*args, (3, 2))):
+                with pytest.raises(ShapeError, match=name):
+                    forward(np.zeros((1, 12, 8)), bad, SMALL)
 
     @pytest.mark.parametrize("x,cause,dtype,target", [
         # x's cases keep their bare ids; grad_output's name the backward.

@@ -213,7 +213,8 @@ class TestDepthwiseConv:
         # and one row over a band, several bands with a short last one, and
         # pads of a whole band (k = 17) and more (k = 19), so a band's padded
         # rows reach past its neighbours'; each input also as a
-        # non-contiguous view.
+        # non-contiguous view and as a view turned by 180°, as the backward
+        # passes it.
         rng = np.random.default_rng(h * 100 + k)
         for w in (5, h):
             for batch in (1, 3):
@@ -221,16 +222,22 @@ class TestDepthwiseConv:
                     wide = rng.standard_normal((batch, h, w, 6)).astype(dtype)
                     kernel = rng.standard_normal((k, k, 3)).astype(dtype)
                     bias = rng.standard_normal(3).astype(dtype)
-                    for x in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2]):
+                    for x in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2],
+                              np.ascontiguousarray(wide[..., :3])[:, ::-1, ::-1]):
                         got = kernels.depthwise_conv2d(x, kernel, bias)
                         want = oracles.depthwise_conv2d_taps(x, kernel, bias)
                         assert got.shape == x.shape and got.dtype == dtype
-                        assert got.tobytes() == want.tobytes(), (w, batch, dtype,
-                                                                 x.flags.c_contiguous)
+                        assert got.tobytes() == want.tobytes(), (w, batch, dtype, x.strides)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
             kernels.depthwise_conv2d(np.zeros((1, 4, 4, 2)), np.zeros((2, 2, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("bias_shape", [(), (1,), (3,), (2, 1)])
+    def test_bias_not_per_channel_rejected(self, bias_shape):
+        with pytest.raises(ShapeError):
+            kernels.depthwise_conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2)),
+                                     np.zeros(bias_shape))
 
     def test_translation_equivariance_interior(self):
         rng = np.random.default_rng(10)
