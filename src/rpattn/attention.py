@@ -90,7 +90,6 @@ class RPAttnParams:
     w_lk: np.ndarray       # [d, d]
     w_lv: np.ndarray       # [d, d]
     ln_k_gamma: np.ndarray  # [d]
-    ln_k_beta: np.ndarray   # [d]
     ln_v_gamma: np.ndarray  # [d]
     ln_v_beta: np.ndarray   # [d]
     dwc_kernel: np.ndarray  # [k, k, C]
@@ -116,7 +115,7 @@ def param_shapes(config: AttnConfig) -> dict:
         "w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
         "w_g": (d, m),
         "w_lq": (d, d), "w_lk": (d, d), "w_lv": (d, d),
-        "ln_k_gamma": (d,), "ln_k_beta": (d,), "ln_v_gamma": (d,), "ln_v_beta": (d,),
+        "ln_k_gamma": (d,), "ln_v_gamma": (d,), "ln_v_beta": (d,),
         "dwc_kernel": (k, k, c), "dwc_bias": (c,),
     }
 
@@ -149,7 +148,7 @@ def init_params(config: AttnConfig, seed: int) -> RPAttnParams:
         w_q=uni("w_q", c), w_k=uni("w_k", c), w_v=uni("w_v", c), w_o=uni("w_o", c),
         w_g=(rng.normal(0.0, 0.02, shapes["w_g"])).astype(dt),
         w_lq=uni("w_lq", d), w_lk=uni("w_lk", d), w_lv=uni("w_lv", d),
-        ln_k_gamma=np.ones(d, dtype=dt), ln_k_beta=np.zeros(d, dtype=dt),
+        ln_k_gamma=np.ones(d, dtype=dt),
         ln_v_gamma=np.ones(d, dtype=dt), ln_v_beta=np.zeros(d, dtype=dt),
         dwc_kernel=uni("dwc_kernel", k * k),
         dwc_bias=np.zeros(c, dtype=dt),
@@ -307,7 +306,8 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
     (k_l_bar, v_l_bar, p_lat, z_l); with interact disabled z_l is exactly
     v_l_bar and p_lat is None.
     """
-    k_l_bar = kernels.layer_norm(k_l, params.ln_k_gamma, params.ln_k_beta, LN_EPS)
+    # No key shift: it would add one q·beta to all M logits, which the slot softmax cancels.
+    k_l_bar = kernels.layer_norm(k_l, params.ln_k_gamma, 0.0, LN_EPS)
     v_l_bar = kernels.layer_norm(v_l, params.ln_v_gamma, params.ln_v_beta, LN_EPS)
     if not config.enable_interact:
         return k_l_bar, v_l_bar, None, v_l_bar

@@ -215,7 +215,7 @@ def straight_line_forward(x, params, *, heads, num_reps, grid_h, grid_w,
         for hi in range(heads):
             for mi in range(m):
                 k_l_bar[bi, hi, mi] = layer_norm_vec(
-                    k_l[bi, hi, mi], params.ln_k_gamma, params.ln_k_beta, ln_eps)
+                    k_l[bi, hi, mi], params.ln_k_gamma, np.zeros(d), ln_eps)
                 v_l_bar[bi, hi, mi] = layer_norm_vec(
                     v_l[bi, hi, mi], params.ln_v_gamma, params.ln_v_beta, ln_eps)
 

@@ -44,7 +44,7 @@ def _identity_params(config):
         w_q=np.eye(c), w_k=np.eye(c), w_v=np.eye(c), w_o=np.eye(c),
         w_g=np.zeros((d, config.num_representatives)),
         w_lq=np.eye(d), w_lk=np.eye(d), w_lv=np.eye(d),
-        ln_k_gamma=np.ones(d), ln_k_beta=np.zeros(d),
+        ln_k_gamma=np.ones(d),
         ln_v_gamma=np.ones(d), ln_v_beta=np.zeros(d),
         dwc_kernel=kernel, dwc_bias=np.zeros(c),
     )
@@ -239,7 +239,7 @@ class TestLatentInteract:
         v_l = rng.standard_normal((2, 2, 3, 4))
         k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, SMALL)
 
-        k_bar_o = oracles.layer_norm_loops(k_l, params.ln_k_gamma, params.ln_k_beta, LN_EPS)
+        k_bar_o = oracles.layer_norm_loops(k_l, params.ln_k_gamma, np.zeros_like(params.ln_k_gamma), LN_EPS)
         v_bar_o = oracles.layer_norm_loops(v_l, params.ln_v_gamma, params.ln_v_beta, LN_EPS)
         assert np.abs(k_l_bar - k_bar_o).max() < 1e-12
         scale = 1.0 / np.sqrt(4.0)
@@ -541,12 +541,12 @@ class TestInitAndCount:
 
     def test_reference_layer_count(self):
         cfg = AttnConfig(channels=192, heads=3, num_representatives=49, grid_h=14, grid_w=14)
-        assert param_count(cfg) == 165056
+        assert param_count(cfg) == 164992
 
     def test_tiny_count(self):
         cfg = AttnConfig(channels=2, heads=1, num_representatives=1, grid_h=1, grid_w=1,
                          dwc_kernel=1)
-        assert param_count(cfg) == 42
+        assert param_count(cfg) == 40
 
     def test_doubling_slots_grows_by_head_dim(self):
         base = param_count(SMALL)

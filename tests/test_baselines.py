@@ -80,7 +80,7 @@ class TestDenseAttention:
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_two_blocks_match_one_block(self, monkeypatch, batch):
-        # A 17 x 32 grid is two query blocks. Its output and all 15 gradients
+        # A 17 x 32 grid is two query blocks. Its output and all 14 gradients
         # match one block holding the full [B, h, N, N] weights.
         cfg = AttnConfig(channels=4, heads=2, num_representatives=1, grid_h=17, grid_w=32)
         assert kernels.TOKEN_TILE < cfg.num_tokens <= 2 * kernels.TOKEN_TILE
@@ -97,7 +97,7 @@ class TestDenseAttention:
         blocked = run()
         monkeypatch.setattr(kernels, "TOKEN_TILE", cfg.num_tokens)
         single = run()
-        assert len(single) == 16
+        assert len(single) == 15
         for name, ref in single.items():
             scale = np.abs(ref).max()
             assert np.abs(blocked[name] - ref).max() <= 1e-12 * scale, name

@@ -62,8 +62,9 @@ def test_zero_grad_output_gives_zero_grads():
 
 
 def test_scalar_hand_case():
-    # One token, one slot, one channel. Layer norm over a single feature maps
-    # everything to its beta (zero here), so the attention path is constant
+    # One token, one slot, one channel. A layer norm over a single feature maps
+    # everything to its shift: the key norm, which has none, to zero and the
+    # value norm to its beta (zero here). So the attention path is constant
     # and only the bypass carries gradient: y = (kv * x * w_v + bv) * w_o.
     cfg = AttnConfig(channels=1, heads=1, num_representatives=1, grid_h=1, grid_w=1,
                      dwc_kernel=1)
@@ -72,7 +73,7 @@ def test_scalar_hand_case():
         w_q=np.array([[1.0]]), w_k=np.array([[1.0]]), w_v=np.array([[w_v]]),
         w_o=np.array([[w_o]]), w_g=np.array([[0.3]]),
         w_lq=np.array([[1.0]]), w_lk=np.array([[1.0]]), w_lv=np.array([[1.0]]),
-        ln_k_gamma=np.ones(1), ln_k_beta=np.zeros(1),
+        ln_k_gamma=np.ones(1),
         ln_v_gamma=np.ones(1), ln_v_beta=np.zeros(1),
         dwc_kernel=np.array([[[kv]]]), dwc_bias=np.array([bv]),
     )
@@ -87,7 +88,7 @@ def test_scalar_hand_case():
     assert abs(grads.dwc_kernel[0, 0, 0] - x0 * w_v * w_o) < 1e-14
     assert abs(grads.w_o[0, 0] - (kv * x0 * w_v + bv)) < 1e-14
     # Single-slot softmaxes and the one-feature layer norms are constant maps.
-    for name in ("w_q", "w_k", "w_g", "ln_k_gamma", "ln_k_beta", "ln_v_gamma", "w_lv"):
+    for name in ("w_q", "w_k", "w_g", "ln_k_gamma", "ln_v_gamma", "w_lv"):
         assert not getattr(grads, name).any(), name
     # The normalized-value shift feeds both the residual and the value path.
     assert abs(grads.ln_v_beta[0] - w_o * (1.0 + 1.0)) < 1e-14
@@ -128,7 +129,7 @@ class TestGradcheck:
     def test_small_config_passes(self, batch):
         report = gradcheck(SMALL, seed=0, batch=batch)
         assert report.passed
-        assert len(report.entries) == 15  # 14 parameter tensors plus x
+        assert len(report.entries) == 14  # 13 parameter tensors plus x
 
     def test_zero_tolerance_fails(self):
         report = gradcheck(SMALL, seed=0, tol=0.0)
@@ -287,7 +288,7 @@ def _stage(name, trace):
                 lambda g: dict(zip(("q", "k_l_bar", "z_l"), _blocked_attention_backward(
                     trace.x, p.w_q, trace.k_l_bar, trace.z_l, split_heads(g, cfg.heads)))))
     if name == "interact":
-        names = ("w_lq", "w_lk", "w_lv", "ln_k_gamma", "ln_k_beta", "ln_v_gamma", "ln_v_beta")
+        names = ("w_lq", "w_lk", "w_lv", "ln_k_gamma", "ln_v_gamma", "ln_v_beta")
 
         def stage(k_l, v_l, **w):
             k_l_bar, _, _, z_l = latent_interact(k_l, v_l, replace(p, **w), cfg)

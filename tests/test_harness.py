@@ -29,6 +29,7 @@ from rpattn.errors import (
     BadVersionError,
     ConfigError,
     DtypeMismatchError,
+    RPAttnError,
     TrailingDataError,
     TrainDivergedError,
     TruncatedPayloadError,
@@ -42,10 +43,10 @@ ATTN = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=4, grid_w=4
 
 KMEANS_ABLATE_LOSSES = [
     1.1129040875118732, 1.1226086022065798, 1.1021331117377557, 1.1055868747684805,
-    1.0644057001621414, 1.0993216658644065, 1.0988732228356266, 1.0426418365253456,
-    1.058208755562974, 1.0136262754536896, 1.1153181020619618, 1.0398281204155304,
-    1.0461939673158651, 0.9863242420685187, 0.9979656655089746, 0.9972436927401833,
-    1.0000106303224294, 0.98918019858863, 0.9033337422762194, 0.8980002539479188,
+    1.0644057001621414, 1.0993216658644065, 1.0988732228356268, 1.0426418365253456,
+    1.0582087555629742, 1.0136262754536893, 1.1153181020619618, 1.0398281204155304,
+    1.0461939673158651, 0.9863242420685187, 0.9979656655089747, 0.9972436927401835,
+    1.0000106303224294, 0.9891801985886299, 0.9033337422762194, 0.8980002539479188,
 ]
 
 
@@ -313,3 +314,13 @@ class TestParamsIO:
 
         with pytest.raises(ConfigError):
             load_params(path, replace(ATTN, num_representatives=5))
+
+        # The older 14-record layout, with a latent-key shift after ln_k_gamma,
+        # is refused rather than read one record out of step.
+        with open(path, "wb") as fh:
+            for name in PARAM_FIELDS:
+                write_record(fh, getattr(params, name))
+                if name == "ln_k_gamma":
+                    write_record(fh, np.zeros(ATTN.head_dim))
+        with pytest.raises(RPAttnError, match="dwc_kernel"):
+            load_params(path, ATTN)
