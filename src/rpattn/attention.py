@@ -160,22 +160,22 @@ class ForwardTrace:
     """The record of one rpattention_forward call, everything its backward reads.
 
     Each intermediate is held once, with the call's own params and config
-    (references, not copies). No [B, h, N, M] array and no queries are kept:
-    the gather's assignments, the queries and the distribution weights exist
-    one token tile at a time, and the backward recomputes them per tile from
-    k and params.w_g (or the k-means slot indices), from x and params.w_q,
-    and from those queries and k_l_bar. `a` recomputes all the assignments
-    on each read.
+    (references, not copies). No [B, h, N, M] array and no projection of x
+    is kept: the keys, the gather's assignments, the queries and the
+    distribution weights exist one token tile at a time, and the backward
+    recomputes them per tile from x, params.w_k and params.w_g (or the
+    k-means slot indices), and from x, params.w_q and k_l_bar. The backward
+    projects the values once more from x and params.w_v. `a` recomputes all
+    the keys and assignments on each read.
 
     A trace is valid only until its params are mutated: `a` and the
-    backward read trace.params (w_g, and w_q for every query tile), which
-    are references, so an in-place update (train_tiny's Adam step after
-    each backward) leaves a trace that no longer describes its forward.
+    backward read trace.params (w_k, w_v and w_q, and w_g under learned
+    routing), which are references, so an in-place update (train_tiny's
+    Adam step after each backward) leaves a trace that no longer describes
+    its forward.
     """
 
     x: np.ndarray          # [B, N, C] layer input
-    k: np.ndarray          # [B, h, N, d]
-    v: np.ndarray          # [B, h, N, d]
     slots: Optional[np.ndarray]  # [B, h, N] k-means slot indices, None under learned routing
     mass: np.ndarray       # [B, h, M, 1] slot token mass plus SLOT_MASS_EPS
     k_l: np.ndarray        # [B, h, M, d] gathered latent keys
@@ -193,10 +193,14 @@ class ForwardTrace:
     def a(self) -> np.ndarray:
         """[B, h, N, M] row-stochastic assignments, recomputed on each read.
 
-        gather_assign(k, params.w_g) under learned routing (slot-major), the
-        one-hot rows of the slot indices under k-means (token-major).
+        gather_assign of the keys, x @ params.w_k, and params.w_g under learned
+        routing (slot-major), the one-hot rows of the slot indices under
+        k-means (token-major), which read no keys.
         """
-        return tile_assign(self.k, self.params.w_g, self.slots, self.config.num_representatives,
+        k = None
+        if self.slots is None:
+            (k,) = project_qkv(self.x, (self.params.w_k,), self.config.heads)
+        return tile_assign(k, self.params.w_g, self.slots, self.config.num_representatives,
                            slice(None))
 
 
@@ -233,17 +237,18 @@ def slot_one_hot(slots: np.ndarray, num_slots: int, dtype) -> np.ndarray:
     return (slots[..., None] == np.arange(num_slots)).astype(dtype)
 
 
-def tile_assign(k: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray], num_slots: int,
-                rows: slice):
+def tile_assign(k: Optional[np.ndarray], w_g: np.ndarray, slots: Optional[np.ndarray],
+                num_slots: int, rows: slice):
     """Assignments [B, h, T, M] of the tokens `rows` (a slice of the token axis).
 
-    Learned routing (slots None) is gather_assign of the tile's keys;
-    k-means routing expands the tile's slot indices to one-hot rows in k's
-    dtype, num_slots wide, and does not read w_g.
+    Learned routing (slots None) is gather_assign of the tile's own keys k
+    [B, h, T, d]; k-means routing expands the tile's slot indices to one-hot
+    rows in w_g's dtype (the layer's), num_slots wide, and reads neither k
+    (which may be None) nor w_g's values.
     """
     if slots is None:
-        return gather_assign(k[..., rows, :], w_g)
-    return slot_one_hot(slots[..., rows], num_slots, k.dtype)
+        return gather_assign(k, w_g)
+    return slot_one_hot(slots[..., rows], num_slots, w_g.dtype)
 
 
 def gather_latents(a: np.ndarray, k: np.ndarray, v: np.ndarray, sums=None):
@@ -275,21 +280,24 @@ def mass_normalize(a_sum: np.ndarray, k_sum: np.ndarray, v_sum: np.ndarray):
     return mass, k_sum / mass, v_sum / mass
 
 
-def gather(k: np.ndarray, v: np.ndarray, w_g: np.ndarray, slots: Optional[np.ndarray],
-           num_slots: int):
-    """The gather of keys and values onto the M = num_slots slots, in token
-    tiles: (mass, k_l, v_l).
+def gather(x: np.ndarray, v: np.ndarray, w_k: np.ndarray, w_g: np.ndarray,
+           slots: Optional[np.ndarray], num_slots: int):
+    """The gather of the keys x @ w_k and the values v [B, h, N, d] onto the
+    M = num_slots slots, in token tiles: (mass, k_l, v_l).
 
-    Each tile of kernels.TOKEN_TILE tokens forms its assignments
-    (tile_assign) and adds its slot sums to those of the tiles before it
-    (gather_latents); mass_normalize then divides the totals by the slot
-    mass. Each token's assignments are its own softmax over the M slots (or
-    its one-hot k-means row), so no assignments outlive their tile.
+    Each tile of kernels.TOKEN_TILE tokens projects its keys from its rows
+    of x [B, N, C] (project_qkv), forms its assignments (tile_assign) and
+    adds its slot sums to those of the tiles before it (gather_latents);
+    mass_normalize then divides the totals by the slot mass. Each token's
+    key is its own row's product and its assignments its own softmax over
+    the M slots (or its one-hot k-means row), so no keys or assignments
+    outlive their tile.
     """
     sums = None
-    for rows in kernels.token_tiles(k.shape[-2], kernels.TOKEN_TILE):
-        sums = gather_latents(tile_assign(k, w_g, slots, num_slots, rows), k[..., rows, :],
-                              v[..., rows, :], sums)
+    for rows in kernels.token_tiles(x.shape[1], kernels.TOKEN_TILE):
+        (k,) = project_qkv(x[:, rows], (w_k,), v.shape[1])
+        sums = gather_latents(tile_assign(k, w_g, slots, num_slots, rows), k, v[..., rows, :],
+                              sums)
     return mass_normalize(*sums)
 
 
@@ -377,25 +385,31 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     """Full layer forward. Returns (output, ForwardTrace).
 
     Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass except the gather's assignments,
-    the queries and the distribution weights, which all run in token tiles.
-    The bypass runs after the routing, and each tile projects its queries
-    and adds its distribution readout into the bypass, so beyond the trace
-    no step holds more than one tile's queries, weights and readout or one
-    band of the bypass. The trace holds references to params, and is valid
-    only until they are mutated (see ForwardTrace).
+    needed by the analytic backward pass except the projections of x and
+    the gather's assignments and distribution weights: the keys, the
+    assignments, the queries and the weights all run in token tiles, and
+    the values live until the bypass has read them. Each tile adds its
+    distribution readout into the bypass, so beyond the trace no step holds
+    more than the values, one tile's keys, queries, weights and readout or
+    one band of the bypass. k-means routing also projects all the keys once
+    for kmeans_gather and drops them when it returns. The trace holds
+    references to params, and is valid only until they are mutated (see
+    ForwardTrace).
     """
     x = check_input(x, params, config)
-    k, v = project_qkv(x, (params.w_k, params.w_v), config.heads)
+    (v,) = project_qkv(x, (params.w_v,), config.heads)
 
     slots = None
     if config.routing == "kmeans":
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
+        (k,) = project_qkv(x, (params.w_k,), config.heads)
         slots = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
-    mass, k_l, v_l = gather(k, v, params.w_g, slots, config.num_representatives)
+        del k
+    mass, k_l, v_l = gather(x, v, params.w_k, params.w_g, slots, config.num_representatives)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)
+    del v  # the bypass was its last reader
     for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
         (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
         distribute_global(q, k_l_bar, z_l, fused[:, rows])
@@ -403,7 +417,7 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     output = kernels.linear(fused, params.w_o)
 
     trace = ForwardTrace(
-        x=x, k=k, v=v, slots=slots, mass=mass, k_l=k_l, v_l=v_l,
+        x=x, slots=slots, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
         fused=fused, output=output, params=params, config=config,
     )

@@ -8,7 +8,9 @@ stages that wrote `fused`: `_local_bypass_backward` and
 `_latent_interact_backward` (latent self-attention and the two latent layer
 norms), `_gather_backward` (mass-normalized slot gathering, then the
 assignment softmax under learned routing, in token tiles that each recompute
-their assignments) and `_project_qkv_backward`.
+their keys and assignments) and `_project_qkv_backward`. The trace keeps no
+projection of x: `rpattention_backward` projects the values once for the
+bypass and gather reverses, and the tiles recompute the keys and queries.
 `_linear_backward` is the one reverse of `inp @ w`, `_attention_backward`
 of `kernels.attention`, and `_blocked_attention_backward` of the
 query-tiled attention that the layer's distribution and the dense baseline
@@ -168,39 +170,65 @@ def _depthwise_conv2d_backward(x, kernel, dy):
     # its zero padding add ±0, which leaves a sum begun at +0 unchanged, as
     # does the zero bias. Each dkernel entry sums its tap's product with dy
     # over (B, H, W), every product in one reused buffer, and dbias sums dy.
+    # A tap reads x through a shifted view; where it would read the zero
+    # padding, the buffer takes 0 * dy (the same ±0), so each whole-buffer
+    # sum adds the same values in the same order as over a padded copy.
+    # Tap (ki, kj) reads padding in the rows outside i0:i1 and the columns
+    # outside j0:j1. No tap of a kernel column writes its border columns
+    # with anything but 0 * dy, so they are filled once per kernel column.
     b, h, w, c = x.shape
-    pad = (kernel.shape[0] - 1) // 2
+    k = kernel.shape[0]
+    pad = (k - 1) // 2
     dx = kernels.depthwise_conv2d(dy[:, ::-1, ::-1], kernel, np.zeros(c, dy.dtype))[:, ::-1, ::-1]
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x
     dkernel, tap = np.empty_like(kernel), np.empty((b, h, w, c), dtype=x.dtype)
-    for ki in range(kernel.shape[0]):
-        for kj in range(kernel.shape[1]):
-            np.multiply(xp[:, ki:ki + h, kj:kj + w], dy, out=tap)
+    row_ranges = _tap_ranges(k, h)
+    for kj, (j0, j1, border_cols) in enumerate(_tap_ranges(k, w)):
+        for cols in border_cols:
+            np.multiply(0.0, dy[:, :, cols], out=tap[:, :, cols])
+        for ki, (i0, i1, border_rows) in enumerate(row_ranges):
+            for rows in border_rows:
+                np.multiply(0.0, dy[:, rows], out=tap[:, rows])
+            di, dj = ki - pad, kj - pad
+            np.multiply(x[:, i0 + di:i1 + di, j0 + dj:j1 + dj], dy[:, i0:i1, j0:j1],
+                        out=tap[:, i0:i1, j0:j1])
             dkernel[ki, kj] = tap.sum(axis=(0, 1, 2))
     return dx, dkernel, dy.sum(axis=(0, 1, 2))
 
 
-def _local_bypass_backward(trace, d_fused, grads):
-    # Reverse of local_bypass over xv = merge_heads(v): d_xv [B, H, W, C] on
-    # the token grid (a turned view of the depthwise kernel's output, so it
-    # is never copied), or None when the bypass is off.
+def _tap_ranges(k, n):
+    # Per tap t of a k-wide kernel along an axis of n: (lo, hi, border), the
+    # output indices lo:hi whose input index, plus t - (k - 1) // 2, lies in
+    # range(n), and the non-empty slices outside them, which read padding. An
+    # offset of n or more leaves lo:hi empty.
+    pad, ranges = (k - 1) // 2, []
+    for t in range(k):
+        lo = min(max(pad - t, 0), n)
+        hi = max(min(n + pad - t, n), lo)
+        ranges.append((lo, hi, [s for s in (slice(0, lo), slice(hi, n)) if s.start < s.stop]))
+    return ranges
+
+
+def _local_bypass_backward(trace, xv, d_fused, grads):
+    # Reverse of local_bypass over the values xv [B, N, C]: d_xv [B, H, W, C]
+    # on the token grid (a turned view of the depthwise kernel's output, so
+    # it is never copied), or None when the bypass is off.
     config = trace.config
     if not config.enable_dwc:
         return None
     b, n, c = d_fused.shape
     grid = (b, config.grid_h, config.grid_w, c)
     d_xv, grads["dwc_kernel"], grads["dwc_bias"] = _depthwise_conv2d_backward(
-        merge_heads(trace.v).reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
+        xv.reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
     return d_xv
 
 
-def _output_backward(trace, grad_output, grads):
+def _output_backward(trace, v, grad_output, grads):
     # Reverse of output = fused @ w_o and of the two stages that wrote fused,
-    # the bypass and distribute_global: (d_q, d_k_l_bar, d_z_l, d_xv). d_fused
-    # has no other reader, so it is freed when this returns.
+    # the bypass over the values v and distribute_global: (d_q, d_k_l_bar,
+    # d_z_l, d_xv). d_fused has no other reader, so it is freed when this
+    # returns.
     grads["w_o"], d_fused = _linear_backward(trace.fused, [grad_output], [trace.params.w_o])
-    d_xv = _local_bypass_backward(trace, d_fused, grads)
+    d_xv = _local_bypass_backward(trace, merge_heads(v), d_fused, grads)
     return (*_blocked_attention_backward(trace.x, trace.params.w_q, trace.k_l_bar, trace.z_l,
                                          split_heads(d_fused, trace.config.heads)), d_xv)
 
@@ -221,27 +249,30 @@ def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
     return d_k_l, d_v_l
 
 
-def _gather_backward(trace, d_k_l, d_v_l, grads):
-    # Reverse of attention.gather, k_l = (aᵀ k) / mass and v_l = (aᵀ v) / mass,
-    # one token tile at a time: (d_k, d_v). Each tile recomputes its
-    # assignments and writes its rows of d_k and d_v, built in k's and v's
-    # [B, N, h, d] memory, straight from BLAS or from the add of the
-    # routing's share. Hard k-means assignments are constants; learned ones
-    # add their share to the tile's d_k rows, and their per-head w_g products
-    # are summed tile by tile.
-    k, v, w_g = trace.k, trace.v, trace.params.w_g
+def _gather_backward(trace, v, d_k_l, d_v_l, grads):
+    # Reverse of attention.gather over the values v, k_l = (aᵀ k) / mass and
+    # v_l = (aᵀ v) / mass, one token tile at a time: (d_k, d_v). Each tile
+    # recomputes its assignments and writes its rows of d_k and d_v, built in
+    # v's [B, N, h, d] memory, straight from BLAS or from the add of the
+    # routing's share. Hard k-means assignments are constants and read no
+    # keys; learned ones re-project the tile's keys from x, add their share
+    # to the tile's d_k rows, and their per-head w_g products are summed tile
+    # by tile.
+    x, w_k, w_g = trace.x, trace.params.w_k, trace.params.w_g
     learned = trace.config.routing == "learned"
     g_k = d_k_l / trace.mass
     g_v = d_v_l / trace.mass
     if learned:
         shift = (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
-    d_k, d_v, d_w_g = np.empty_like(k), np.empty_like(v), None
-    for rows in kernels.token_tiles(k.shape[-2], kernels.TOKEN_TILE):
+    d_k, d_v, d_w_g, k = np.empty_like(v), np.empty_like(v), None, None
+    for rows in kernels.token_tiles(x.shape[1], kernels.TOKEN_TILE):
+        if learned:
+            (k,) = project_qkv(x[:, rows], (w_k,), v.shape[1])
         a = tile_assign(k, w_g, trace.slots, trace.config.num_representatives, rows)
         kernels.matmul(a, g_v, out=d_v[..., rows, :])
         if learned:
             d_k_share, d_w_g_share = _gather_assign_backward(
-                a, k[..., rows, :], v[..., rows, :], g_k, g_v, shift, w_g)
+                a, k, v[..., rows, :], g_k, g_v, shift, w_g)
             np.add(kernels.matmul(a, g_k), d_k_share, out=d_k[..., rows, :])
             d_w_g = d_w_g_share if d_w_g is None else np.add(d_w_g, d_w_g_share, out=d_w_g)
         else:
@@ -277,10 +308,12 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSe
     """
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
+    (v,) = project_qkv(trace.x, (params.w_v,), trace.config.heads)
     grads = {}
-    d_q, d_k_l_bar, d_z_l, d_xv = _output_backward(trace, grad_output, grads)
+    d_q, d_k_l_bar, d_z_l, d_xv = _output_backward(trace, v, grad_output, grads)
     d_k_l, d_v_l = _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads)
-    d_k, d_v = _gather_backward(trace, d_k_l, d_v_l, grads)
+    d_k, d_v = _gather_backward(trace, v, d_k_l, d_v_l, grads)
+    del v  # so the values are not live beside the projection reverse, the backward's peak
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
         trace.x, d_q, d_k, d_v, params, d_xv)
     return _grad_set(params, grads, d_x)

@@ -12,8 +12,9 @@ the dense baseline project each tile's queries, form its weights and read
 them out, and `grad._blocked_attention_backward` is their one reverse: it
 recomputes each tile's queries and weights. The layer's gather
 (`attention.gather`) and its reverse (`grad._gather_backward`) run over the
-same tiles, forming each tile's assignments. `depthwise_conv2d` is the
-bypass's one tap loop; its reverse runs it again on the turned gradient.
+same tiles, projecting each tile's keys and forming its assignments (the
+k-means reverse reads no keys). `depthwise_conv2d` is the bypass's one tap
+loop; its reverse runs it again on the turned gradient.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes

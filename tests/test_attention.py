@@ -387,11 +387,12 @@ class TestForward:
             x, params, heads=2, num_reps=3, grid_h=3, grid_w=4,
             epsilon=SLOT_MASS_EPS, ln_eps=LN_EPS)
         # The trace keeps the slot mass instead of â, only the sum of readout
-        # and bypass, and no queries or distribution weights (recomputed from
-        # x, w_q and k_l_bar).
+        # and bypass, and no projections of x or distribution weights
+        # (recomputed from x, w_q, w_k and w_v, and k_l_bar).
         fused = expect.pop("o_global") + expect.pop("bypass_out")
-        (q,) = project_qkv(trace.x, (params.w_q,), SMALL.heads)
-        assert np.abs(q - expect.pop("q")).max() < 1e-12
+        q, k, v = project_qkv(trace.x, (params.w_q, params.w_k, params.w_v), SMALL.heads)
+        for name, got in (("q", q), ("k", k), ("v", v)):
+            assert np.abs(got - expect.pop(name)).max() < 1e-12, name
         p_dist = kernels.attention_weights(q, trace.k_l_bar)
         assert np.abs(p_dist - expect.pop("p_dist")).max() < 1e-12
         a_hat = trace.a / np.swapaxes(trace.mass, -1, -2)
@@ -481,10 +482,11 @@ def _slot_major(t):
 def test_forward_memory_budget(dtype, batch, grid, routing):
     # At the benchmark's layer shape, the forward's peak traced memory stays
     # within the trace's own arrays (x excluded), none of them [B, h, N, M]
-    # and none of them queries, plus a stated slack: every other
-    # intermediate is freed or reused before the next one is made, and the
-    # gather's assignments, the queries, the distribution weights and the
-    # bypass's padded input live one token tile or one band at a time.
+    # and none of them a projection of x, plus a stated slack: every other
+    # intermediate is freed or reused before the next one is made, the
+    # values live until the bypass has read them, and the keys, the gather's
+    # assignments, the queries, the distribution weights and the bypass's
+    # padded input live one token tile or one band at a time.
     cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,
                      routing=routing, dtype=dtype)
     params = init_params(cfg, 0)
@@ -501,27 +503,27 @@ def test_forward_memory_budget(dtype, batch, grid, routing):
     nm = (cfg.num_tokens, cfg.num_representatives)
     assert [name for name, v in vars(trace).items() if np.shape(v)[-2:] == nm] == []
     per_head = (batch, cfg.heads, cfg.num_tokens, cfg.head_dim)
-    assert [name for name, v in vars(trace).items() if np.shape(v) == per_head] == ["k", "v"]
+    assert [name for name, v in vars(trace).items() if np.shape(v) == per_head] == []
+    assert [name for name, v in vars(trace).items() if np.shape(v) == x.shape] == [
+        "x", "fused", "output"]
     trace_bytes = sum(v.nbytes for name, v in vars(trace).items()
                       if isinstance(v, np.ndarray) and name != "x")
     itemsize = np.dtype(dtype).itemsize
-    rows = min(kernels.TOKEN_TILE, cfg.num_tokens)
-    tile = batch * cfg.heads * rows * nm[1] * itemsize
-    query_tile = batch * rows * cfg.channels * itemsize
     pad = cfg.dwc_kernel - 1
     band = batch * (kernels.DWC_BAND_ROWS + pad) * (grid + pad) * cfg.channels * itemsize
-    # Learned routing normalizes its logits in place; beyond the trace it
-    # holds at most one tile's [B, h, T, M] weights, one [B, T, C] query
-    # tile and one padded band of the bypass's input (0.003-0.50 of that
-    # sum measured, the most at N = 1024, two tiles, where the tile's
-    # weights and queries live before the output array exists). k-means
-    # routing holds its float64 scratch in place of a tile's weights: one
+    # Beyond the trace, learned routing holds the [B, N, C] values until the
+    # bypass has read them, and one padded band of the bypass's input; its
+    # tiles of keys, weights and queries fit in what the output array takes
+    # later (0.38-1.18 [B, N, C] arrays above the trace measured, the most
+    # at N = 1024, two tiles). k-means routing also holds the whole keys
+    # that kmeans_gather reads and that routine's float64 scratch: one
     # [B*h, N, M] distance array, float64 in either dtype, plus one
-    # [B, N, C] array (float32: 3.87-4.02 [B, N, C] arrays measured).
+    # [B, N, C] array (float32: 5.87-6.02 [B, N, C] arrays above the trace
+    # measured).
     if routing == "learned":
-        slack = tile + query_tile + band
+        slack = x.nbytes + band
     else:
-        slack = x.nbytes + batch * cfg.heads * nm[0] * nm[1] * np.dtype(np.float64).itemsize
+        slack = 3 * x.nbytes + batch * cfg.heads * nm[0] * nm[1] * np.dtype(np.float64).itemsize
     assert peak <= trace_bytes + slack, (peak, trace_bytes, slack)
     if routing == "learned":  # k-means expands its slot indices token-major
         assert _slot_major(trace.a)

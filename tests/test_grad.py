@@ -234,13 +234,14 @@ def test_trace_latents_equal_mass_normalized_gather(routing):
     x = np.random.default_rng(15).standard_normal((2, 12, 8))
     _, trace = rpattention_forward(x, init_params(cfg, 16), cfg)
     a = trace.a
-    mass, k_l, v_l = mass_normalize(*gather_latents(a, trace.k, trace.v))
+    k, v = project_qkv(trace.x, (trace.params.w_k, trace.params.w_v), cfg.heads)
+    mass, k_l, v_l = mass_normalize(*gather_latents(a, k, v))
     assert np.array_equal(trace.mass, mass)
     assert np.array_equal(trace.k_l, k_l) and np.array_equal(trace.v_l, v_l)
     a_hat = a / (a.sum(axis=-2, keepdims=True) + SLOT_MASS_EPS)
     a_hat_t = np.swapaxes(a_hat, -1, -2)
-    assert np.abs(trace.k_l - a_hat_t @ trace.k).max() < 1e-12
-    assert np.abs(trace.v_l - a_hat_t @ trace.v).max() < 1e-12
+    assert np.abs(trace.k_l - a_hat_t @ k).max() < 1e-12
+    assert np.abs(trace.v_l - a_hat_t @ v).max() < 1e-12
 
 
 class TestContract:
@@ -269,13 +270,15 @@ def _stage(name, trace):
         return ({"fused": trace.fused, "w_o": p.w_o},
                 lambda fused, w_o: (kernels.linear(fused, w_o),),
                 lambda g: dict(zip(("w_o", "fused"), _linear_backward(trace.fused, [g], [p.w_o]))))
-    if name == "bypass":
+    if name == "bypass":  # over the values x @ w_v, which the trace does not keep
+        xv = kernels.linear(trace.x, p.w_v)
+
         def reverse(g):
             grads = {}
-            grads["xv"] = _local_bypass_backward(trace, g, grads).reshape(g.shape)
+            grads["xv"] = _local_bypass_backward(trace, xv, g, grads).reshape(g.shape)
             return grads
 
-        return ({"xv": merge_heads(trace.v), "dwc_kernel": p.dwc_kernel, "dwc_bias": p.dwc_bias},
+        return ({"xv": xv, "dwc_kernel": p.dwc_kernel, "dwc_bias": p.dwc_bias},
                 lambda xv, **w: (local_bypass(xv, replace(p, **w), cfg),), reverse)
     if name == "distribute":  # the reverse recomputes q from x and w_q
         def stage(q, k_l_bar, z_l):
@@ -301,17 +304,21 @@ def _stage(name, trace):
 
         return ({"k_l": trace.k_l, "v_l": trace.v_l, **{n: getattr(p, n) for n in names}},
                 stage, reverse)
-    if name == "gather":
-        def stage(k, v, w_g):  # hard k-means assignments (trace.slots) are constants
-            _, k_l, v_l = attention.gather(k, v, w_g, trace.slots, cfg.num_representatives)
+    if name == "gather":  # the reverse recomputes k from x and w_k
+        def stage(k, v, w_g):
+            # The keys as gather's x, through the identity; hard k-means
+            # assignments (trace.slots) are constants.
+            _, k_l, v_l = attention.gather(merge_heads(k), v, np.eye(cfg.channels), w_g,
+                                           trace.slots, cfg.num_representatives)
             return k_l, v_l
 
         def reverse(g_k_l, g_v_l):
             grads = {}
-            grads["k"], grads["v"] = _gather_backward(trace, g_k_l, g_v_l, grads)
+            grads["k"], grads["v"] = _gather_backward(trace, v, g_k_l, g_v_l, grads)
             return grads
 
-        return {"k": trace.k, "v": trace.v, "w_g": p.w_g}, stage, reverse
+        k, v = project_qkv(trace.x, (p.w_k, p.w_v), cfg.heads)
+        return {"k": k, "v": v, "w_g": p.w_g}, stage, reverse
     assert name == "project"
 
     def stage(x, w_q, w_k, w_v):  # the bypass reads the values as merge_heads(v)
@@ -356,31 +363,37 @@ def test_stage_reverse_matches_its_forward_stage(stage):
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_backward_memory_budget(dtype, batch, grid, routing):
-    # At test_forward_memory_budget's shapes, the backward holds at most 7
-    # [B, N, C] arrays beyond the gradients it returns (6.05-6.59 measured)
-    # and no [B, h, N, M] array: the gather's assignments and the
-    # distribution's weights are recomputed one token tile at a time, the
-    # per-head gradients merge as views, and d_fused is freed after its two
-    # readers. The peak holds the per-head gradients of q, k and v, the
-    # bypass's value gradient and a projection reverse's product, or (at
-    # N = 1024, two tiles) one tile's routing reverse.
+    # At test_forward_memory_budget's shapes, a forward plus backward, x and
+    # grad_output allocated before it, holds at most 10.5 [B, N, C] arrays
+    # beyond the gradients the backward returns (7.13-10.41 measured) and
+    # no [B, h, N, M] array. The trace holds two of them (fused and output),
+    # and the backward recomputes the values once: the gather's keys and
+    # assignments and the distribution's queries and weights are recomputed
+    # one token tile at a time, the per-head gradients merge as views, and
+    # d_fused and the values are freed after their last readers. The peak
+    # holds the per-head gradients of q, k and v, the bypass's value
+    # gradient and a projection reverse's product, or (at N = 1024, two
+    # tiles) the values and one tile's routing reverse. Counted from the
+    # backward's start with a trace that kept k and v, the bound was 7
+    # arrays, 11 or more counted from before the forward.
     cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,
                      routing=routing, dtype=dtype)
     rng = np.random.default_rng(41)
     x = rng.standard_normal((batch, cfg.num_tokens, 64)).astype(dtype)
     g = rng.standard_normal(x.shape).astype(dtype)
-    _, trace = rpattention_forward(x, init_params(cfg, 0), cfg)
+    params = init_params(cfg, 0)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
+        _, trace = rpattention_forward(x, params, cfg)
         grads = rpattention_backward(trace, g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     grad_bytes = sum(v.nbytes for v in vars(grads).values())
-    assert peak - grad_bytes <= 7 * x.nbytes, (peak, grad_bytes, x.nbytes)
+    assert peak - grad_bytes <= 10.5 * x.nbytes, (peak, grad_bytes, x.nbytes)
 
 
 @pytest.mark.parametrize("routing", ["learned", "kmeans"])
@@ -388,10 +401,12 @@ def test_no_weights_outlive_a_token_tile(monkeypatch, routing):
     # Forward and backward form attention weights over at most TOKEN_TILE
     # queries at a time, whatever N: the distribution's tiles, and the
     # latent interaction's M queries. The gather's assignments (learned
-    # softmax or k-means one-hot rows) come in the same tiles.
+    # softmax or k-means one-hot rows) come in the same tiles, and so do the
+    # keys they are formed from: only k-means projects all the keys, once,
+    # for kmeans_gather, and its backward projects none.
     monkeypatch.setattr(kernels, "TOKEN_TILE", 5)
     cfg = replace(SMALL, grid_h=4, grid_w=4, routing=routing)
-    shapes, assigned = [], []
+    shapes, assigned, keyed = [], [], []
 
     def recorded(q, k):
         shapes.append(q.shape)
@@ -405,17 +420,27 @@ def test_no_weights_outlive_a_token_tile(monkeypatch, routing):
         assigned.append(slots.shape[-1])
         return slot_one_hot(slots, num_slots, dtype)
 
-    attention_weights = kernels.attention_weights
+    def recorded_linear(x, w):
+        if w is params.w_k:
+            keyed.append(x.shape[-2])
+        return linear(x, w)
+
+    attention_weights, linear = kernels.attention_weights, kernels.linear
     gather_assign, slot_one_hot = attention.gather_assign, attention.slot_one_hot
     monkeypatch.setattr(kernels, "attention_weights", recorded)
+    monkeypatch.setattr(kernels, "linear", recorded_linear)
     monkeypatch.setattr(attention, "gather_assign", recorded_assign)
     monkeypatch.setattr(attention, "slot_one_hot", recorded_one_hot)
-    params, x, g, y, trace = _forward_backward(cfg, 19)
-    rpattention_backward(trace, g)
+    params = init_params(cfg, 19)
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((1, cfg.num_tokens, cfg.channels))
+    _, trace = rpattention_forward(x, params, cfg)
+    rpattention_backward(trace, rng.standard_normal(x.shape))
     tiles = [shape[-2] for shape in shapes if shape[-2] != cfg.num_representatives]
     assert tiles == [5, 5, 5, 1] * 2  # forward, then the backward's recompute
     assert max(shape[-2] for shape in shapes) <= 5
     assert assigned == [5, 5, 5, 1] * 2
+    assert keyed == ([5, 5, 5, 1] * 2 if routing == "learned" else [16, 5, 5, 5, 1])
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 17])

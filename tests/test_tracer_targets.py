@@ -83,8 +83,9 @@ def test_memory_probe_reads_the_trace(monkeypatch, routing):
     assert probe.slots == 2 * cfg.heads * cfg.num_representatives
     assert 0 < probe.live_slots <= probe.slots
     assert probe.forward_peak > 0 and probe.backward_peak > 0
-    if routing == "learned":
-        expect = rpattn.gather_assign(trace.k, trace.params.w_g)
+    if routing == "learned":  # the trace keeps no keys: x @ w_k, per head
+        (k,) = rpattn.project_qkv(trace.x, (trace.params.w_k,), cfg.heads)
+        expect = rpattn.gather_assign(k, trace.params.w_g)
     else:
         expect = (trace.slots[..., None] == np.arange(nm[1])).astype(x.dtype)
     assert trace.a.shape == expect.shape and trace.a.tobytes() == expect.tobytes()
