@@ -164,9 +164,10 @@ class ForwardTrace:
     is kept: the keys, the gather's assignments, the queries and the
     distribution weights exist one token tile at a time, and the backward
     recomputes them per tile from x, params.w_k and params.w_g (or the
-    k-means slot indices), and from x, params.w_q and k_l_bar. The backward
-    projects the values once more from x and params.w_v. `a` recomputes all
-    the keys and assignments on each read.
+    k-means slot indices), and from x, params.w_q and k_l_bar. The values
+    are gone too: the forward wrote the bypass over them, and `fused` is
+    that same memory. The backward projects the values once more from x and
+    params.w_v. `a` recomputes all the keys and assignments on each read.
 
     A trace is valid only until its params are mutated: `a` and the
     backward read trace.params (w_k, w_v and w_q, and w_g under learned
@@ -184,7 +185,7 @@ class ForwardTrace:
     v_l_bar: np.ndarray    # [B, h, M, d] normalized latent values
     p_lat: Optional[np.ndarray]  # [B, h, M, M] latent attention, None when interact is off
     z_l: np.ndarray        # [B, h, M, d] refined latent values
-    fused: np.ndarray      # [B, N, C] cross-attention readout plus depthwise bypass
+    fused: np.ndarray      # [B, N, C] readout plus depthwise bypass, in the values' memory
     output: np.ndarray     # [B, N, C]
     params: RPAttnParams   # the forward's params
     config: AttnConfig     # the forward's config
@@ -338,20 +339,25 @@ def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray,
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
-    """Depthwise convolution over the value features xv [B, N, C] on the token grid.
+    """Depthwise convolution over the value features xv [B, N, C] on the token grid, in place.
 
     xv is the already projected value tensor (x @ w_v, heads merged), so the
-    bypass adds no projection of its own. Returns zeros when the bypass is
-    disabled.
+    bypass adds no projection of its own. It must be C-contiguous: the
+    bypass is written over it (kernels.depthwise_conv2d with out= its own
+    input), and xv itself is returned, so no second [B, N, C] array exists.
+    With the bypass disabled, xv is zeroed and returned.
     """
     b, n, c = xv.shape
     if not config.enable_dwc:
-        return np.zeros_like(xv)
+        xv.fill(0)
+        return xv
     if n != config.num_tokens:
         raise ConfigError(f"token count {n} does not match grid {config.grid_h}x{config.grid_w}")
+    if not xv.flags.c_contiguous:  # a reshape would copy it, and the bypass land in the copy
+        raise ContractError("local_bypass writes over xv, which must be C-contiguous")
     grid = xv.reshape(b, config.grid_h, config.grid_w, c)
-    out = kernels.depthwise_conv2d(grid, params.dwc_kernel, params.dwc_bias)
-    return out.reshape(b, n, c)
+    kernels.depthwise_conv2d(grid, params.dwc_kernel, params.dwc_bias, out=grid)
+    return xv
 
 
 def check_input(x, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -387,29 +393,30 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     Output shape equals input shape. The trace retains every intermediate
     needed by the analytic backward pass except the projections of x and
     the gather's assignments and distribution weights: the keys, the
-    assignments, the queries and the weights all run in token tiles, and
-    the values live until the bypass has read them. Each tile adds its
-    distribution readout into the bypass, so beyond the trace no step holds
-    more than the values, one tile's keys, queries, weights and readout or
-    one band of the bypass. k-means routing also projects all the keys once
-    for kmeans_gather and drops them when it returns. The trace holds
-    references to params, and is valid only until they are mutated (see
-    ForwardTrace).
+    assignments, the queries and the weights all run in token tiles. The
+    bypass is written over the values (local_bypass), so that one [B, N, C]
+    array becomes the trace's `fused`, and each tile adds its distribution
+    readout into it. Beyond the trace's own arrays no step holds more than
+    one tile's keys, assignments, queries, weights and readout or one band
+    of the bypass, and the forward peaks at the output projection, where
+    fused, output and the latents are live. k-means routing first projects
+    all the keys once for kmeans_gather and drops them when it returns,
+    before the values are projected. The trace holds references to params,
+    and is valid only until they are mutated (see ForwardTrace).
     """
     x = check_input(x, params, config)
-    (v,) = project_qkv(x, (params.w_v,), config.heads)
-
     slots = None
     if config.routing == "kmeans":
         from .baselines import kmeans_gather  # runtime import: baselines builds on this module
 
         (k,) = project_qkv(x, (params.w_k,), config.heads)
         slots = kmeans_gather(k, config.num_representatives, KMEANS_ITERS, config.kmeans_seed)
-        del k
+        del k  # before the values are projected, so the two are never live together
+    (v,) = project_qkv(x, (params.w_v,), config.heads)
     mass, k_l, v_l = gather(x, v, params.w_k, params.w_g, slots, config.num_representatives)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
-    fused = local_bypass(merge_heads(v), params, config)
-    del v  # the bypass was its last reader
+    fused = local_bypass(merge_heads(v), params, config)  # over v's memory
+    del v
     for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
         (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
         distribute_global(q, k_l_bar, z_l, fused[:, rows])

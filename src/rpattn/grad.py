@@ -148,17 +148,11 @@ def _linear_backward(inp, d_outs, weights, d_inp=None):
     return (*d_weights, d_inp)
 
 
-def _project_qkv_backward(x, d_q, d_k, d_v, params, d_xv=None):
+def _project_qkv_backward(x, d_q, d_k, d_v, params):
     # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
     # The per-head gradients the backwards build have [B, N, h, d] memory, so
-    # their merges are views. The depthwise bypass reads the same values, so
-    # its gradient d_xv ([B, N, C], or a turned [B, H, W, C] view on the
-    # token grid) is added into the merged value gradient first, a C-ordered
-    # [B, N, C] array either way, so reshaping it to d_xv's shape is a view.
+    # their merges are views.
     d_outs = [merge_heads(t) for t in (d_q, d_k, d_v)]
-    if d_xv is not None:
-        d_v_grid = d_outs[2].reshape(d_xv.shape)
-        d_v_grid += d_xv
     return _linear_backward(x, d_outs, (params.w_q, params.w_k, params.w_v))
 
 
@@ -313,9 +307,16 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSe
     d_q, d_k_l_bar, d_z_l, d_xv = _output_backward(trace, v, grad_output, grads)
     d_k_l, d_v_l = _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads)
     d_k, d_v = _gather_backward(trace, v, d_k_l, d_v_l, grads)
-    del v  # so the values are not live beside the projection reverse, the backward's peak
+    del v  # so the values are not live beside the projection reverse
+    if d_xv is not None:
+        # The bypass reads the same values: its gradient, a turned [B, H, W, C]
+        # view, is added into d_v through a view of d_v's [B, N, h, d] memory
+        # on the token grid, and dropped before the projection reverse.
+        d_v_grid = merge_heads(d_v).reshape(d_xv.shape)
+        d_v_grid += d_xv
+    del d_xv
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
-        trace.x, d_q, d_k, d_v, params, d_xv)
+        trace.x, d_q, d_k, d_v, params)
     return _grad_set(params, grads, d_x)
 
 

@@ -23,17 +23,19 @@ the precision for correctness work (gradient checks, oracle comparisons);
 float32 is the precision for benchmarks. The tests pin that float64 results
 are bit-identical under one and two BLAS threads.
 
-Kernels mutate nothing except an `out` array the caller passes. Each makes
-as few full-size arrays as its arithmetic allows and finishes its work in
-place in them; the in-place steps run the same operations in the same
-order, so the results keep their bits.
+Kernels mutate nothing except an `out` array the caller passes, which may
+be the input itself for `softmax_lastdim` and `depthwise_conv2d` (the
+bypass writes its convolution over the values it reads). Each makes as few
+full-size arrays as its arithmetic allows and finishes its work in place in
+them; the in-place steps run the same operations in the same order, so the
+results keep their bits.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 DWC_BAND_ROWS = 8  # output rows depthwise_conv2d sums its taps over at a time
 # Token rows per tile, read at call time by every caller of token_tiles: the
@@ -133,7 +135,8 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -
     return xhat * gamma + beta
 
 
-def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                     out=None) -> np.ndarray:
     """Per-channel k x k convolution with same zero padding.
 
     x: [B, H, W, C], kernel: [k, k, C], bias: [C]. Each channel is convolved
@@ -144,6 +147,14 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
     the one band-sized tap buffer stay in cache through all k^2 taps and no
     padded copy of the whole input exists. Every element still adds its
     taps to zero in (ki, kj) order, then the bias.
+
+    The result is written into `out` when given: a C-contiguous array of x's
+    shape and dtype that is either x itself (the same array object), which
+    is then overwritten with its own convolution, or shares no memory with
+    x. Every band after the first takes the input rows it shares with the
+    band before (that band's last 2p padded rows) from the band buffer and
+    reads only the rows below them from x, so in place no input row is read
+    after its band has been written, and the bits are those of a new array.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -159,31 +170,44 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
     bias = np.asarray(bias)
     if bias.shape != (x.shape[3],):
         raise ShapeError(f"bias must be [C] = {(x.shape[3],)}, got {bias.shape}")
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous {x.dtype} array of shape {x.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    elif out is not x and np.may_share_memory(out, x):
+        raise ContractError("out must be x itself or share no memory with it")
 
     b, h, w, c = x.shape
     pad = (k - 1) // 2
     run = w * c
     taps = np.tile(kernel, (1, 1, w))
     bias_row = np.tile(bias, w)
-    out = np.empty((b, h, run), dtype=x.dtype)
+    out_rows = out.reshape(b, h, run)
     band_rows = min(h, DWC_BAND_ROWS)
     tap = np.empty((b, band_rows, run), dtype=x.dtype)
     # Row r of xb is input row top - pad + r of the band at `top`, padded.
     # Its pad columns stay zero. A row above the image held rows further up
     # in every earlier band, so it is zero from the start; a row below the
-    # image held input rows in earlier bands and is zeroed.
+    # image held input rows in earlier bands and is zeroed. Every band after
+    # the first is a full band below a full band, so its first 2p rows are
+    # the last 2p rows of the band before, moved up (the move may overlap
+    # itself when 2p > DWC_BAND_ROWS).
     xb = np.zeros((b, band_rows + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp = xb.reshape(b, band_rows + 2 * pad, (w + 2 * pad) * c)
     for top in range(0, h, DWC_BAND_ROWS):
         rows = min(DWC_BAND_ROWS, h - top)
         lo, hi = max(top - pad, 0), min(top + rows + pad, h)
+        if top > 0:
+            xb[:, :2 * pad] = xb[:, band_rows:]
+            lo = top + pad
         xb[:, lo - top + pad:hi - top + pad, pad:pad + w] = x[:, lo:hi]
         xb[:, hi - top + pad:rows + 2 * pad] = 0
-        band, band_tap = out[:, top:top + rows], tap[:, :rows]
+        band, band_tap = out_rows[:, top:top + rows], tap[:, :rows]
         band.fill(0)
         for ki in range(k):
             for kj in range(k):
                 band += np.multiply(xp[:, ki:ki + rows, kj * c:kj * c + run], taps[ki, kj],
                                     out=band_tap)
         band += bias_row
-    return out.reshape(x.shape)
+    return out

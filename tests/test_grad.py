@@ -278,8 +278,9 @@ def _stage(name, trace):
             grads["xv"] = _local_bypass_backward(trace, xv, g, grads).reshape(g.shape)
             return grads
 
+        # local_bypass writes over its input, so each call gets a copy.
         return ({"xv": xv, "dwc_kernel": p.dwc_kernel, "dwc_bias": p.dwc_bias},
-                lambda xv, **w: (local_bypass(xv, replace(p, **w), cfg),), reverse)
+                lambda xv, **w: (local_bypass(xv.copy(), replace(p, **w), cfg),), reverse)
     if name == "distribute":  # the reverse recomputes q from x and w_q
         def stage(q, k_l_bar, z_l):
             fused = np.zeros_like(trace.fused)
@@ -327,7 +328,7 @@ def _stage(name, trace):
 
     return ({"x": trace.x, "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}, stage,
             lambda g_q, g_k, g_v, g_xv: dict(zip(("w_q", "w_k", "w_v", "x"), _project_qkv_backward(
-                trace.x, g_q, g_k, g_v.copy(), p, g_xv))))
+                trace.x, g_q, g_k, g_v + split_heads(g_xv, cfg.heads), p))))
 
 
 @pytest.mark.parametrize("stage", ["out", "bypass", "distribute", "interact", "interact-off",
@@ -365,15 +366,15 @@ def test_stage_reverse_matches_its_forward_stage(stage):
 def test_backward_memory_budget(dtype, batch, grid, routing):
     # At test_forward_memory_budget's shapes, a forward plus backward, x and
     # grad_output allocated before it, holds at most 10.5 [B, N, C] arrays
-    # beyond the gradients the backward returns (7.13-10.41 measured) and
+    # beyond the gradients the backward returns (6.54-10.41 measured) and
     # no [B, h, N, M] array. The trace holds two of them (fused and output),
     # and the backward recomputes the values once: the gather's keys and
     # assignments and the distribution's queries and weights are recomputed
     # one token tile at a time, the per-head gradients merge as views, and
-    # d_fused and the values are freed after their last readers. The peak
-    # holds the per-head gradients of q, k and v, the bypass's value
-    # gradient and a projection reverse's product, or (at N = 1024, two
-    # tiles) the values and one tile's routing reverse. Counted from the
+    # d_fused, the values and the bypass's value gradient are freed after
+    # their last readers. The peak sits in the gather reverse, which holds
+    # the values, the per-head gradients of q, k and v, the bypass's value
+    # gradient and one tile's routing reverse. Counted from the
     # backward's start with a trace that kept k and v, the bound was 7
     # arrays, 11 or more counted from before the forward.
     cfg = AttnConfig(channels=64, heads=2, num_representatives=49, grid_h=grid, grid_w=grid,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rpattn import kernels
-from rpattn.errors import ConfigError, ShapeError
+from rpattn.errors import ConfigError, ContractError, ShapeError
 
 import oracles
 
@@ -228,6 +228,39 @@ class TestDepthwiseConv:
                         want = oracles.depthwise_conv2d_taps(x, kernel, bias)
                         assert got.shape == x.shape and got.dtype == dtype
                         assert got.tobytes() == want.tobytes(), (w, batch, dtype, x.strides)
+
+    @pytest.mark.parametrize("h", [1, 7, 8, 9, 16, 17, 24, 25])
+    def test_in_place_bytes_equal_to_out_of_place(self, h):
+        # out=x overwrites x band by band, each band keeping the input rows
+        # the next one reads before writing them. H below, at and above
+        # multiples of a band; every odd k to 19, so pads of a whole band
+        # (k = 17) and more (k = 19) make the halo move overlap itself;
+        # W = 1 and C = 1; 20% signed zeros in x.
+        rng = np.random.default_rng(h)
+        for k in range(1, 20, 2):
+            for w, c in ((5, 3), (1, 2), (4, 1)):
+                for dtype in (np.float32, np.float64):
+                    x = rng.standard_normal((2, h, w, c)).astype(dtype)
+                    zeros = rng.random(x.shape) < 0.2
+                    x[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+                    kernel = rng.standard_normal((k, k, c)).astype(dtype)
+                    bias = rng.standard_normal(c).astype(dtype)
+                    before = x.tobytes()
+                    want = kernels.depthwise_conv2d(x, kernel, bias)
+                    assert x.tobytes() == before
+                    got = kernels.depthwise_conv2d(x, kernel, bias, out=x)
+                    assert np.shares_memory(got, x)
+                    assert got.tobytes() == want.tobytes(), (k, w, c, dtype)
+
+    def test_out_must_be_x_or_disjoint(self):
+        x = np.zeros((1, 9, 4, 2))
+        kernel, bias = np.zeros((3, 3, 2)), np.zeros(2)
+        with pytest.raises(ContractError):  # overlaps x without being x
+            kernels.depthwise_conv2d(x[:, :8], kernel, bias, out=x[:, 1:])
+        for out in (np.zeros((1, 9, 4, 3)), np.zeros((1, 9, 4, 2), np.float32),
+                    np.zeros((1, 9, 8, 2))[:, :, ::2]):
+            with pytest.raises(ShapeError):
+                kernels.depthwise_conv2d(x, kernel, bias, out=out)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):

@@ -238,6 +238,34 @@ def test_float32_tracks_float64(batch, heads, head_dim, grid_h, grid_w, num_reps
         assert np.abs(got - getattr(grads64, name)).max() <= 1e-4 * scale, name
 
 
+@settings(max_examples=200)
+@given(batch=st.integers(1, 2), heads=st.integers(1, 2), head_dim=st.integers(1, 3),
+       grid_h=st.integers(1, 4), grid_w=st.integers(1, 4), num_reps=st.integers(1, 6),
+       routing=st.sampled_from(["learned", "kmeans"]), interact=st.booleans(),
+       dwc=st.booleans(), dtype=st.sampled_from(["float32", "float64"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_and_backward_leave_their_inputs_unchanged(batch, heads, head_dim, grid_h,
+                                                            grid_w, num_reps, routing, interact,
+                                                            dwc, dtype, seed):
+    # The forward writes the bypass over the values it projects and the
+    # backward folds gradients in place; neither may write into x,
+    # grad_output or any params array.
+    cfg = AttnConfig(channels=heads * head_dim, heads=heads, num_representatives=num_reps,
+                     grid_h=grid_h, grid_w=grid_w, routing=routing, enable_interact=interact,
+                     enable_dwc=dwc, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, int(rng.integers(2**31)))
+    x = rng.standard_normal((batch, cfg.num_tokens, cfg.channels)).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    before = {"x": x.tobytes(), "grad_output": g.tobytes(),
+              **{name: value.tobytes() for name, value in params.field_dict().items()}}
+    _, trace = rpattention_forward(x, params, cfg)
+    rpattention_backward(trace, g)
+    after = {"x": x.tobytes(), "grad_output": g.tobytes(),
+             **{name: value.tobytes() for name, value in params.field_dict().items()}}
+    assert [name for name in before if after[name] != before[name]] == []
+
+
 @given(batch=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 12),
        m=st.integers(1, 6), d=st.integers(1, 4), dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
 def test_kmeans_routing_contract(batch, heads, n, m, d, dtype, seed):
