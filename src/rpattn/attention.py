@@ -165,9 +165,12 @@ class ForwardTrace:
     distribution weights exist one token tile at a time, and the backward
     recomputes them per tile from x, params.w_k and params.w_g (or the
     k-means slot indices), and from x, params.w_q and k_l_bar. The values
-    are gone too: the forward wrote the bypass over them, and `fused` is
-    that same memory. The backward projects the values once more from x and
-    params.w_v. `a` recomputes all the keys and assignments on each read.
+    and `fused` are gone too: the forward wrote the bypass over the values,
+    added the readout into them and projected them over themselves, so
+    `output` is that same memory. The backward projects the values once
+    more from x and params.w_v, and rebuilds `fused` from them and the
+    latents for the output weights' gradient. `a` recomputes all the keys
+    and assignments on each read.
 
     A trace is valid only until its params are mutated: `a` and the
     backward read trace.params (w_k, w_v and w_q, and w_g under learned
@@ -185,8 +188,7 @@ class ForwardTrace:
     v_l_bar: np.ndarray    # [B, h, M, d] normalized latent values
     p_lat: Optional[np.ndarray]  # [B, h, M, M] latent attention, None when interact is off
     z_l: np.ndarray        # [B, h, M, d] refined latent values
-    fused: np.ndarray      # [B, N, C] readout plus depthwise bypass, in the values' memory
-    output: np.ndarray     # [B, N, C]
+    output: np.ndarray     # [B, N, C] in the values' memory
     params: RPAttnParams   # the forward's params
     config: AttnConfig     # the forward's config
 
@@ -391,18 +393,20 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     """Full layer forward. Returns (output, ForwardTrace).
 
     Output shape equals input shape. The trace retains every intermediate
-    needed by the analytic backward pass except the projections of x and
-    the gather's assignments and distribution weights: the keys, the
+    needed by the analytic backward pass except the projections of x, the
+    gather's assignments and distribution weights, and `fused`, the sum of
+    readout and bypass that the output projection reads: the keys, the
     assignments, the queries and the weights all run in token tiles. The
-    bypass is written over the values (local_bypass), so that one [B, N, C]
-    array becomes the trace's `fused`, and each tile adds its distribution
-    readout into it. Beyond the trace's own arrays no step holds more than
-    one tile's keys, assignments, queries, weights and readout or one band
-    of the bypass, and the forward peaks at the output projection, where
-    fused, output and the latents are live. k-means routing first projects
-    all the keys once for kmeans_gather and drops them when it returns,
-    before the values are projected. The trace holds references to params,
-    and is valid only until they are mutated (see ForwardTrace).
+    bypass is written over the values (local_bypass), and each tile adds
+    its distribution readout into its rows of them and then projects those
+    rows through w_o over themselves, so the values' memory is the trace's
+    `output` and the only [B, N, C] array the forward makes.
+    Beyond the trace's own arrays no step holds more than one tile's keys,
+    assignments, queries, weights and readout or one band of the bypass and
+    its scratch; the forward peaks inside local_bypass. k-means routing
+    first projects all the keys once for kmeans_gather and drops them when
+    it returns, before the values are projected. The trace holds references
+    to params, and is valid only until they are mutated (see ForwardTrace).
     """
     x = check_input(x, params, config)
     slots = None
@@ -420,12 +424,15 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
         (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
         distribute_global(q, k_l_bar, z_l, fused[:, rows])
-    del q  # so no query tile is live beside the output, the forward's peak
-    output = kernels.linear(fused, params.w_o)
+        # Each token's output is its own row's product: the tile's rows of
+        # fused are final, and are projected over themselves, from this
+        # frame (the traced `out` stage).
+        fused[:, rows] = kernels.linear(fused[:, rows], params.w_o)
+    output = fused
 
     trace = ForwardTrace(
         x=x, slots=slots, mass=mass, k_l=k_l, v_l=v_l,
         k_l_bar=k_l_bar, v_l_bar=v_l_bar, p_lat=p_lat, z_l=z_l,
-        fused=fused, output=output, params=params, config=config,
+        output=output, params=params, config=config,
     )
     return output, trace

@@ -23,15 +23,14 @@ from .errors import ConfigError, ContractError, ShapeError, check_count
 class DenseTrace:
     """The record of one softmax_attention_forward call, with the call's own params.
 
-    It keeps no queries and no weights: the backward recomputes both per
-    token tile from x and params.w_q, so the trace is valid only until its
-    params are mutated.
+    It keeps no queries, no weights and no readout: the backward recomputes
+    all three per token tile from x and params.w_q, so the trace is valid
+    only until its params are mutated.
     """
 
     x: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    o_merged: np.ndarray  # [B, N, C]
     output: np.ndarray
     params: RPAttnParams  # the forward's params (a reference, not a copy)
 
@@ -40,20 +39,19 @@ def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
     Reads only the w_q, w_k, w_v and w_o projections of params. Each token
-    tile of kernels.TOKEN_TILE queries is projected, attends and is read
-    out on its own, and the trace keeps no queries or weights, so the full
+    tile of kernels.TOKEN_TILE queries is projected, attends, is read out
+    and projected through w_o into its rows of the output on its own, and
+    the trace keeps no queries, weights or readout, so the full
     [B, h, N, N] weights (2.1 GB in float32 at B = 1, h = 2, N = 16384)
     never exist; memory grows with N * kernels.TOKEN_TILE.
     """
     x = check_input(x, params, config)
     k, v = project_qkv(x, (params.w_k, params.w_v), config.heads)
-    o = np.empty_like(k)  # k's [B, N, h, d] memory layout: merge_heads(o) is a view
+    out = np.empty(x.shape, dtype=x.dtype)
     for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
         (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
-        o[:, :, rows] = kernels.attention(q, k, v)[1]
-    o_merged = merge_heads(o)
-    out = kernels.linear(o_merged, params.w_o)
-    return out, DenseTrace(x=x, k=k, v=v, o_merged=o_merged, output=out, params=params)
+        out[:, rows] = kernels.linear(merge_heads(kernels.attention(q, k, v)[1]), params.w_o)
+    return out, DenseTrace(x=x, k=k, v=v, output=out, params=params)
 
 
 def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid):

@@ -9,16 +9,21 @@ stages that wrote `fused`: `_local_bypass_backward` and
 norms), `_gather_backward` (mass-normalized slot gathering, then the
 assignment softmax under learned routing, in token tiles that each recompute
 their keys and assignments) and `_project_qkv_backward`. The trace keeps no
-projection of x: `rpattention_backward` projects the values once for the
-bypass and gather reverses, and the tiles recompute the keys and queries.
-`_linear_backward` is the one reverse of `inp @ w`, `_attention_backward`
-of `kernels.attention`, and `_blocked_attention_backward` of the
-query-tiled attention that the layer's distribution and the dense baseline
-run: it recomputes each token tile's queries from the trace's x and
-params.w_q, and the tile's weights, so the two share one reverse. The
-backwards thus read the forward's params as well as its trace, and a trace
-is valid only until those params are mutated. A central-finite-difference
-harness verifies every parameter.
+projection of x and no `fused`: `rpattention_backward` projects the values
+once for the bypass and gather reverses, the tiles recompute the keys and
+queries, and `_output_backward` rebuilds `fused` for w_o's gradient from a
+copy of the values, with the bypass and each tile's readout, the same
+operations in the same order as the forward. `_linear_backward` is the one
+reverse of `inp @ w` (`_weight_grad` its weight gradient),
+`_attention_backward` of `kernels.attention`, and
+`_blocked_attention_backward` of the query-tiled attention that the
+layer's distribution and the dense baseline run: it recomputes each token
+tile's queries from the trace's x and params.w_q, the tile's weights and
+its readout, which it adds into the caller's buffer, so the two share one
+reverse and neither trace keeps the array its forward projected through
+w_o. The backwards thus read the forward's params as well as its trace,
+and a trace is valid only until those params are mutated. A
+central-finite-difference harness verifies every parameter.
 """
 
 import math
@@ -36,6 +41,7 @@ from .attention import (
     RPAttnParams,
     init_params,
     latent_qkv,
+    local_bypass,
     merge_heads,
     project_qkv,
     rpattention_forward,
@@ -77,19 +83,22 @@ def _attention_backward(q, k, v, p, d_o, d_q=None):
     return d_q, d_k, d_v
 
 
-def _blocked_attention_backward(x, w_q, k, v, d_o):
+def _blocked_attention_backward(x, w_q, k, v, d_o, readout):
     # Reverse of attention in token tiles whose queries are project_qkv of x
     # [B, N, C] through w_q, over per-head keys k and values v: (d_q, d_k,
-    # d_v). Each tile's queries and weights are recomputed and its rows of
-    # d_q written; its shares of d_k and d_v are summed tile by tile. d_q
-    # has [B, N, h, d] memory, so merge_heads(d_q) is a view.
+    # d_v). Each tile's queries and weights are recomputed, its readout p v
+    # added into its rows of readout [B, h, N, d] in place (which rebuilds
+    # what the forward projected through w_o, for that weight's gradient)
+    # and its rows of d_q written; its shares of d_k and d_v are summed tile
+    # by tile. d_q has [B, N, h, d] memory, so merge_heads(d_q) is a view.
     heads = k.shape[1]
     d_q = split_heads(np.empty(x.shape[:2] + (w_q.shape[1],), dtype=x.dtype), heads)
     d_k, d_v = np.zeros_like(k), np.zeros_like(v)
     for rows in kernels.token_tiles(x.shape[1], kernels.TOKEN_TILE):
         (q,) = project_qkv(x[:, rows], (w_q,), heads)
-        _, dk, dv = _attention_backward(q, k, v, kernels.attention_weights(q, k),
-                                        d_o[..., rows, :], d_q[..., rows, :])
+        p = kernels.attention_weights(q, k)
+        readout[..., rows, :] += kernels.matmul(p, v)
+        _, dk, dv = _attention_backward(q, k, v, p, d_o[..., rows, :], d_q[..., rows, :])
         d_k += dk
         d_v += dv
     return d_q, d_k, d_v
@@ -130,14 +139,19 @@ def _layer_norm_backward(x, gamma, eps, dy):
     return dx, dgamma, dbeta
 
 
+def _weight_grad(inp, d_out):
+    # Gradient of w in out = inp @ w: dW[c, k] sums inp[.., c] * d_out[.., k]
+    # over all leading positions.
+    return kernels.matmul(inp.reshape(-1, inp.shape[-1]).T, d_out.reshape(-1, d_out.shape[-1]))
+
+
 def _linear_backward(inp, d_outs, weights, d_inp=None):
     # Reverse of out_i = inp @ w_i for each pair of d_outs and weights:
-    # (d_w_1, .., d_w_n, d_inp). dW[c, k] sums inp[.., c] * d_out[.., k] over
-    # all leading positions; the products d_out_i w_iᵀ are summed in order,
-    # onto d_inp in place when it is given (a residual's gradient). Every
-    # product after the first that d_inp takes lands in one reused buffer.
-    inp_t = inp.reshape(-1, inp.shape[-1]).T
-    d_weights = [kernels.matmul(inp_t, d_out.reshape(-1, d_out.shape[-1])) for d_out in d_outs]
+    # (d_w_1, .., d_w_n, d_inp), each d_w_i a _weight_grad; the products
+    # d_out_i w_iᵀ are summed in order, onto d_inp in place when it is given
+    # (a residual's gradient). Every product after the first that d_inp
+    # takes lands in one reused buffer.
+    d_weights = [_weight_grad(inp, d_out) for d_out in d_outs]
     d_in = None
     for d_out, w in zip(d_outs, weights):
         if d_inp is None:
@@ -219,12 +233,20 @@ def _local_bypass_backward(trace, xv, d_fused, grads):
 def _output_backward(trace, v, grad_output, grads):
     # Reverse of output = fused @ w_o and of the two stages that wrote fused,
     # the bypass over the values v and distribute_global: (d_q, d_k_l_bar,
-    # d_z_l, d_xv). d_fused has no other reader, so it is freed when this
-    # returns.
-    grads["w_o"], d_fused = _linear_backward(trace.fused, [grad_output], [trace.params.w_o])
-    d_xv = _local_bypass_backward(trace, merge_heads(v), d_fused, grads)
-    return (*_blocked_attention_backward(trace.x, trace.params.w_q, trace.k_l_bar, trace.z_l,
-                                         split_heads(d_fused, trace.config.heads)), d_xv)
+    # d_z_l, d_xv). The trace keeps no fused, so after d_fused and the
+    # bypass reverse (whose tap buffer is then gone) fused is rebuilt as the
+    # forward built it, bit for bit: the bypass over a copy of v, then each
+    # tile's readout, added by the blocked reverse. It is freed once it has
+    # given w_o's gradient, and d_fused when this returns.
+    params, heads, xv = trace.params, trace.config.heads, merge_heads(v)
+    d_fused = kernels.matmul(grad_output, params.w_o.T)
+    d_xv = _local_bypass_backward(trace, xv, d_fused, grads)
+    fused = local_bypass(xv.copy(), params, trace.config)
+    d_q, d_k_l_bar, d_z_l = _blocked_attention_backward(
+        trace.x, params.w_q, trace.k_l_bar, trace.z_l, split_heads(d_fused, heads),
+        split_heads(fused, heads))
+    grads["w_o"] = _weight_grad(fused, grad_output)
+    return d_q, d_k_l_bar, d_z_l, d_xv
 
 
 def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
@@ -324,16 +346,20 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> Gr
     """Exact gradients of sum(grad_output * output) for the dense baseline.
 
     Params are the forward's own, read from the trace; grad_output follows
-    x's contract. Each token tile's queries and weights are recomputed,
-    without its readout; fields the dense forward does not read get zero
+    x's contract. Each token tile's queries, weights and readout are
+    recomputed, the readouts into a zero [B, N, h, d] array that gives
+    w_o's gradient; fields the dense forward does not read get zero
     gradients.
     """
     params = trace.params
     grad_output = _check_grad_output(grad_output, trace.output)
     grads = {}
-    grads["w_o"], d_merged = _linear_backward(trace.o_merged, [grad_output], [params.w_o])
+    d_merged = kernels.matmul(grad_output, params.w_o.T)
+    o = np.zeros_like(trace.k)  # k's [B, N, h, d] memory: merge_heads(o) is a view
     d_q, d_k, d_v = _blocked_attention_backward(
-        trace.x, params.w_q, trace.k, trace.v, split_heads(d_merged, trace.k.shape[1]))
+        trace.x, params.w_q, trace.k, trace.v, split_heads(d_merged, trace.k.shape[1]), o)
+    grads["w_o"] = _weight_grad(merge_heads(o), grad_output)
+    del o
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
         trace.x, d_q, d_k, d_v, params)
     return _grad_set(params, grads, d_x)

@@ -8,9 +8,10 @@ shape but are stored key-major (the swapped view of a C-ordered
 memory axis; a short last axis (M slots) is the slow case for numpy.
 `token_tiles` cuts the token axis into tiles of TOKEN_TILE rows in every
 caller, so no weights over all N tokens exist. The layer's distribution and
-the dense baseline project each tile's queries, form its weights and read
-them out, and `grad._blocked_attention_backward` is their one reverse: it
-recomputes each tile's queries and weights. The layer's gather
+the dense baseline project each tile's queries, form its weights, read
+them out and project the tile's rows through the output weights, and
+`grad._blocked_attention_backward` is their one reverse: it recomputes each
+tile's queries, weights and readout. The layer's gather
 (`attention.gather`) and its reverse (`grad._gather_backward`) run over the
 same tiles, projecting each tile's keys and forming its assignments (the
 k-means reverse reads no keys). `depthwise_conv2d` is the bypass's one tap

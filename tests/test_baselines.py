@@ -67,6 +67,16 @@ class TestDenseAttention:
                                                params.w_o, heads=2)
         assert np.abs(out - expect).max() < 1e-12
 
+    def test_trace_keeps_no_readout(self):
+        # The forward projects each tile's readout into its rows of the
+        # output, and the backward recomputes the readouts: x and the output
+        # are the trace's only [B, N, C] arrays.
+        cfg = _dense_config(8, 7)
+        x = np.random.default_rng(7).standard_normal((2, 7, 8))
+        _, trace = softmax_attention_forward(x, init_params(cfg, 5), cfg)
+        assert [name for name, v in vars(trace).items() if np.shape(v) == x.shape] == [
+            "x", "output"]
+
     def test_attention_rows_sum_to_one(self):
         # The trace keeps no queries or weights; the ones the backward
         # recomputes from it (queries from x and w_q) are row-stochastic.
