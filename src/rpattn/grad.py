@@ -3,19 +3,23 @@ dense softmax baseline.
 
 Gradients are derived by hand, one reverse per forward stage, run in
 reverse order: `_output_backward` (the output projection, then the two
-stages that wrote `fused`: `_local_bypass_backward` and
-`_blocked_attention_backward` of `distribute_global`),
+stages that wrote `fused`: `_blocked_attention_backward` of
+`distribute_global`, then `_local_bypass_backward`),
 `_latent_interact_backward` (latent self-attention and the two latent layer
 norms), `_gather_backward` (mass-normalized slot gathering, then the
 assignment softmax under learned routing, in token tiles that each recompute
 their keys and assignments) and `_project_qkv_backward`. The trace keeps no
 projection of x and no `fused`: `rpattention_backward` projects the values
 once for the bypass and gather reverses, the tiles recompute the keys and
-queries, and `_output_backward` rebuilds `fused` for w_o's gradient from a
-copy of the values, with the bypass and each tile's readout, the same
-operations in the same order as the forward. `_linear_backward` is the one
-reverse of `inp @ w` (`_weight_grad` its weight gradient),
-`_attention_backward` of `kernels.attention`, and
+queries, and `_output_backward` rebuilds `fused` for w_o's gradient with
+the forward's operations in the forward's order, the bypass of the values
+into a new array, then each tile's readout. It frees `fused` before the
+bypass reverse runs, and the bypass's value gradient, a new array, is the
+memory of d_v: `_gather_backward` adds its share into it, and the
+projection reverse frees d_q, d_k and d_v in turn, so the backward holds
+at most five [B, N, C] arrays, the trace's output among them.
+`_linear_backward` is the one reverse of `inp @ w` (`_weight_grad` its
+weight gradient), `_attention_backward` of `kernels.attention`, and
 `_blocked_attention_backward` of the query-tiled attention that the
 layer's distribution and the dense baseline run: it recomputes each token
 tile's queries from the trace's x and params.w_q, the tile's weights and
@@ -41,7 +45,6 @@ from .attention import (
     RPAttnParams,
     init_params,
     latent_qkv,
-    local_bypass,
     merge_heads,
     project_qkv,
     rpattention_forward,
@@ -146,14 +149,17 @@ def _weight_grad(inp, d_out):
 
 
 def _linear_backward(inp, d_outs, weights, d_inp=None):
-    # Reverse of out_i = inp @ w_i for each pair of d_outs and weights:
-    # (d_w_1, .., d_w_n, d_inp), each d_w_i a _weight_grad; the products
-    # d_out_i w_iᵀ are summed in order, onto d_inp in place when it is given
-    # (a residual's gradient). Every product after the first that d_inp
-    # takes lands in one reused buffer.
-    d_weights = [_weight_grad(inp, d_out) for d_out in d_outs]
-    d_in = None
-    for d_out, w in zip(d_outs, weights):
+    # Reverse of out_i = inp @ w_i for each pair of the list d_outs and
+    # weights: (d_w_1, .., d_w_n, d_inp), each d_w_i a _weight_grad; the
+    # products d_out_i w_iᵀ are summed in order, onto d_inp in place when it
+    # is given (a residual's gradient). Every product after the first that
+    # d_inp takes lands in one reused buffer. The list is emptied as the
+    # reverse goes, each d_out_i dropped once its two products are taken,
+    # so a gradient the caller keeps no other reference to is freed then.
+    d_weights, d_in = [], None
+    for w in weights:
+        d_out = d_outs.pop(0)
+        d_weights.append(_weight_grad(inp, d_out))
         if d_inp is None:
             d_inp = kernels.matmul(d_out, w.T)
         else:
@@ -162,32 +168,37 @@ def _linear_backward(inp, d_outs, weights, d_inp=None):
     return (*d_weights, d_inp)
 
 
-def _project_qkv_backward(x, d_q, d_k, d_v, params):
-    # Reverse of project_qkv from per-head gradients: (d_w_q, d_w_k, d_w_v, d_x).
-    # The per-head gradients the backwards build have [B, N, h, d] memory, so
-    # their merges are views.
-    d_outs = [merge_heads(t) for t in (d_q, d_k, d_v)]
+def _project_qkv_backward(x, d_heads, params):
+    # Reverse of project_qkv from the list of per-head gradients [d_q, d_k,
+    # d_v]: (d_w_q, d_w_k, d_w_v, d_x). The per-head gradients the backwards
+    # build have [B, N, h, d] memory, so their merges are views. The list is
+    # emptied and each gradient freed once its products are taken
+    # (_linear_backward), so the caller hands over its only references.
+    d_outs = [merge_heads(t) for t in d_heads]
+    d_heads.clear()
     return _linear_backward(x, d_outs, (params.w_q, params.w_k, params.w_v))
 
 
 def _depthwise_conv2d_backward(x, kernel, dy):
-    # Reverse of kernels.depthwise_conv2d for x and dy [B, H, W, C]: (dx, dkernel,
-    # dbias). dx[i, j] sums dy[i+p-ki, j+p-kj] * kernel[ki, kj] over the taps in
-    # (ki, kj) order, which is the forward kernel run on dy turned by 180°,
-    # turned back: dx is a reversed view of its output. The taps that land in
-    # its zero padding add ±0, which leaves a sum begun at +0 unchanged, as
-    # does the zero bias. Each dkernel entry sums its tap's product with dy
-    # over (B, H, W), every product in one reused buffer, and dbias sums dy.
+    # Reverse of kernels.depthwise_conv2d for x and dy [B, H, W, C]: (dx,
+    # dkernel, dbias), dkernel first. Each dkernel entry sums its tap's
+    # product with dy over (B, H, W), every product in one reused
+    # whole-size buffer, freed before dx is made, and dbias sums dy.
     # A tap reads x through a shifted view; where it would read the zero
     # padding, the buffer takes 0 * dy (the same ±0), so each whole-buffer
     # sum adds the same values in the same order as over a padded copy.
     # Tap (ki, kj) reads padding in the rows outside i0:i1 and the columns
     # outside j0:j1. No tap of a kernel column writes its border columns
     # with anything but 0 * dy, so they are filled once per kernel column.
+    # dx, a new C-contiguous array, is then summed band by band over the
+    # bands of kernels.padded_bands, as the forward sums its own: dx[i, j]
+    # adds dy[i+p-ki, j+p-kj] * kernel[ki, kj] to zero in (ki, kj) order,
+    # padded row 2p - ki and column 2p - kj of the band's rows of dy. The
+    # taps that land in the padding add ±0, which leaves a sum begun at +0
+    # unchanged, so dx has the bits of one whole-array product per tap.
     b, h, w, c = x.shape
     k = kernel.shape[0]
     pad = (k - 1) // 2
-    dx = kernels.depthwise_conv2d(dy[:, ::-1, ::-1], kernel, np.zeros(c, dy.dtype))[:, ::-1, ::-1]
     dkernel, tap = np.empty_like(kernel), np.empty((b, h, w, c), dtype=x.dtype)
     row_ranges = _tap_ranges(k, h)
     for kj, (j0, j1, border_cols) in enumerate(_tap_ranges(k, w)):
@@ -200,6 +211,15 @@ def _depthwise_conv2d_backward(x, kernel, dy):
             np.multiply(x[:, i0 + di:i1 + di, j0 + dj:j1 + dj], dy[:, i0:i1, j0:j1],
                         out=tap[:, i0:i1, j0:j1])
             dkernel[ki, kj] = tap.sum(axis=(0, 1, 2))
+    del tap
+    dx, run, taps = np.empty((b, h, w, c), dtype=dy.dtype), w * c, np.tile(kernel, (1, 1, w))
+    for band, dyp, band_tap in kernels.padded_bands(dy, k, dx):
+        rows = band.shape[1]
+        band.fill(0)
+        for ki in range(k):
+            for kj in range(k):
+                r, s = 2 * pad - ki, (2 * pad - kj) * c
+                band += np.multiply(dyp[:, r:r + rows, s:s + run], taps[ki, kj], out=band_tap)
     return dx, dkernel, dy.sum(axis=(0, 1, 2))
 
 
@@ -217,36 +237,46 @@ def _tap_ranges(k, n):
 
 
 def _local_bypass_backward(trace, xv, d_fused, grads):
-    # Reverse of local_bypass over the values xv [B, N, C]: d_xv [B, H, W, C]
-    # on the token grid (a turned view of the depthwise kernel's output, so
-    # it is never copied), or None when the bypass is off.
+    # Reverse of local_bypass over the values xv [B, N, C]: d_xv, a new
+    # C-contiguous [B, N, C] array. With the bypass off it reads nothing,
+    # and d_xv is -0 throughout: -0 is the additive identity of every value,
+    # ±0 included, so sums built on it keep their bits.
     config = trace.config
     if not config.enable_dwc:
-        return None
+        return np.full(d_fused.shape, -0.0, dtype=d_fused.dtype)
     b, n, c = d_fused.shape
     grid = (b, config.grid_h, config.grid_w, c)
     d_xv, grads["dwc_kernel"], grads["dwc_bias"] = _depthwise_conv2d_backward(
         xv.reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
-    return d_xv
+    return d_xv.reshape(d_fused.shape)
 
 
 def _output_backward(trace, v, grad_output, grads):
     # Reverse of output = fused @ w_o and of the two stages that wrote fused,
     # the bypass over the values v and distribute_global: (d_q, d_k_l_bar,
-    # d_z_l, d_xv). The trace keeps no fused, so after d_fused and the
-    # bypass reverse (whose tap buffer is then gone) fused is rebuilt as the
-    # forward built it, bit for bit: the bypass over a copy of v, then each
-    # tile's readout, added by the blocked reverse. It is freed once it has
-    # given w_o's gradient, and d_fused when this returns.
-    params, heads, xv = trace.params, trace.config.heads, merge_heads(v)
+    # d_z_l, d_v). The trace keeps no fused, so after d_fused it is rebuilt
+    # as the forward built it, bit for bit: the bypass of v into a new array
+    # (zeros when it is off), then each tile's readout, added by the blocked
+    # reverse. fused is freed once it has given w_o's gradient, and only
+    # then the bypass reverse runs, so its tap buffer and d_xv are never
+    # live beside fused; d_fused is freed when this returns. d_v is d_xv, a
+    # view of its memory: the gather reverse adds its share into it.
+    params, config = trace.params, trace.config
+    xv = merge_heads(v)
     d_fused = kernels.matmul(grad_output, params.w_o.T)
-    d_xv = _local_bypass_backward(trace, xv, d_fused, grads)
-    fused = local_bypass(xv.copy(), params, trace.config)
+    if config.enable_dwc:
+        grid = (xv.shape[0], config.grid_h, config.grid_w, xv.shape[2])
+        fused = kernels.depthwise_conv2d(xv.reshape(grid), params.dwc_kernel,
+                                         params.dwc_bias).reshape(xv.shape)
+    else:
+        fused = np.zeros(xv.shape, dtype=xv.dtype)
     d_q, d_k_l_bar, d_z_l = _blocked_attention_backward(
-        trace.x, params.w_q, trace.k_l_bar, trace.z_l, split_heads(d_fused, heads),
-        split_heads(fused, heads))
+        trace.x, params.w_q, trace.k_l_bar, trace.z_l, split_heads(d_fused, config.heads),
+        split_heads(fused, config.heads))
     grads["w_o"] = _weight_grad(fused, grad_output)
-    return d_q, d_k_l_bar, d_z_l, d_xv
+    del fused
+    d_v = split_heads(_local_bypass_backward(trace, xv, d_fused, grads), config.heads)
+    return d_q, d_k_l_bar, d_z_l, d_v
 
 
 def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
@@ -255,7 +285,7 @@ def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
     params = trace.params
     d_v_l_bar = d_z_l
     if trace.config.enable_interact:
-        d_qkv = _attention_backward(*latent_qkv(trace.v_l_bar, params), trace.p_lat, d_z_l)
+        d_qkv = list(_attention_backward(*latent_qkv(trace.v_l_bar, params), trace.p_lat, d_z_l))
         grads["w_lq"], grads["w_lk"], grads["w_lv"], d_v_l_bar = _linear_backward(
             trace.v_l_bar, d_qkv, (params.w_lq, params.w_lk, params.w_lv), d_z_l.copy())
     d_k_l, grads["ln_k_gamma"], _ = _layer_norm_backward(
@@ -265,27 +295,29 @@ def _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads):
     return d_k_l, d_v_l
 
 
-def _gather_backward(trace, v, d_k_l, d_v_l, grads):
+def _gather_backward(trace, v, d_k_l, d_v_l, d_v, grads):
     # Reverse of attention.gather over the values v, k_l = (aᵀ k) / mass and
-    # v_l = (aᵀ v) / mass, one token tile at a time: (d_k, d_v). Each tile
-    # recomputes its assignments and writes its rows of d_k and d_v, built in
-    # v's [B, N, h, d] memory, straight from BLAS or from the add of the
-    # routing's share. Hard k-means assignments are constants and read no
-    # keys; learned ones re-project the tile's keys from x, add their share
-    # to the tile's d_k rows, and their per-head w_g products are summed tile
-    # by tile.
+    # v_l = (aᵀ v) / mass, one token tile at a time: d_k. Each tile
+    # recomputes its assignments, writes its rows of d_k, built in v's
+    # [B, N, h, d] memory, straight from BLAS or from the add of the
+    # routing's share, and adds its a g_v onto its rows of d_v in place: the
+    # caller's gradient of the values, already holding the bypass's share
+    # (_output_backward), which thus has the bits of a g_v + d_xv. Hard
+    # k-means assignments are constants and read no keys; learned ones
+    # re-project the tile's keys from x, add their share to the tile's d_k
+    # rows, and their per-head w_g products are summed tile by tile.
     x, w_k, w_g = trace.x, trace.params.w_k, trace.params.w_g
     learned = trace.config.routing == "learned"
     g_k = d_k_l / trace.mass
     g_v = d_v_l / trace.mass
     if learned:
         shift = (trace.k_l * g_k + trace.v_l * g_v).sum(axis=-1, keepdims=True)
-    d_k, d_v, d_w_g, k = np.empty_like(v), np.empty_like(v), None, None
+    d_k, d_w_g, k = np.empty_like(v), None, None
     for rows in kernels.token_tiles(x.shape[1], kernels.TOKEN_TILE):
         if learned:
             (k,) = project_qkv(x[:, rows], (w_k,), v.shape[1])
         a = tile_assign(k, w_g, trace.slots, trace.config.num_representatives, rows)
-        kernels.matmul(a, g_v, out=d_v[..., rows, :])
+        np.add(kernels.matmul(a, g_v), d_v[..., rows, :], out=d_v[..., rows, :])
         if learned:
             d_k_share, d_w_g_share = _gather_assign_backward(
                 a, k, v[..., rows, :], g_k, g_v, shift, w_g)
@@ -295,7 +327,7 @@ def _gather_backward(trace, v, d_k_l, d_v_l, grads):
             kernels.matmul(a, g_k, out=d_k[..., rows, :])
     if learned:
         grads["w_g"] = d_w_g.sum(axis=(0, 1)).T
-    return d_k, d_v
+    return d_k
 
 
 def _gather_assign_backward(a, k, v, g_k, g_v, shift, w_g):
@@ -326,19 +358,14 @@ def rpattention_backward(trace: ForwardTrace, grad_output: np.ndarray) -> GradSe
     grad_output = _check_grad_output(grad_output, trace.output)
     (v,) = project_qkv(trace.x, (params.w_v,), trace.config.heads)
     grads = {}
-    d_q, d_k_l_bar, d_z_l, d_xv = _output_backward(trace, v, grad_output, grads)
+    d_q, d_k_l_bar, d_z_l, d_v = _output_backward(trace, v, grad_output, grads)
     d_k_l, d_v_l = _latent_interact_backward(trace, d_k_l_bar, d_z_l, grads)
-    d_k, d_v = _gather_backward(trace, v, d_k_l, d_v_l, grads)
+    d_k = _gather_backward(trace, v, d_k_l, d_v_l, d_v, grads)
     del v  # so the values are not live beside the projection reverse
-    if d_xv is not None:
-        # The bypass reads the same values: its gradient, a turned [B, H, W, C]
-        # view, is added into d_v through a view of d_v's [B, N, h, d] memory
-        # on the token grid, and dropped before the projection reverse.
-        d_v_grid = merge_heads(d_v).reshape(d_xv.shape)
-        d_v_grid += d_xv
-    del d_xv
+    d_heads = [d_q, d_k, d_v]
+    del d_q, d_k, d_v  # the list holds the only references, which the reverse drops in turn
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
-        trace.x, d_q, d_k, d_v, params)
+        trace.x, d_heads, params)
     return _grad_set(params, grads, d_x)
 
 
@@ -356,12 +383,12 @@ def softmax_attention_backward(trace: DenseTrace, grad_output: np.ndarray) -> Gr
     grads = {}
     d_merged = kernels.matmul(grad_output, params.w_o.T)
     o = np.zeros_like(trace.k)  # k's [B, N, h, d] memory: merge_heads(o) is a view
-    d_q, d_k, d_v = _blocked_attention_backward(
-        trace.x, params.w_q, trace.k, trace.v, split_heads(d_merged, trace.k.shape[1]), o)
+    d_heads = list(_blocked_attention_backward(
+        trace.x, params.w_q, trace.k, trace.v, split_heads(d_merged, trace.k.shape[1]), o))
     grads["w_o"] = _weight_grad(merge_heads(o), grad_output)
-    del o
+    del o, d_merged
     grads["w_q"], grads["w_k"], grads["w_v"], d_x = _project_qkv_backward(
-        trace.x, d_q, d_k, d_v, params)
+        trace.x, d_heads, params)
     return _grad_set(params, grads, d_x)
 
 

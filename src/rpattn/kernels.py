@@ -14,8 +14,9 @@ them out and project the tile's rows through the output weights, and
 tile's queries, weights and readout. The layer's gather
 (`attention.gather`) and its reverse (`grad._gather_backward`) run over the
 same tiles, projecting each tile's keys and forming its assignments (the
-k-means reverse reads no keys). `depthwise_conv2d` is the bypass's one tap
-loop; its reverse runs it again on the turned gradient.
+k-means reverse reads no keys). `depthwise_conv2d` is the bypass; it and
+the input gradient of its reverse (`grad._depthwise_conv2d_backward`) sum
+their taps over the bands of one band-padding helper, `padded_bands`.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes
@@ -142,20 +143,18 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
 
     x: [B, H, W, C], kernel: [k, k, C], bias: [C]. Each channel is convolved
     with its own filter; output shape equals input shape. The taps are
-    summed DWC_BAND_ROWS output rows at a time, padding only the band's own
-    input rows, each padded row one run of (W + 2p) C values against kernel
-    rows tiled W times, so a band of the output, its padded input rows and
-    the one band-sized tap buffer stay in cache through all k^2 taps and no
-    padded copy of the whole input exists. Every element still adds its
-    taps to zero in (ki, kj) order, then the bias.
+    summed DWC_BAND_ROWS output rows at a time over the band's own padded
+    input rows (padded_bands), each padded row one run of (W + 2p) C values
+    against kernel rows tiled W times, so a band of the output, its padded
+    input rows and the one band-sized tap buffer stay in cache through all
+    k^2 taps and no padded copy of the whole input exists. Every element
+    still adds its taps to zero in (ki, kj) order, then the bias.
 
     The result is written into `out` when given: a C-contiguous array of x's
     shape and dtype that is either x itself (the same array object), which
     is then overwritten with its own convolution, or shares no memory with
-    x. Every band after the first takes the input rows it shares with the
-    band before (that band's last 2p padded rows) from the band buffer and
-    reads only the rows below them from x, so in place no input row is read
-    after its band has been written, and the bits are those of a new array.
+    x. In place no input row is read after its band has been written
+    (padded_bands), so the bits are those of a new array.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -179,21 +178,48 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     elif out is not x and np.may_share_memory(out, x):
         raise ContractError("out must be x itself or share no memory with it")
 
-    b, h, w, c = x.shape
-    pad = (k - 1) // 2
+    _, _, w, c = x.shape
     run = w * c
     taps = np.tile(kernel, (1, 1, w))
     bias_row = np.tile(bias, w)
+    for band, xp, tap in padded_bands(x, k, out):
+        rows = band.shape[1]
+        band.fill(0)
+        for ki in range(k):
+            for kj in range(k):
+                band += np.multiply(xp[:, ki:ki + rows, kj * c:kj * c + run], taps[ki, kj],
+                                    out=tap)
+        band += bias_row
+    return out
+
+
+def padded_bands(x: np.ndarray, k: int, out: np.ndarray):
+    """The DWC_BAND_ROWS-row bands of a k x k same-padded depthwise pass over
+    x [B, H, W, C] into out (x's shape), in order: (band, xp, tap) each.
+
+    band is the band's rows of out as [B, rows, W*C]; xp its input rows of
+    x, from p = (k - 1) // 2 above to p below, zero padded by p on every
+    side, as [B, rows + 2p, (W + 2p) * C], so padded row r and padded column
+    s are input row top - p + r and column s - p; tap is one band-sized
+    [B, rows, W*C] buffer for the caller's tap products. The buffers are
+    reused from band to band and valid only until the next band is asked
+    for. Every band after the first takes the input rows it shares with the
+    band before (that band's last 2p padded rows) from the band buffer and
+    reads only the rows below them from x, so out may be x itself: no input
+    row is read after the band that holds it was handed out.
+    """
+    b, h, w, c = x.shape
+    pad = (k - 1) // 2
+    run = w * c
     out_rows = out.reshape(b, h, run)
     band_rows = min(h, DWC_BAND_ROWS)
     tap = np.empty((b, band_rows, run), dtype=x.dtype)
-    # Row r of xb is input row top - pad + r of the band at `top`, padded.
-    # Its pad columns stay zero. A row above the image held rows further up
-    # in every earlier band, so it is zero from the start; a row below the
-    # image held input rows in earlier bands and is zeroed. Every band after
-    # the first is a full band below a full band, so its first 2p rows are
-    # the last 2p rows of the band before, moved up (the move may overlap
-    # itself when 2p > DWC_BAND_ROWS).
+    # A row above the image held rows further up in every earlier band, so
+    # it is zero from the start; a row below the image held input rows in
+    # earlier bands and is zeroed. The pad columns stay zero. Every band
+    # after the first is a full band below a full band, so its first 2p rows
+    # are the last 2p rows of the band before, moved up (the move may
+    # overlap itself when 2p > DWC_BAND_ROWS).
     xb = np.zeros((b, band_rows + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp = xb.reshape(b, band_rows + 2 * pad, (w + 2 * pad) * c)
     for top in range(0, h, DWC_BAND_ROWS):
@@ -204,11 +230,4 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             lo = top + pad
         xb[:, lo - top + pad:hi - top + pad, pad:pad + w] = x[:, lo:hi]
         xb[:, hi - top + pad:rows + 2 * pad] = 0
-        band, band_tap = out_rows[:, top:top + rows], tap[:, :rows]
-        band.fill(0)
-        for ki in range(k):
-            for kj in range(k):
-                band += np.multiply(xp[:, ki:ki + rows, kj * c:kj * c + run], taps[ki, kj],
-                                    out=band_tap)
-        band += bias_row
-    return out
+        yield out_rows[:, top:top + rows], xp[:, :rows + 2 * pad], tap[:, :rows]

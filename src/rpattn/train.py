@@ -133,35 +133,38 @@ def train_tiny(task: SyntheticTask, attn_config: AttnConfig,
 
     state = AdamState()
     batch_rng = np.random.default_rng([train_config.seed, 2])
-    losses = []
-
     full_batch = train_config.batch_size >= len(x_train)
-    for step in range(train_config.steps):
+
+    def train_step(step):
+        # One forward, backward and Adam step; returns its loss. Every array
+        # of the step is a local here, so none outlives it: the step before's
+        # output, trace and gradients are gone before the next forward.
         if full_batch:
             xb, yb = x_train, y_train
         else:
             idx = batch_rng.integers(0, len(x_train), train_config.batch_size)
-            xb = x_train[idx]
-            yb = y_train[idx]
+            xb, yb = x_train[idx], y_train[idx]
 
         out, trace = forward(xb, layer, cfg)
         pooled = out.mean(axis=1)                       # [b, C]
         logits = pooled @ head_w + head_b
         probs = kernels.softmax_lastdim(logits)
-        bsz = len(xb)
+        bsz, n = out.shape[:2]
         loss = float(-np.log(probs[np.arange(bsz), yb] + 1e-300).mean())
         if not math.isfinite(loss):
             raise TrainDivergedError(step)
-        losses.append(loss)
 
         d_logits = probs.copy()
         d_logits[np.arange(bsz), yb] -= 1.0
         d_logits /= bsz
         d_pooled = d_logits @ head_w.T
-        grad_out = np.repeat(d_pooled[:, None, :], out.shape[1], axis=1) / out.shape[1]
+        grad_out = np.repeat(d_pooled[:, None, :] / n, n, axis=1)
         grads = [*backward(trace, grad_out).field_dict().values(),
                  pooled.T @ d_logits, d_logits.sum(axis=0)]
         adam_step(flat, np.concatenate([gr.ravel() for gr in grads]), state, train_config.lr)
+        return loss
+
+    losses = [train_step(step) for step in range(train_config.steps)]
 
     out_eval, _ = forward(x_eval, layer, cfg)
     logits_eval = out_eval.mean(axis=1) @ head_w + head_b

@@ -1,7 +1,5 @@
 """Forward-path tests for the representative-attention layer."""
 
-import gc
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +28,7 @@ from rpattn.errors import ConfigError, ContractError, ShapeError
 from rpattn.grad import softmax_attention_backward
 
 import oracles
-from stages import fused_from_stages
+from stages import fused_from_stages, peak_by_stage
 
 SMALL = AttnConfig(channels=8, heads=2, num_representatives=3, grid_h=3, grid_w=4)
 
@@ -494,7 +492,7 @@ def _slot_major(t):
 @pytest.mark.parametrize("grid", [32, 64])
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_forward_memory_budget(dtype, batch, grid, routing):
+def test_forward_memory_budget(monkeypatch, dtype, batch, grid, routing):
     # At the benchmark's layer shape, the forward's peak traced memory stays
     # within the trace's own arrays (x excluded), none of them [B, h, N, M]
     # and none of them a projection of x, plus a stated slack: every other
@@ -507,15 +505,8 @@ def test_forward_memory_budget(dtype, batch, grid, routing):
                      routing=routing, dtype=dtype)
     params = init_params(cfg, 0)
     x = np.random.default_rng(40).standard_normal((batch, cfg.num_tokens, 64)).astype(dtype)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _, trace = rpattention_forward(x, params, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    (_, trace), peak, stage = peak_by_stage(lambda: rpattention_forward(x, params, cfg),
+                                            monkeypatch)
     nm = (cfg.num_tokens, cfg.num_representatives)
     assert [name for name, v in vars(trace).items() if np.shape(v)[-2:] == nm] == []
     per_head = (batch, cfg.heads, cfg.num_tokens, cfg.head_dim)
@@ -548,7 +539,7 @@ def test_forward_memory_budget(dtype, batch, grid, routing):
         slack = max(scratch, tile) * itemsize + temps
     else:
         slack = 3 * x.nbytes + batch * cfg.heads * nm[0] * nm[1] * np.dtype(np.float64).itemsize
-    assert peak <= trace_bytes + slack, (peak, trace_bytes, slack)
+    assert peak <= trace_bytes + slack, (stage, peak, trace_bytes, slack)
     if routing == "learned":  # k-means expands its slot indices token-major
         assert _slot_major(trace.a)
 

@@ -3,6 +3,7 @@ binary tensor I/O."""
 
 import io
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from rpattn.errors import (
     TrainDivergedError,
     TruncatedPayloadError,
 )
+from rpattn import train
 from rpattn.synthetic import majority_label
 from rpattn.tensor_io import MAGIC, VERSION, read_record, write_record
 
@@ -154,6 +156,24 @@ class TestTrainTiny:
             with np.errstate(all="ignore"):
                 train_tiny(task, attn, TrainConfig(steps=20, batch_size=4, lr=1e200, seed=0))
         assert err.value.step >= 1
+
+    @pytest.mark.parametrize("variant", ["full", "kmeans"])
+    def test_each_step_is_freed_before_the_next(self, monkeypatch, variant):
+        # Every forward, the held-out one included, finds the outputs and
+        # traces of the steps before it gone: a step holds its own arrays,
+        # not the step before's.
+        forward, earlier = train.rpattention_forward, []
+
+        def recorded(x, params, config):
+            assert [ref for ref in earlier if ref() is not None] == []
+            out, trace = forward(x, params, config)
+            earlier.extend((weakref.ref(out), weakref.ref(trace)))
+            return out, trace
+
+        monkeypatch.setattr(train, "rpattention_forward", recorded)
+        train_tiny(TASK, ATTN, TrainConfig(steps=4, batch_size=8, lr=0.01, seed=1,
+                                           variant=variant))
+        assert len(earlier) == 2 * (4 + 1)
 
     def test_kmeans_loss_curve_pinned(self):
         # configs/ablate.json settings, 20 steps. Exact equality: any change of
