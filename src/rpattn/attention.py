@@ -328,16 +328,45 @@ def latent_interact(k_l: np.ndarray, v_l: np.ndarray, params: RPAttnParams, conf
 
 def distribute_global(q: np.ndarray, k_l_bar: np.ndarray, z_l: np.ndarray,
                       fused: np.ndarray) -> None:
-    """Cross-attention of spatial queries q [B, h, T, d] over the M slots.
+    """Cross-attention of spatial queries q [B, h, T, d] over keys k_l_bar and values z_l.
 
-    Forms the queries' slot-major weights (kernels.attention_weights), reads
-    out z_l and adds the readout into their rows fused [B, T, C] in place,
-    through its split_heads view. Each token's weights are a softmax over
-    its own M slots, so the forward runs it one token tile at a time and no
-    weights outlive their tile.
+    The layer's keys and values are its M refined slots (the dense baseline
+    and the pooled proxy pass their own). Forms the queries' key-major
+    weights (kernels.attention_weights), reads out z_l and adds the readout
+    into their rows fused [B, T, C] in place, through its split_heads view.
+    Each token's weights are a softmax over its own keys, so
+    blocked_attention runs it one token tile at a time and no weights
+    outlive their tile.
     """
     fused_heads = split_heads(fused, q.shape[1])  # a view: the adds land in fused
     fused_heads += kernels.matmul(kernels.attention_weights(q, k_l_bar), z_l)
+
+
+def blocked_attention(x: np.ndarray, w_q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      out: np.ndarray, w_o: np.ndarray) -> np.ndarray:
+    """Query-tiled cross-attention readout, projected through w_o into out [B, N, C] in place.
+
+    The queries are x [B, N, C] @ w_q, over per-head keys k and values v
+    [B, h, n_k, d]. Each token tile of kernels.TOKEN_TILE rows projects its
+    queries (project_qkv), adds its readout into its rows of out
+    (distribute_global) and projects those rows through w_o over
+    themselves. Each token's output is its own row's product, so a tile's
+    rows are final once its readout is added, and no queries, weights or
+    readout outlive their tile. out is returned: the layer passes its
+    bypass (fused), the dense baseline and the pooled proxy zeros.
+    grad._blocked_attention_backward is its reverse.
+
+    The w_o product is a direct kernels.linear call, not a stage function:
+    perfbench's tracer wraps the stage functions (distribute_global among
+    them) but not this one, so it sees the call as the forward's own and
+    counts it as the output projection, the `out` stage.
+    """
+    heads = k.shape[1]
+    for rows in kernels.token_tiles(x.shape[1], kernels.TOKEN_TILE):
+        (q,) = project_qkv(x[:, rows], (w_q,), heads)
+        distribute_global(q, k, v, out[:, rows])
+        out[:, rows] = kernels.linear(out[:, rows], w_o)
+    return out
 
 
 def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np.ndarray:
@@ -347,7 +376,9 @@ def local_bypass(xv: np.ndarray, params: RPAttnParams, config: AttnConfig) -> np
     bypass adds no projection of its own. It must be C-contiguous: the
     bypass is written over it (kernels.depthwise_conv2d with out= its own
     input), and xv itself is returned, so no second [B, N, C] array exists.
-    With the bypass disabled, xv is zeroed and returned.
+    With the bypass disabled, xv is zeroed and returned. The forward passes
+    the values themselves; the backward, which still needs them, passes a
+    copy to rebuild `fused` with the forward's bits.
     """
     b, n, c = xv.shape
     if not config.enable_dwc:
@@ -397,10 +428,10 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     gather's assignments and distribution weights, and `fused`, the sum of
     readout and bypass that the output projection reads: the keys, the
     assignments, the queries and the weights all run in token tiles. The
-    bypass is written over the values (local_bypass), and each tile adds
-    its distribution readout into its rows of them and then projects those
-    rows through w_o over themselves, so the values' memory is the trace's
-    `output` and the only [B, N, C] array the forward makes.
+    bypass is written over the values (local_bypass), and blocked_attention
+    adds each tile's distribution readout into its rows of them and then
+    projects those rows through w_o over themselves, so the values' memory
+    is the trace's `output` and the only [B, N, C] array the forward makes.
     Beyond the trace's own arrays no step holds more than one tile's keys,
     assignments, queries, weights and readout or one band of the bypass and
     its scratch; the forward peaks inside local_bypass. k-means routing
@@ -421,14 +452,7 @@ def rpattention_forward(x: np.ndarray, params: RPAttnParams, config: AttnConfig)
     k_l_bar, v_l_bar, p_lat, z_l = latent_interact(k_l, v_l, params, config)
     fused = local_bypass(merge_heads(v), params, config)  # over v's memory
     del v
-    for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
-        (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
-        distribute_global(q, k_l_bar, z_l, fused[:, rows])
-        # Each token's output is its own row's product: the tile's rows of
-        # fused are final, and are projected over themselves, from this
-        # frame (the traced `out` stage).
-        fused[:, rows] = kernels.linear(fused[:, rows], params.w_o)
-    output = fused
+    output = blocked_attention(x, params.w_q, k_l_bar, z_l, fused, params.w_o)
 
     trace = ForwardTrace(
         x=x, slots=slots, mass=mass, k_l=k_l, v_l=v_l,

@@ -6,7 +6,10 @@
 * hard k-means routing that replaces the learned one-step gather.
 
 The forwards take the layer's (x, params, config) and share its input
-check; the dense backward lives in grad next to the layer's.
+check. The dense and pooled forwards read out through the layer's own
+query-tiled readout, attention.blocked_attention, into zeros, so no
+weights over all N queries exist in either; the dense backward lives in
+grad next to the layer's and shares its blocked reverse.
 """
 
 from dataclasses import dataclass
@@ -14,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
-from .attention import AttnConfig, RPAttnParams, check_input, merge_heads, project_qkv
+from .attention import AttnConfig, RPAttnParams, blocked_attention, check_input, project_qkv
 from .errors import ConfigError, ContractError, ShapeError, check_count
 
 
@@ -38,19 +40,17 @@ class DenseTrace:
 def softmax_attention_forward(x, params: RPAttnParams, config: AttnConfig):
     """Dense multi-head attention over all token pairs. Returns (output, DenseTrace).
 
-    Reads only the w_q, w_k, w_v and w_o projections of params. Each token
-    tile of kernels.TOKEN_TILE queries is projected, attends, is read out
-    and projected through w_o into its rows of the output on its own, and
-    the trace keeps no queries, weights or readout, so the full
+    Reads only the w_q, w_k, w_v and w_o projections of params. The keys and
+    values are projected over all N tokens; blocked_attention then projects,
+    attends, reads out and projects through w_o one token tile of
+    kernels.TOKEN_TILE queries at a time, into zeros that become the
+    output. The trace keeps no queries, weights or readout, so the full
     [B, h, N, N] weights (2.1 GB in float32 at B = 1, h = 2, N = 16384)
     never exist; memory grows with N * kernels.TOKEN_TILE.
     """
     x = check_input(x, params, config)
     k, v = project_qkv(x, (params.w_k, params.w_v), config.heads)
-    out = np.empty(x.shape, dtype=x.dtype)
-    for rows in kernels.token_tiles(config.num_tokens, kernels.TOKEN_TILE):
-        (q,) = project_qkv(x[:, rows], (params.w_q,), config.heads)
-        out[:, rows] = kernels.linear(merge_heads(kernels.attention(q, k, v)[1]), params.w_o)
+    out = blocked_attention(x, params.w_q, k, v, np.zeros(x.shape, dtype=x.dtype), params.w_o)
     return out, DenseTrace(x=x, k=k, v=v, output=out, params=params)
 
 
@@ -59,8 +59,10 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
 
     pool_grid = (g_h, g_w) counts cells, so M = g_h * g_w proxies. Keys and
     values are mean-pooled per cell; queries then cross-attend over the
-    pooled keys and read the pooled values. Returns (y, latent_k, latent_v);
-    the latents are exposed for the shift experiment.
+    pooled keys and read the pooled values, through the layer's
+    blocked_attention into zeros, one token tile of queries at a time.
+    Returns (y, latent_k, latent_v); the latents are exposed for the shift
+    experiment.
     """
     g_h, g_w = pool_grid
     check_count("pool grid height", g_h)
@@ -73,7 +75,7 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
 
     heads = config.heads
     d = config.head_dim
-    q, k, v = project_qkv(x, (params.w_q, params.w_k, params.w_v), heads)
+    k, v = project_qkv(x, (params.w_k, params.w_v), heads)
 
     cell_h = config.grid_h // g_h
     cell_w = config.grid_w // g_w
@@ -85,9 +87,8 @@ def pooled_proxy_forward(x, params: RPAttnParams, config: AttnConfig, pool_grid)
 
     latent_k = pool(k)
     latent_v = pool(v)
-
-    _, o = kernels.attention(q, latent_k, latent_v)
-    y = kernels.linear(merge_heads(o), params.w_o)
+    y = blocked_attention(x, params.w_q, latent_k, latent_v, np.zeros(x.shape, dtype=x.dtype),
+                          params.w_o)
     return y, latent_k, latent_v
 
 

@@ -4,30 +4,32 @@ dense softmax baseline.
 Gradients are derived by hand, one reverse per forward stage, run in
 reverse order: `_output_backward` (the output projection, then the two
 stages that wrote `fused`: `_blocked_attention_backward` of
-`distribute_global`, then `_local_bypass_backward`),
+`attention.blocked_attention`'s readout, then `_local_bypass_backward`),
 `_latent_interact_backward` (latent self-attention and the two latent layer
 norms), `_gather_backward` (mass-normalized slot gathering, then the
 assignment softmax under learned routing, in token tiles that each recompute
 their keys and assignments) and `_project_qkv_backward`. The trace keeps no
 projection of x and no `fused`: `rpattention_backward` projects the values
 once for the bypass and gather reverses, the tiles recompute the keys and
-queries, and `_output_backward` rebuilds `fused` for w_o's gradient with
-the forward's operations in the forward's order, the bypass of the values
-into a new array, then each tile's readout. It frees `fused` before the
-bypass reverse runs, and the bypass's value gradient, a new array, is the
-memory of d_v: `_gather_backward` adds its share into it, and the
+queries, and `_output_backward` rebuilds `fused` for w_o's gradient through
+the forward's own stages in the forward's order, `attention.local_bypass`
+over a copy of the values, then each tile's readout. It frees `fused`
+before the bypass reverse runs, which writes the bypass's value gradient
+over `d_fused` (`kernels.depthwise_conv2d_backward`, beside its forward):
+that memory is d_v, `_gather_backward` adds its share into it, and the
 projection reverse frees d_q, d_k and d_v in turn, so the backward holds
 at most five [B, N, C] arrays, the trace's output among them.
 `_linear_backward` is the one reverse of `inp @ w` (`_weight_grad` its
 weight gradient), `_attention_backward` of `kernels.attention`, and
-`_blocked_attention_backward` of the query-tiled attention that the
-layer's distribution and the dense baseline run: it recomputes each token
-tile's queries from the trace's x and params.w_q, the tile's weights and
-its readout, which it adds into the caller's buffer, so the two share one
-reverse and neither trace keeps the array its forward projected through
-w_o. The backwards thus read the forward's params as well as its trace,
-and a trace is valid only until those params are mutated. A
-central-finite-difference harness verifies every parameter.
+`_blocked_attention_backward` of `attention.blocked_attention`, the
+query-tiled readout that the layer's distribution and the dense baseline
+run: it recomputes each token tile's queries from the trace's x and
+params.w_q, the tile's weights and its readout, which it adds into the
+caller's buffer, so the two share one reverse and neither trace keeps the
+array its forward projected through w_o. The backwards thus read the
+forward's params as well as its trace, and a trace is valid only until
+those params are mutated. A central-finite-difference harness verifies
+every parameter.
 """
 
 import math
@@ -45,6 +47,7 @@ from .attention import (
     RPAttnParams,
     init_params,
     latent_qkv,
+    local_bypass,
     merge_heads,
     project_qkv,
     rpattention_forward,
@@ -87,13 +90,14 @@ def _attention_backward(q, k, v, p, d_o, d_q=None):
 
 
 def _blocked_attention_backward(x, w_q, k, v, d_o, readout):
-    # Reverse of attention in token tiles whose queries are project_qkv of x
-    # [B, N, C] through w_q, over per-head keys k and values v: (d_q, d_k,
-    # d_v). Each tile's queries and weights are recomputed, its readout p v
-    # added into its rows of readout [B, h, N, d] in place (which rebuilds
-    # what the forward projected through w_o, for that weight's gradient)
-    # and its rows of d_q written; its shares of d_k and d_v are summed tile
-    # by tile. d_q has [B, N, h, d] memory, so merge_heads(d_q) is a view.
+    # Reverse of attention.blocked_attention's readout, whose queries are
+    # project_qkv of x [B, N, C] through w_q, over per-head keys k and
+    # values v, up to the output projection: (d_q, d_k, d_v). Each tile's
+    # queries and weights are recomputed, its readout p v added into its
+    # rows of readout [B, h, N, d] in place (which rebuilds what the forward
+    # projected through w_o, for that weight's gradient) and its rows of d_q
+    # written; its shares of d_k and d_v are summed tile by tile. d_q has
+    # [B, N, h, d] memory, so merge_heads(d_q) is a view.
     heads = k.shape[1]
     d_q = split_heads(np.empty(x.shape[:2] + (w_q.shape[1],), dtype=x.dtype), heads)
     d_k, d_v = np.zeros_like(k), np.zeros_like(v)
@@ -179,97 +183,37 @@ def _project_qkv_backward(x, d_heads, params):
     return _linear_backward(x, d_outs, (params.w_q, params.w_k, params.w_v))
 
 
-def _depthwise_conv2d_backward(x, kernel, dy):
-    # Reverse of kernels.depthwise_conv2d for x and dy [B, H, W, C]: (dx,
-    # dkernel, dbias), dkernel first. Each dkernel entry sums its tap's
-    # product with dy over (B, H, W), every product in one reused
-    # whole-size buffer, freed before dx is made, and dbias sums dy.
-    # A tap reads x through a shifted view; where it would read the zero
-    # padding, the buffer takes 0 * dy (the same ±0), so each whole-buffer
-    # sum adds the same values in the same order as over a padded copy.
-    # Tap (ki, kj) reads padding in the rows outside i0:i1 and the columns
-    # outside j0:j1. No tap of a kernel column writes its border columns
-    # with anything but 0 * dy, so they are filled once per kernel column.
-    # dx, a new C-contiguous array, is then summed band by band over the
-    # bands of kernels.padded_bands, as the forward sums its own: dx[i, j]
-    # adds dy[i+p-ki, j+p-kj] * kernel[ki, kj] to zero in (ki, kj) order,
-    # padded row 2p - ki and column 2p - kj of the band's rows of dy. The
-    # taps that land in the padding add ±0, which leaves a sum begun at +0
-    # unchanged, so dx has the bits of one whole-array product per tap.
-    b, h, w, c = x.shape
-    k = kernel.shape[0]
-    pad = (k - 1) // 2
-    dkernel, tap = np.empty_like(kernel), np.empty((b, h, w, c), dtype=x.dtype)
-    row_ranges = _tap_ranges(k, h)
-    for kj, (j0, j1, border_cols) in enumerate(_tap_ranges(k, w)):
-        for cols in border_cols:
-            np.multiply(0.0, dy[:, :, cols], out=tap[:, :, cols])
-        for ki, (i0, i1, border_rows) in enumerate(row_ranges):
-            for rows in border_rows:
-                np.multiply(0.0, dy[:, rows], out=tap[:, rows])
-            di, dj = ki - pad, kj - pad
-            np.multiply(x[:, i0 + di:i1 + di, j0 + dj:j1 + dj], dy[:, i0:i1, j0:j1],
-                        out=tap[:, i0:i1, j0:j1])
-            dkernel[ki, kj] = tap.sum(axis=(0, 1, 2))
-    del tap
-    dx, run, taps = np.empty((b, h, w, c), dtype=dy.dtype), w * c, np.tile(kernel, (1, 1, w))
-    for band, dyp, band_tap in kernels.padded_bands(dy, k, dx):
-        rows = band.shape[1]
-        band.fill(0)
-        for ki in range(k):
-            for kj in range(k):
-                r, s = 2 * pad - ki, (2 * pad - kj) * c
-                band += np.multiply(dyp[:, r:r + rows, s:s + run], taps[ki, kj], out=band_tap)
-    return dx, dkernel, dy.sum(axis=(0, 1, 2))
-
-
-def _tap_ranges(k, n):
-    # Per tap t of a k-wide kernel along an axis of n: (lo, hi, border), the
-    # output indices lo:hi whose input index, plus t - (k - 1) // 2, lies in
-    # range(n), and the non-empty slices outside them, which read padding. An
-    # offset of n or more leaves lo:hi empty.
-    pad, ranges = (k - 1) // 2, []
-    for t in range(k):
-        lo = min(max(pad - t, 0), n)
-        hi = max(min(n + pad - t, n), lo)
-        ranges.append((lo, hi, [s for s in (slice(0, lo), slice(hi, n)) if s.start < s.stop]))
-    return ranges
-
-
 def _local_bypass_backward(trace, xv, d_fused, grads):
-    # Reverse of local_bypass over the values xv [B, N, C]: d_xv, a new
-    # C-contiguous [B, N, C] array. With the bypass off it reads nothing,
-    # and d_xv is -0 throughout: -0 is the additive identity of every value,
-    # ±0 included, so sums built on it keep their bits.
+    # Reverse of local_bypass over the values xv [B, N, C]: d_xv, written
+    # over d_fused, a C-contiguous [B, N, C] array, which is returned
+    # (kernels.depthwise_conv2d_backward). With the bypass off it reads
+    # nothing, and d_fused is filled with -0: -0 is the additive identity of
+    # every value, ±0 included, so sums built on it keep their bits.
     config = trace.config
     if not config.enable_dwc:
-        return np.full(d_fused.shape, -0.0, dtype=d_fused.dtype)
+        d_fused.fill(-0.0)
+        return d_fused
     b, n, c = d_fused.shape
     grid = (b, config.grid_h, config.grid_w, c)
-    d_xv, grads["dwc_kernel"], grads["dwc_bias"] = _depthwise_conv2d_backward(
+    _, grads["dwc_kernel"], grads["dwc_bias"] = kernels.depthwise_conv2d_backward(
         xv.reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
-    return d_xv.reshape(d_fused.shape)
+    return d_fused
 
 
 def _output_backward(trace, v, grad_output, grads):
     # Reverse of output = fused @ w_o and of the two stages that wrote fused,
     # the bypass over the values v and distribute_global: (d_q, d_k_l_bar,
     # d_z_l, d_v). The trace keeps no fused, so after d_fused it is rebuilt
-    # as the forward built it, bit for bit: the bypass of v into a new array
-    # (zeros when it is off), then each tile's readout, added by the blocked
+    # through the forward's own stages, bit for bit: local_bypass over a
+    # copy of the values, then each tile's readout, added by the blocked
     # reverse. fused is freed once it has given w_o's gradient, and only
-    # then the bypass reverse runs, so its tap buffer and d_xv are never
-    # live beside fused; d_fused is freed when this returns. d_v is d_xv, a
-    # view of its memory: the gather reverse adds its share into it.
+    # then the bypass reverse runs, so its tap buffer is never live beside
+    # fused. d_v is d_fused's memory, which the bypass reverse writes d_xv
+    # over: the gather reverse adds its share into it.
     params, config = trace.params, trace.config
     xv = merge_heads(v)
     d_fused = kernels.matmul(grad_output, params.w_o.T)
-    if config.enable_dwc:
-        grid = (xv.shape[0], config.grid_h, config.grid_w, xv.shape[2])
-        fused = kernels.depthwise_conv2d(xv.reshape(grid), params.dwc_kernel,
-                                         params.dwc_bias).reshape(xv.shape)
-    else:
-        fused = np.zeros(xv.shape, dtype=xv.dtype)
+    fused = local_bypass(xv.copy(), params, config)
     d_q, d_k_l_bar, d_z_l = _blocked_attention_backward(
         trace.x, params.w_q, trace.k_l_bar, trace.z_l, split_heads(d_fused, config.heads),
         split_heads(fused, config.heads))

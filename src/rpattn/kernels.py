@@ -6,17 +6,19 @@
 shape but are stored key-major (the swapped view of a C-ordered
 [..., n_k, n_q] array), so every reduction over the keys runs over the outer
 memory axis; a short last axis (M slots) is the slow case for numpy.
-`token_tiles` cuts the token axis into tiles of TOKEN_TILE rows in every
-caller, so no weights over all N tokens exist. The layer's distribution and
-the dense baseline project each tile's queries, form its weights, read
-them out and project the tile's rows through the output weights, and
-`grad._blocked_attention_backward` is their one reverse: it recomputes each
-tile's queries, weights and readout. The layer's gather
+`token_tiles` cuts the token axis into tiles of at most TOKEN_TILE rows in
+every caller, so no weights over all N tokens exist. The one query-tiled
+readout, `attention.blocked_attention`, which the layer's distribution,
+the dense baseline and the pooled proxy run, projects each tile's queries,
+forms its weights, reads them out and projects the tile's rows through the
+output weights, and `grad._blocked_attention_backward` is its reverse: it
+recomputes each tile's queries, weights and readout. The layer's gather
 (`attention.gather`) and its reverse (`grad._gather_backward`) run over the
 same tiles, projecting each tile's keys and forming its assignments (the
-k-means reverse reads no keys). `depthwise_conv2d` is the bypass; it and
-the input gradient of its reverse (`grad._depthwise_conv2d_backward`) sum
-their taps over the bands of one band-padding helper, `padded_bands`.
+k-means reverse reads no keys). `depthwise_conv2d` is the bypass and
+`depthwise_conv2d_backward` its reverse; both sum their taps over the bands
+of one private band-padding helper, `_padded_bands`, so only this module
+knows the padded-band layout.
 
 All kernels operate on plain numpy arrays (row-major, C order, or swapped
 views of such, like the attention weights). Both dtypes
@@ -27,7 +29,9 @@ are bit-identical under one and two BLAS threads.
 
 Kernels mutate nothing except an `out` array the caller passes, which may
 be the input itself for `softmax_lastdim` and `depthwise_conv2d` (the
-bypass writes its convolution over the values it reads). Each makes as few
+bypass writes its convolution over the values it reads), and the output
+gradient of `depthwise_conv2d_backward`, which its input gradient is
+written over. Each makes as few
 full-size arrays as its arithmetic allows and finishes its work in place in
 them; the in-place steps run the same operations in the same order, so the
 results keep their bits.
@@ -41,10 +45,10 @@ from .errors import ConfigError, ContractError, ShapeError
 
 DWC_BAND_ROWS = 8  # output rows depthwise_conv2d sums its taps over at a time
 # Token rows per tile, read at call time by every caller of token_tiles: the
-# layer's gather and distribution and the dense baseline, forward and
-# backward. Layer (float32, N = 16384, M = 49, one BLAS thread, distribution
-# only): 256-1024 rows time about the same, and 128 rows and one whole tile
-# are slower. Dense: a block's weights grow with N * TOKEN_TILE, never N^2
+# layer's gather and the query-tiled readout of the layer, the dense
+# baseline and the pooled proxy, forward and backward. Layer (float32,
+# N = 16384, M = 49, one BLAS thread, distribution only): 256-1024 rows
+# time about the same, and 128 rows and one whole tile are slower. Dense: a block's weights grow with N * TOKEN_TILE, never N^2
 # (67 MB at float32, B = 1, h = 2, N = 16384), and 512 rows ran no slower
 # than 1024 forward and backward at N = 1024, 4096 and 16384.
 TOKEN_TILE = 512
@@ -110,8 +114,21 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def token_tiles(n: int, rows: int):
-    """Slices of `rows` consecutive indices covering range(n) in order; the last may be shorter."""
-    return (slice(start, start + rows) for start in range(0, n, rows))
+    """Slices of at most `rows` consecutive indices covering range(n) in order.
+
+    Every tile is `rows` long but the last, which may be shorter. Where that
+    would leave one row after a full tile, those two tiles are split into
+    two near-equal ones instead (513 -> 257 + 256 at 512 rows), so for
+    rows >= 3 only a lone tile (n = 1) has a single row: numpy sends a
+    one-row product to BLAS gemv, which rounds its sums unlike the gemm of
+    every other tile.
+    """
+    # The last tile starts at cut; without a split cut is n and adds no tile.
+    cut = n - (rows + 1) // 2 if n > rows and n % rows == 1 else n
+    for start in range(0, cut, rows):
+        yield slice(start, min(start + rows, cut))
+    if cut < n:
+        yield slice(cut, n)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
@@ -144,7 +161,7 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     x: [B, H, W, C], kernel: [k, k, C], bias: [C]. Each channel is convolved
     with its own filter; output shape equals input shape. The taps are
     summed DWC_BAND_ROWS output rows at a time over the band's own padded
-    input rows (padded_bands), each padded row one run of (W + 2p) C values
+    input rows (_padded_bands), each padded row one run of (W + 2p) C values
     against kernel rows tiled W times, so a band of the output, its padded
     input rows and the one band-sized tap buffer stay in cache through all
     k^2 taps and no padded copy of the whole input exists. Every element
@@ -154,7 +171,7 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     shape and dtype that is either x itself (the same array object), which
     is then overwritten with its own convolution, or shares no memory with
     x. In place no input row is read after its band has been written
-    (padded_bands), so the bits are those of a new array.
+    (_padded_bands), so the bits are those of a new array.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -182,7 +199,7 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     run = w * c
     taps = np.tile(kernel, (1, 1, w))
     bias_row = np.tile(bias, w)
-    for band, xp, tap in padded_bands(x, k, out):
+    for band, xp, tap in _padded_bands(x, k, out):
         rows = band.shape[1]
         band.fill(0)
         for ki in range(k):
@@ -193,7 +210,73 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out
 
 
-def padded_bands(x: np.ndarray, k: int, out: np.ndarray):
+def depthwise_conv2d_backward(x: np.ndarray, kernel: np.ndarray, dy: np.ndarray):
+    """Reverse of depthwise_conv2d for x and dy [B, H, W, C]: (dx, dkernel, dbias).
+
+    dx is written over dy, which must be C-contiguous (else ContractError),
+    and dy itself is returned as dx, so the reverse makes no [B, H, W, C]
+    array beyond one tap buffer, freed before dx is written. dkernel comes
+    first: each entry sums its tap's product with dy over (B, H, W), every
+    product in that one reused whole-size buffer. A tap reads x through a
+    shifted view; where it would read the zero padding, the buffer takes
+    0 * dy (the same ±0), so each whole-buffer sum adds the same values in
+    the same order as over a padded copy. Tap (ki, kj) reads padding in the
+    rows outside i0:i1 and the columns outside j0:j1 (_tap_ranges). No tap
+    of a kernel column writes its border columns with anything but 0 * dy,
+    so they are filled once per kernel column. dbias then sums dy.
+
+    dx is summed band by band over the forward's bands (_padded_bands),
+    which may write over their own input: dx[i, j] adds
+    dy[i+p-ki, j+p-kj] * kernel[ki, kj] to zero in (ki, kj) order, padded
+    row 2p - ki and column 2p - kj of the band's rows of dy. The taps that
+    land in the padding add ±0, which leaves a sum begun at +0 unchanged, so
+    dx has the bits of one whole-array product per tap.
+    """
+    if not dy.flags.c_contiguous:  # the bands would land in a copy
+        raise ContractError("depthwise_conv2d_backward writes dx over dy, "
+                            "which must be C-contiguous")
+    b, h, w, c = x.shape
+    k = kernel.shape[0]
+    pad = (k - 1) // 2
+    dkernel, tap = np.empty_like(kernel), np.empty((b, h, w, c), dtype=x.dtype)
+    row_ranges = _tap_ranges(k, h)
+    for kj, (j0, j1, border_cols) in enumerate(_tap_ranges(k, w)):
+        for cols in border_cols:
+            np.multiply(0.0, dy[:, :, cols], out=tap[:, :, cols])
+        for ki, (i0, i1, border_rows) in enumerate(row_ranges):
+            for rows in border_rows:
+                np.multiply(0.0, dy[:, rows], out=tap[:, rows])
+            di, dj = ki - pad, kj - pad
+            np.multiply(x[:, i0 + di:i1 + di, j0 + dj:j1 + dj], dy[:, i0:i1, j0:j1],
+                        out=tap[:, i0:i1, j0:j1])
+            dkernel[ki, kj] = tap.sum(axis=(0, 1, 2))
+    del tap
+    dbias = dy.sum(axis=(0, 1, 2))
+    run, taps = w * c, np.tile(kernel, (1, 1, w))
+    for band, dyp, band_tap in _padded_bands(dy, k, dy):
+        rows = band.shape[1]
+        band.fill(0)
+        for ki in range(k):
+            for kj in range(k):
+                r, s = 2 * pad - ki, (2 * pad - kj) * c
+                band += np.multiply(dyp[:, r:r + rows, s:s + run], taps[ki, kj], out=band_tap)
+    return dy, dkernel, dbias
+
+
+def _tap_ranges(k, n):
+    # Per tap t of a k-wide kernel along an axis of n: (lo, hi, border), the
+    # output indices lo:hi whose input index, plus t - (k - 1) // 2, lies in
+    # range(n), and the non-empty slices outside them, which read padding. An
+    # offset of n or more leaves lo:hi empty.
+    pad, ranges = (k - 1) // 2, []
+    for t in range(k):
+        lo = min(max(pad - t, 0), n)
+        hi = max(min(n + pad - t, n), lo)
+        ranges.append((lo, hi, [s for s in (slice(0, lo), slice(hi, n)) if s.start < s.stop]))
+    return ranges
+
+
+def _padded_bands(x: np.ndarray, k: int, out: np.ndarray):
     """The DWC_BAND_ROWS-row bands of a k x k same-padded depthwise pass over
     x [B, H, W, C] into out (x's shape), in order: (band, xp, tap) each.
 

@@ -17,12 +17,13 @@ from rpattn import attention, baselines, distribute_global, grad, kernels, local
 # Callers look each name up on its module at call time, so patching the
 # attribute reaches every call.
 PEAK_STAGES = (
-    [(baselines, "kmeans_gather"), (kernels, "depthwise_conv2d")]
+    [(baselines, "kmeans_gather")]
+    + [(kernels, name) for name in ("depthwise_conv2d", "depthwise_conv2d_backward")]
     + [(attention, name) for name in ("gather", "latent_interact", "local_bypass")]
     + [(grad, name) for name in (
         "_output_backward", "_blocked_attention_backward", "_local_bypass_backward",
-        "_depthwise_conv2d_backward", "_latent_interact_backward", "_gather_backward",
-        "_project_qkv_backward", "_linear_backward")]
+        "_latent_interact_backward", "_gather_backward", "_project_qkv_backward",
+        "_linear_backward")]
 )
 OUTSIDE = "outside the stages"
 

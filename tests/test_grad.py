@@ -24,11 +24,10 @@ from rpattn import (
 )
 from rpattn import attention
 from rpattn.attention import SLOT_MASS_EPS, merge_heads, split_heads
-from rpattn.baselines import softmax_attention_forward
+from rpattn.baselines import pooled_proxy_forward, softmax_attention_forward
 from rpattn.errors import ConfigError, ContractError
 from rpattn.grad import (
     _blocked_attention_backward,
-    _depthwise_conv2d_backward,
     _gather_backward,
     _latent_interact_backward,
     _linear_backward,
@@ -273,9 +272,9 @@ def _stage(name, trace):
     if name == "bypass":  # over the values x @ w_v, which the trace does not keep
         xv = kernels.linear(trace.x, p.w_v)
 
-        def reverse(g):
+        def reverse(g):  # the reverse writes over its gradient, so it gets a copy
             grads = {}
-            grads["xv"] = _local_bypass_backward(trace, xv, g, grads).reshape(g.shape)
+            grads["xv"] = _local_bypass_backward(trace, xv, g.copy(), grads)
             return grads
 
         # local_bypass writes over its input, so each call gets a copy.
@@ -370,12 +369,12 @@ def test_stage_reverse_matches_its_forward_stage(stage):
 def test_output_and_w_o_gradient_read_the_rebuilt_fused(dtype, routing, batch, dwc, last):
     # The trace keeps no fused: the forward projects it through w_o over
     # itself one token tile at a time, and the backward rebuilds it. With
-    # fused rebuilt from the public stages, at the default TOKEN_TILE and a
-    # last tile of 1-3 rows, the output is the one product
+    # fused rebuilt from the public stages, at the default TOKEN_TILE and
+    # 1-3 rows past a whole tile, the output is the one product
     # kernels.linear(fused, w_o) and w_o's gradient is fusedᵀ grad_output,
-    # bit for bit. The one exception is a tile of a single row (B = 1, one
-    # row left over): numpy sends a one-row product to BLAS gemv, which
-    # rounds its sums unlike gemm, so that row agrees within a few ulps.
+    # bit for bit. One row past a whole tile, token_tiles splits the last
+    # two tiles in near halves, so no tile goes to BLAS gemv, which rounds
+    # a one-row product's sums unlike gemm.
     grid_h, grid_w = {1: (27, 19), 2: (2, 257), 3: (5, 103)}[last]
     cfg = AttnConfig(channels=8, heads=2, num_representatives=5, grid_h=grid_h, grid_w=grid_w,
                      enable_dwc=dwc, routing=routing, dtype=dtype)
@@ -387,10 +386,7 @@ def test_output_and_w_o_gradient_read_the_rebuilt_fused(dtype, routing, batch, d
     grads = rpattention_backward(trace, g)
     fused = fused_from_stages(trace)
     assert grads.w_o.tobytes() == kernels.matmul(fused.reshape(-1, 8).T, g.reshape(-1, 8)).tobytes()
-    ref = kernels.linear(fused, trace.params.w_o)
-    whole = slice(None) if batch * last > 1 else slice(None, -1)
-    assert y[:, whole].tobytes() == ref[:, whole].tobytes()
-    assert np.abs(y - ref).max() <= 8 * np.finfo(dtype).eps * np.abs(ref).max()
+    assert y.tobytes() == kernels.linear(fused, trace.params.w_o).tobytes()
 
 
 @pytest.mark.parametrize("routing", ["learned", "kmeans"])
@@ -427,21 +423,31 @@ def test_backward_memory_budget(monkeypatch, dtype, batch, grid, routing):
     assert peak - grad_bytes <= 8.5 * x.nbytes, (stage, peak, grad_bytes, x.nbytes)
 
 
-@pytest.mark.parametrize("routing", ["learned", "kmeans"])
-def test_no_weights_outlive_a_token_tile(monkeypatch, routing):
+@pytest.mark.parametrize("mechanism", ["learned", "kmeans", "dense", "pooled"])
+def test_no_weights_outlive_a_token_tile(monkeypatch, mechanism):
     # Forward and backward form attention weights over at most TOKEN_TILE
-    # queries at a time, whatever N: the distribution's tiles, and the
-    # latent interaction's M queries. The gather's assignments (learned
-    # softmax or k-means one-hot rows) come in the same tiles, and so do the
-    # keys they are formed from: only k-means projects all the keys, once,
-    # for kmeans_gather, and its backward projects none.
+    # queries at a time, whatever N: the token tiles of the layer's
+    # distribution, the dense baseline and the pooled proxy (which has no
+    # backward), and the layer's latent interaction over its M queries. The
+    # gather's assignments (learned softmax or k-means one-hot rows) come in
+    # the same tiles, and so do the keys they are formed from: only k-means
+    # projects all the keys, once, for kmeans_gather, and its backward
+    # projects none. 16 tokens in tiles of 5 end 5 + 1, split into 3 + 3.
     monkeypatch.setattr(kernels, "TOKEN_TILE", 5)
+    routing = "kmeans" if mechanism == "kmeans" else "learned"
     cfg = replace(SMALL, grid_h=4, grid_w=4, routing=routing)
-    shapes, assigned, keyed = [], [], []
+    tiles, latent, assigned, keyed = [], [], [], []
 
     def recorded(q, k):
-        shapes.append(q.shape)
+        (latent if interacting else tiles).append(q.shape[-2])
         return attention_weights(q, k)
+
+    def recorded_interact(*args):
+        interacting.append(True)
+        try:
+            return latent_interact(*args)
+        finally:
+            interacting.pop()
 
     def recorded_assign(k, w_g):
         assigned.append(k.shape[-2])
@@ -456,22 +462,34 @@ def test_no_weights_outlive_a_token_tile(monkeypatch, routing):
             keyed.append(x.shape[-2])
         return linear(x, w)
 
+    interacting = []
     attention_weights, linear = kernels.attention_weights, kernels.linear
     gather_assign, slot_one_hot = attention.gather_assign, attention.slot_one_hot
+    latent_interact = attention.latent_interact
     monkeypatch.setattr(kernels, "attention_weights", recorded)
     monkeypatch.setattr(kernels, "linear", recorded_linear)
     monkeypatch.setattr(attention, "gather_assign", recorded_assign)
     monkeypatch.setattr(attention, "slot_one_hot", recorded_one_hot)
+    monkeypatch.setattr(attention, "latent_interact", recorded_interact)
     params = init_params(cfg, 19)
     rng = np.random.default_rng(19)
     x = rng.standard_normal((1, cfg.num_tokens, cfg.channels))
-    _, trace = rpattention_forward(x, params, cfg)
-    rpattention_backward(trace, rng.standard_normal(x.shape))
-    tiles = [shape[-2] for shape in shapes if shape[-2] != cfg.num_representatives]
-    assert tiles == [5, 5, 5, 1] * 2  # forward, then the backward's recompute
-    assert max(shape[-2] for shape in shapes) <= 5
-    assert assigned == [5, 5, 5, 1] * 2
-    assert keyed == ([5, 5, 5, 1] * 2 if routing == "learned" else [16, 5, 5, 5, 1])
+    g = rng.standard_normal(x.shape)
+    if mechanism == "pooled":
+        pooled_proxy_forward(x, params, cfg, (2, 2))
+    elif mechanism == "dense":
+        softmax_attention_backward(softmax_attention_forward(x, params, cfg)[1], g)
+    else:
+        rpattention_backward(rpattention_forward(x, params, cfg)[1], g)
+    passes = 1 if mechanism == "pooled" else 2  # forward, then the backward's recompute
+    assert tiles == [5, 5, 3, 3] * passes
+    assert max(tiles + latent) <= kernels.TOKEN_TILE
+    if mechanism in ("dense", "pooled"):
+        assert latent == [] and assigned == []
+        return
+    assert latent == [cfg.num_representatives]  # the forward's; the backward reads p_lat
+    assert assigned == [5, 5, 3, 3] * 2
+    assert keyed == ([5, 5, 3, 3] * 2 if routing == "learned" else [16, 5, 5, 3, 3])
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 17])
@@ -479,9 +497,10 @@ def test_no_weights_outlive_a_token_tile(monkeypatch, routing):
 def test_depthwise_reverse_bytes_equal_to_whole_array_taps(grid, k):
     # The banded reverse against one whole-array product per tap: grids
     # shorter than, equal to and one row over a band, several bands with a
-    # short last one and pads up to a whole band (k = 17); each input and
-    # output gradient also as a non-contiguous view, with 20% signed zeros.
-    # dx is a new upright C-contiguous array, not a view turned by 180°.
+    # short last one and pads up to a whole band (k = 17); each input also
+    # as a non-contiguous view, with 20% signed zeros in input and output
+    # gradient. dx is written over dy, a C-contiguous copy; a
+    # non-contiguous dy is refused before anything is written.
     h, w = grid
     rng = np.random.default_rng(h * 1000 + w * 10 + k)
     for batch in (1, 3):
@@ -491,10 +510,15 @@ def test_depthwise_reverse_bytes_equal_to_whole_array_taps(grid, k):
             wide[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
             kernel = rng.standard_normal((k, k, 3)).astype(dtype)
             for x, dy in (np.ascontiguousarray(wide[..., :3]), wide[..., ::2]):
-                got = _depthwise_conv2d_backward(x, kernel, dy)
                 want = oracles.depthwise_conv2d_backward_taps(x, kernel, dy)
+                if not dy.flags.c_contiguous:
+                    before = dy.tobytes()
+                    with pytest.raises(ContractError):
+                        kernels.depthwise_conv2d_backward(x, kernel, dy)
+                    assert dy.tobytes() == before
+                dy_copy = dy.copy()
+                got = kernels.depthwise_conv2d_backward(x, kernel, dy_copy)
                 for name, a, b in zip(("dx", "dkernel", "dbias"), got, want):
                     assert a.shape == b.shape and a.dtype == dtype, name
                     assert a.tobytes() == b.tobytes(), (name, batch, dtype, x.flags.c_contiguous)
-                dx = got[0]
-                assert dx.flags.c_contiguous and min(dx.strides) > 0, dx.strides
+                assert np.shares_memory(got[0], dy_copy)
