@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
+from . import attention, kernels
 from .attention import (
     AttnConfig,
     ForwardTrace,
@@ -47,7 +47,6 @@ from .attention import (
     RPAttnParams,
     init_params,
     latent_qkv,
-    local_bypass,
     merge_heads,
     project_qkv,
     rpattention_forward,
@@ -185,19 +184,20 @@ def _project_qkv_backward(x, d_heads, params):
 
 def _local_bypass_backward(trace, xv, d_fused, grads):
     # Reverse of local_bypass over the values xv [B, N, C]: d_xv, written
-    # over d_fused, a C-contiguous [B, N, C] array, which is returned
-    # (kernels.depthwise_conv2d_backward). With the bypass off it reads
-    # nothing, and d_fused is filled with -0: -0 is the additive identity of
-    # every value, ±0 included, so sums built on it keep their bits.
+    # over d_fused, a C-contiguous [B, N, C] array, so the returned d_xv is
+    # d_fused's memory (kernels.depthwise_conv2d_backward). With the bypass
+    # off it reads nothing, and d_fused is filled with -0: -0 is the additive
+    # identity of every value, ±0 included, so sums built on it keep their
+    # bits.
     config = trace.config
     if not config.enable_dwc:
         d_fused.fill(-0.0)
         return d_fused
     b, n, c = d_fused.shape
     grid = (b, config.grid_h, config.grid_w, c)
-    _, grads["dwc_kernel"], grads["dwc_bias"] = kernels.depthwise_conv2d_backward(
+    dx, grads["dwc_kernel"], grads["dwc_bias"] = kernels.depthwise_conv2d_backward(
         xv.reshape(grid), trace.params.dwc_kernel, d_fused.reshape(grid))
-    return d_fused
+    return dx.reshape(d_fused.shape)
 
 
 def _output_backward(trace, v, grad_output, grads):
@@ -213,7 +213,7 @@ def _output_backward(trace, v, grad_output, grads):
     params, config = trace.params, trace.config
     xv = merge_heads(v)
     d_fused = kernels.matmul(grad_output, params.w_o.T)
-    fused = local_bypass(xv.copy(), params, config)
+    fused = attention.local_bypass(xv.copy(), params, config)
     d_q, d_k_l_bar, d_z_l = _blocked_attention_backward(
         trace.x, params.w_q, trace.k_l_bar, trace.z_l, split_heads(d_fused, config.heads),
         split_heads(fused, config.heads))
